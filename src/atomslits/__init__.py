@@ -19,11 +19,9 @@ from .errors import (
 from .fockspace import (
     FockSpace,
     FockVector,
-    RecoilParams,
     basis_state,
     coherent_state,
     displacement_operator,
-    first_order_displacement,
     ground_state,
     inner,
     project,
@@ -66,7 +64,6 @@ __all__ = [
     "PROJECTOR_NAMES",
     "Projector",
     "Pulse",
-    "RecoilParams",
     "ScenarioError",
     "ScenarioSpec",
     "SpaceMismatchError",
@@ -83,7 +80,6 @@ __all__ = [
     "condition",
     "displacement_operator",
     "evolve_beat",
-    "first_order_displacement",
     "ground_state",
     "inner",
     "mean_intensity",

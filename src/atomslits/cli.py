@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,6 +41,10 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_PHYSICS = 3
 EXIT_ACCEPTANCE = 4
+
+# Largest --samples accepted; the sampled curve is a consistency check, and
+# this bound keeps a mistyped count from exhausting memory.
+MAX_SAMPLES = 65536
 
 
 class FlagError(Exception):
@@ -95,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--samples", type=int, default=256,
-                        help="number of detector phases sampled (default: 256)")
+                        help=f"number of detector phases sampled, at most {MAX_SAMPLES} "
+                             "(default: 256)")
     output.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="output format (default: csv)")
     output.add_argument("--out", default=None, metavar="PATH",
@@ -225,6 +231,8 @@ def _meta_lines(meta: dict) -> list[str]:
 
 def cmd_pattern(args) -> int:
     _validate_scenario_flags(args)
+    if args.samples > MAX_SAMPLES:
+        raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
     spec = _make_spec(args)
     mixture, applied, post_selection = _apply_transforms(build(spec), args)
     scan = pattern(mixture, args.samples)
@@ -337,10 +345,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_whichway(args) -> int:
-    if args.beta < 0:
-        raise FlagError("--beta", "must be >= 0")
-    if args.delta < 0:
-        raise FlagError("--delta", "must be >= 0")
+    if not 0 <= args.beta < math.inf:
+        raise FlagError("--beta", "must be finite and >= 0")
+    if not 0 <= args.delta < math.inf:
+        raise FlagError("--delta", "must be finite and >= 0")
     ref = closedform.whichway_probabilities(args.beta, args.delta)
     probe, _ = coherent_state(args.delta, args.nmax)
     plus, _ = coherent_state(args.beta, args.nmax)

@@ -1,4 +1,4 @@
-"""Dense linear algebra for truncated harmonic-oscillator modes.
+"""States and ladder operators of truncated harmonic-oscillator modes.
 
 A FockSpace is one or more bosonic modes, each cut off at a finite number of
 levels. Joint amplitudes are stored row-major with the first listed mode
@@ -16,22 +16,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import factorial
 
 from .errors import SpaceMismatchError, TruncationError
 
 __all__ = [
     "FockSpace",
     "FockVector",
-    "RecoilParams",
-    "apply_operator",
     "basis_state",
+    "check_nmax",
     "coherent_state",
     "create",
     "destroy",
     "displacement_operator",
-    "first_order_displacement",
     "ground_state",
     "inner",
     "project",
@@ -99,9 +95,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm() ** 2 - 1.0) < tol
-
     def normalized(self) -> "FockVector":
         n = self.norm()
         if n == 0.0:
@@ -132,26 +125,6 @@ class FockVector:
         return FockVector(self.space, -self.amplitudes)
 
 
-@dataclass(frozen=True)
-class RecoilParams:
-    """Photon recoil scale: wavevector Q and oscillator length x0.
-
-    Trap mass and frequency never appear on their own here; they are absorbed
-    into x0. The derived dimensionless kick amplitude is beta = i Q x0 / sqrt(2).
-    """
-
-    Q: float
-    x0: float
-
-    def __post_init__(self) -> None:
-        if not self.x0 > 0:
-            raise ValueError("oscillator length x0 must be positive")
-
-    @property
-    def beta(self) -> complex:
-        return 1j * self.Q * self.x0 / math.sqrt(2.0)
-
-
 def basis_state(space: FockSpace, occupations: Sequence[int]) -> FockVector:
     """Number state |n0, n1, ...> of the given space."""
     amps = np.zeros(space.dim, dtype=np.complex128)
@@ -168,13 +141,24 @@ def zero_vector(space: FockSpace) -> FockVector:
     return FockVector(space, np.zeros(space.dim, dtype=np.complex128))
 
 
-def _dimension_guard(nmax: int) -> None:
+# 170! is the largest factorial a float64 holds, so the coherent series
+# beta^n / sqrt(n!) is defined on levels n <= 170 only.
+MAX_NMAX = 171
+
+
+def check_nmax(nmax: int) -> None:
+    """Refuse a truncation outside 2 <= nmax <= MAX_NMAX; run it before allocating."""
     if nmax < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {nmax}")
+    if nmax > MAX_NMAX:
+        raise TruncationError(
+            f"truncation dimension {nmax} exceeds {MAX_NMAX}; levels above "
+            f"{MAX_NMAX - 1} overflow the float64 factorial"
+        )
 
 
 def _truncation_guard(beta: complex, nmax: int) -> None:
-    _dimension_guard(nmax)
+    check_nmax(nmax)
     if abs(beta) ** 2 > nmax:
         raise TruncationError(
             f"|beta|^2 = {abs(beta)**2:.4g} exceeds truncation dimension {nmax}; "
@@ -193,7 +177,8 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
     _truncation_guard(beta, nmax)
     b = complex(beta)
     n = np.arange(nmax)
-    amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / np.sqrt(factorial(n))
+    factorial = np.cumprod(np.maximum(n, 1), dtype=float)
+    amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / np.sqrt(factorial)
     captured = float(np.vdot(amps, amps).real)
     residual = max(0.0, 1.0 - captured)
     return FockVector(FockSpace((nmax,)), amps / math.sqrt(captured)), residual
@@ -201,7 +186,7 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
 
 def destroy(nmax: int) -> np.ndarray:
     """Annihilation operator a in the nmax-truncated number basis."""
-    _dimension_guard(nmax)
+    check_nmax(nmax)
     return np.diag(np.sqrt(np.arange(1, nmax, dtype=float)), k=1).astype(np.complex128)
 
 
@@ -213,31 +198,17 @@ def create(nmax: int) -> np.ndarray:
 def displacement_operator(beta: complex, nmax: int) -> np.ndarray:
     """Matrix exponential of beta a^dag - conj(beta) a in the truncated space.
 
-    This is an independent construction from the coherent_state series;
-    applied to the ground state the two agree up to the truncation residual,
-    which is the module's own cross-check. Unitary to high accuracy whenever
-    |beta|^2 is small against nmax.
+    The exponent is -i times the Hermitian generator H = i(beta a^dag -
+    conj(beta) a), so the exponential is V exp(-i w) V^dag from the
+    eigendecomposition H = V w V^dag. This is an independent construction
+    from the coherent_state series; applied to the ground state the two agree
+    up to the truncation residual, which is the module's own cross-check.
+    Unitary to high accuracy whenever |beta|^2 is small against nmax.
     """
     _truncation_guard(beta, nmax)
     b = complex(beta)
-    generator = b * create(nmax) - b.conjugate() * destroy(nmax)
-    return expm(generator)
-
-
-def first_order_displacement(beta: complex, nmax: int) -> np.ndarray:
-    """1 + beta (a^dag + a): the weak-kick expansion. Not unitary."""
-    _dimension_guard(nmax)
-    b = complex(beta)
-    return np.eye(nmax, dtype=np.complex128) + b * (create(nmax) + destroy(nmax))
-
-
-def apply_operator(matrix: np.ndarray, v: FockVector) -> FockVector:
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (v.space.dim, v.space.dim):
-        raise SpaceMismatchError(
-            f"operator shape {m.shape} does not match space dimension {v.space.dim}"
-        )
-    return FockVector(v.space, m @ v.amplitudes)
+    w, v = np.linalg.eigh(1j * (b * create(nmax) - b.conjugate() * destroy(nmax)))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def inner(u: FockVector, v: FockVector) -> complex:

@@ -30,6 +30,7 @@ coincidence rates reportable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,7 @@ from .fockspace import (
     FockSpace,
     FockVector,
     basis_state,
+    check_nmax,
     coherent_state,
     ground_state,
     tensor,
@@ -87,9 +89,12 @@ class Treatment(str, Enum):
 class ScenarioSpec:
     """Declarative description of one scenario run.
 
-    alpha applies to config D only; coupling_g and evolve_time apply to
-    config E only (other builders ignore them). epsilon must stay in
-    (0, 0.1], the single-scattering regime all results assume.
+    beta is the dimensionless recoil kick beta = i Q x0 / sqrt(2) for photon
+    momentum transfer Q and trap oscillator length x0. alpha applies to
+    config D only; coupling_g and evolve_time apply to config E only (other
+    builders ignore them). beta, alpha, coupling_g and evolve_time must be
+    finite; epsilon must stay in (0, 0.1], the single-scattering regime all
+    results assume; nmax must lie in [2, 171].
     """
 
     config: Config
@@ -112,6 +117,9 @@ class ScenarioSpec:
         object.__setattr__(self, "coupling_g", float(self.coupling_g))
         object.__setattr__(self, "evolve_time", float(self.evolve_time))
         object.__setattr__(self, "nmax", int(self.nmax))
+        for name in ("beta", "alpha", "coupling_g", "evolve_time"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.epsilon <= 0.1:
             raise ValueError(
                 f"epsilon must lie in (0, 0.1], got {self.epsilon}; the model is "
@@ -121,8 +129,7 @@ class ScenarioSpec:
             raise ValueError("coupling_g must be >= 0")
         if self.evolve_time < 0:
             raise ValueError("evolve_time must be >= 0")
-        if self.nmax < 2:
-            raise ValueError("nmax must be >= 2")
+        check_nmax(self.nmax)
 
     def to_dict(self) -> dict:
         """Flat key-value form used for config files and report headers."""
@@ -173,12 +180,26 @@ def _elastic_amplitude(beta: complex) -> float:
     return math.sqrt(1.0 - b2)
 
 
+def _golden_rule_b2(beta: complex) -> float:
+    """|b|^2 inside |b|^2 < 0.5, the golden-rule and first-order C/D domain.
+
+    Long-pulse weights and the first-order C/D contrast 1-2|b|^2 are
+    perturbative results that closedform refuses beyond this bound too.
+    """
+    b2 = abs(beta) ** 2
+    if b2 >= 0.5:
+        raise PerturbationError(
+            f"long pulses and first-order config C/D need |beta|^2 < 0.5, "
+            f"got |beta|^2 = {b2:.4g}"
+        )
+    return b2
+
+
 def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
-    """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker."""
+    """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker of C/D."""
     space = FockSpace((nmax,))
-    return _elastic_amplitude(beta) * basis_state(space, (0,)) + beta * basis_state(
-        space, (1,)
-    )
+    c0 = math.sqrt(1.0 - _golden_rule_b2(beta))
+    return c0 * basis_state(space, (0,)) + beta * basis_state(space, (1,))
 
 
 def build_A(spec: ScenarioSpec) -> TwoPathMixture:
@@ -219,7 +240,7 @@ def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     |b|^2/2 per slit, so the one-path components enter with weight |b|^2.
     """
     b, nmax = spec.beta, spec.nmax
-    b2 = abs(b) ** 2
+    b2 = _golden_rule_b2(b)
     space = _two_atom_space(nmax)
     g = ground_state(space)
     eps2 = spec.epsilon**2
@@ -265,7 +286,7 @@ def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
     selection the two lines add to contrast 1-2|b|^2.
     """
     b, nmax = spec.beta, spec.nmax
-    b2 = abs(b) ** 2
+    b2 = _golden_rule_b2(b)
     space = _single_atom_space(nmax)
     g = ground_state(space)
     e1 = basis_state(space, (1,))
@@ -324,7 +345,7 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     per mode, elastic 1-|b|^2.
     """
     b, nmax = spec.beta, spec.nmax
-    b2 = abs(b) ** 2
+    b2 = _golden_rule_b2(b)
     space = _two_atom_space(nmax)
     g = ground_state(space)
     root = 1.0 / math.sqrt(2.0)
@@ -344,7 +365,10 @@ def build(spec: ScenarioSpec) -> TwoPathMixture:
     """Dispatch a ScenarioSpec to its builder.
 
     Raises ScenarioError for undefined combinations: config D exists for
-    short pulses only, config E for the first-order treatment only.
+    short pulses only, config E for the first-order treatment only. Raises
+    PerturbationError outside the perturbative domain: |beta| < 1 for
+    first-order B and E, |beta|^2 < 0.5 for every long pulse and first-order
+    C/D.
     """
     cfg = spec.config
     if cfg is Config.A:

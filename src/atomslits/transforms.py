@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .fockspace import FockSpace, FockVector, ground_state
+from .fockspace import FockSpace, FockVector
 from .twopath import FreqTag, Projector, TwoPathMixture
 
 __all__ = [
@@ -39,23 +39,16 @@ def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
     return space.index((1, 0)), space.index((0, 1))
 
 
-def _embedded_pair_unitary(space: FockSpace, block: np.ndarray) -> np.ndarray:
-    """Act with a 2x2 block on span{|1,0>, |0,1>}, identity everywhere else."""
-    i10, i01 = _excitation_pair_indices(space)
-    u = np.eye(space.dim, dtype=np.complex128)
-    u[np.ix_((i10, i01), (i10, i01))] = block
-    return u
+def _rotate_pair(m: TwoPathMixture, block: np.ndarray) -> TwoPathMixture:
+    """Act with a 2x2 block on span{|1,0>, |0,1>} of every path state, identity elsewhere."""
+    pair = list(_excitation_pair_indices(m.space))
 
+    def rotated(v: FockVector) -> FockVector:
+        amps = v.amplitudes.copy()
+        amps[pair] = block @ amps[pair]
+        return FockVector(v.space, amps)
 
-def _apply_to_paths(m: TwoPathMixture, u: np.ndarray) -> TwoPathMixture:
-    comps = tuple(
-        replace(
-            c,
-            psi1=FockVector(c.space, u @ c.psi1.amplitudes),
-            psi2=FockVector(c.space, u @ c.psi2.amplitudes),
-        )
-        for c in m.components
-    )
+    comps = tuple(replace(c, psi1=rotated(c.psi1), psi2=rotated(c.psi2)) for c in m.components)
     return TwoPathMixture(comps, condition=m.condition)
 
 
@@ -68,7 +61,7 @@ def apply_eraser(m: TwoPathMixture, inverse: bool = False) -> TwoPathMixture:
     coincidence conditioning. inverse=True applies the adjoint rotation.
     """
     block = _ERASER_BLOCK.conj().T if inverse else _ERASER_BLOCK
-    return _apply_to_paths(m, _embedded_pair_unitary(m.space, block))
+    return _rotate_pair(m, block)
 
 
 def evolve_beat(m: TwoPathMixture, g: float, t: float) -> TwoPathMixture:
@@ -86,7 +79,7 @@ def evolve_beat(m: TwoPathMixture, g: float, t: float) -> TwoPathMixture:
     c = math.cos(g * t)
     s = math.sin(g * t)
     block = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    return _apply_to_paths(m, _embedded_pair_unitary(m.space, block))
+    return _rotate_pair(m, block)
 
 
 def quarter_beat_time(g: float) -> float:
@@ -125,42 +118,36 @@ PROJECTOR_NAMES = (
 )
 
 
-def _rank_one(space: FockSpace, vec: FockVector, name: str) -> Projector:
-    v = vec.amplitudes
-    return Projector(space, np.outer(v, v.conj()), name)
-
-
 def named_projector(name: str, space: FockSpace) -> Projector:
     """Build one of the named coincidence projectors on the given marker space.
 
     ground works on any space; atom1_excited, atom2_excited, sym and antisym
     need a two-oscillator space; single_atom_0 and single_atom_1 need a
     single-oscillator space. sym and antisym project on (|1,0> +/- |0,1>)/sqrt2.
+    Every one is rank one, held as its single unit column.
     """
     if name not in PROJECTOR_NAMES:
         raise ValueError(
             f"unknown projector {name!r}; choose one of {', '.join(PROJECTOR_NAMES)}"
         )
+    amps = np.zeros(space.dim, dtype=np.complex128)
     if name == "ground":
-        return _rank_one(space, ground_state(space), name)
-    if name in ("single_atom_0", "single_atom_1"):
+        amps[0] = 1.0
+    elif name in ("single_atom_0", "single_atom_1"):
         if space.nmodes != 1:
             raise SpaceMismatchError(
                 f"projector {name!r} needs a single-oscillator space"
             )
-        level = 0 if name.endswith("0") else 1
-        amps = np.zeros(space.dim, dtype=np.complex128)
-        amps[level] = 1.0
-        return _rank_one(space, FockVector(space, amps), name)
-    i10, i01 = _excitation_pair_indices(space)
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    if name == "atom1_excited":
-        amps[i10] = 1.0
-    elif name == "atom2_excited":
-        amps[i01] = 1.0
-    elif name == "sym":
-        amps[i10] = amps[i01] = 1.0 / math.sqrt(2.0)
-    else:  # antisym
-        amps[i10] = 1.0 / math.sqrt(2.0)
-        amps[i01] = -1.0 / math.sqrt(2.0)
-    return _rank_one(space, FockVector(space, amps), name)
+        amps[0 if name.endswith("0") else 1] = 1.0
+    else:
+        i10, i01 = _excitation_pair_indices(space)
+        if name == "atom1_excited":
+            amps[i10] = 1.0
+        elif name == "atom2_excited":
+            amps[i01] = 1.0
+        elif name == "sym":
+            amps[i10] = amps[i01] = 1.0 / math.sqrt(2.0)
+        else:  # antisym
+            amps[i10] = 1.0 / math.sqrt(2.0)
+            amps[i01] = -1.0 / math.sqrt(2.0)
+    return Projector(space, amps[:, None], name)

@@ -133,20 +133,26 @@ class TwoPathMixture:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """A projector on the marker space, applied pathwise by condition()."""
+    """The projector U U^dag on the marker space, applied pathwise by condition().
+
+    columns is U, a dim x k block of orthonormal columns spanning the kept
+    subspace; a coincidence projector is rank one, so k is 1 there and the
+    dim x dim matrix is never formed.
+    """
 
     space: FockSpace
-    matrix: np.ndarray
+    columns: np.ndarray
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if m.shape != (self.space.dim, self.space.dim):
+        u = np.array(self.columns, dtype=np.complex128, copy=True)
+        if u.ndim != 2 or u.shape[0] != self.space.dim:
             raise SpaceMismatchError(
-                f"projector shape {m.shape} does not match space dimension {self.space.dim}"
+                f"projector columns of shape {u.shape} do not match "
+                f"space dimension {self.space.dim}"
             )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        u.setflags(write=False)
+        object.__setattr__(self, "columns", u)
 
     def apply(self, v: FockVector) -> FockVector:
         if v.space != self.space:
@@ -154,7 +160,8 @@ class Projector:
                 f"projector '{self.name}' is defined on {self.space.mode_dims}, "
                 f"state lives in {v.space.mode_dims}"
             )
-        return FockVector(self.space, self.matrix @ v.amplitudes)
+        u = self.columns
+        return FockVector(self.space, u @ (u.conj().T @ v.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)

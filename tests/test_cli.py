@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import atomslits
 from atomslits import acceptance
 from atomslits.cli import main
 
@@ -176,6 +181,9 @@ def test_outputs_are_deterministic(tmp_path, capsys):
         (["sweep", "--config", "B", "--beta-range", "-0.1:0.3:5"], "--beta-range"),
         (["sweep", "--config", "B", "--beta-range", "0:0.3:0"], "--beta-range"),
         (["whichway", "--beta", "-1", "--delta", "0.5"], "--beta"),
+        (["whichway", "--beta", "nan", "--delta", "0.5"], "--beta"),
+        (["whichway", "--beta", "0.5", "--delta", "inf"], "--delta"),
+        (["pattern", "--config", "B", "--samples", str(10**12)], "--samples"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
@@ -211,6 +219,67 @@ def test_physics_domain_errors_exit_three(capsys):
         ["pattern", "--config", "B", "--treatment", "first", "--beta", "1.0"], capsys
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["pattern", "--config", "B", "--beta", "nan"], "beta"),
+        (["pattern", "--config", "D", "--alpha", "nan"], "alpha"),
+        (["pattern", "--config", "E", "--coupling", "nan"], "coupling_g"),
+        (["pattern", "--config", "E", "--evolve-time", "inf"], "evolve_time"),
+    ],
+)
+def test_non_finite_scenario_values_exit_two(argv, needle, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{needle} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # golden-rule weights and first-order C/D contrast need |beta|^2 < 0.5
+        (["pattern", "--config", "B", "--pulse", "long", "--beta", "0.9"], 3),
+        (["pattern", "--config", "C1", "--pulse", "long", "--beta", "0.9"], 3),
+        (["pattern", "--config", "E", "--pulse", "long", "--beta", "0.9"], 3),
+        (["pattern", "--config", "B", "--pulse", "long", "--beta", "1.2"], 3),
+        (["pattern", "--config", "C1", "--treatment", "first", "--beta", "0.8"], 3),
+        (["pattern", "--config", "D", "--treatment", "first", "--beta", "0.8"], 3),
+        (["pattern", "--config", "B", "--pulse", "long", "--beta", "0.7"], 0),
+        (["pattern", "--config", "C2", "--treatment", "first", "--beta", "0.7j"], 0),
+        # 170! is the largest float64 factorial
+        (["pattern", "--config", "C1", "--nmax", "171"], 0),
+        (["pattern", "--config", "C1", "--nmax", "172"], 3),
+        (["pattern", "--config", "B", "--nmax", str(10**12)], 3),
+        (["whichway", "--beta", "0.5", "--delta", "0.5", "--nmax", str(10**12)], 3),
+    ],
+)
+def test_domain_limits_exit_codes(argv, expected, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == expected
+    if expected == 3:
+        assert "physics domain error" in err
+
+
+def test_cli_runs_without_scipy():
+    script = (
+        "import os, sys\n"
+        "import atomslits\n"
+        "from atomslits import cli\n"
+        "codes = [cli.main(['pattern', '--config', 'B', '--beta', '0.2', '--eraser',"
+        " '--coincidence', 'sym', '--out', os.devnull]),"
+        " cli.main(['report', '--out', os.devnull])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(atomslits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0] False\n"
 
 
 def test_epsilon_domain_is_flag_error(capsys):

@@ -9,11 +9,9 @@ from atomslits.errors import SpaceMismatchError, TruncationError
 from atomslits.fockspace import (
     FockSpace,
     FockVector,
-    RecoilParams,
     basis_state,
     coherent_state,
     displacement_operator,
-    first_order_displacement,
     ground_state,
     inner,
     project,
@@ -96,6 +94,26 @@ def test_truncation_guards():
         coherent_state(5.0, 16)
     with pytest.raises(TruncationError):
         displacement_operator(5.0, 16)
+    # 170! is the largest float64 factorial: levels >= 171 are refused, and a
+    # huge request fails before anything is allocated
+    assert coherent_state(0.3, 171)[0].amplitudes[170] != 0.0
+    for nmax in (172, 10**12):
+        with pytest.raises(TruncationError):
+            coherent_state(0.1, nmax)
+        with pytest.raises(TruncationError):
+            displacement_operator(0.1, nmax)
+
+
+def test_coherent_series_uses_exact_factorials():
+    # reference: the series with n! from exact integers, rounded once to float;
+    # up to level 24 the implementation's float factorial must match it bit for bit
+    beta, nmax = 0.7 - 0.2j, 25
+    n = np.arange(nmax)
+    exact = np.array([float(math.factorial(k)) for k in range(nmax)])
+    amps = math.exp(-abs(beta) ** 2 / 2.0) * beta**n / np.sqrt(exact)
+    reference = amps / math.sqrt(float(np.vdot(amps, amps).real))
+    vec, _ = coherent_state(beta, nmax)
+    assert np.array_equal(vec.amplitudes, reference)
 
 
 def test_displacement_identity_at_zero():
@@ -120,28 +138,6 @@ def test_displacement_preserves_norm():
 def test_displacement_composition_inverts():
     d = displacement_operator(0.3, 16) @ displacement_operator(-0.3, 16)
     assert np.max(np.abs(d - np.eye(16))) < 1e-8
-
-
-def test_first_order_identity_at_zero():
-    assert np.array_equal(first_order_displacement(0, 5), np.eye(5, dtype=complex))
-
-
-def test_first_order_action_on_vacuum():
-    beta = 0.17
-    out = first_order_displacement(beta, 6) @ basis_state(FockSpace((6,)), (0,)).amplitudes
-    expected = np.zeros(6, dtype=complex)
-    expected[0] = 1.0
-    expected[1] = beta
-    assert np.array_equal(out, expected)
-
-
-@pytest.mark.parametrize("beta,bound", [(0.1, 2e-2), (0.01, 2e-4)])
-def test_first_order_residual_is_quadratic(beta, bound):
-    nmax = 16
-    vac = basis_state(FockSpace((nmax,)), (0,)).amplitudes
-    exact = displacement_operator(beta, nmax) @ vac
-    approx = first_order_displacement(beta, nmax) @ vac
-    assert np.linalg.norm(exact - approx) < bound
 
 
 def test_tensor_ground_states():
@@ -195,13 +191,6 @@ def test_truncation_convergence():
         lo, _ = coherent_state(beta, 16)
         hi, _ = coherent_state(beta, 20)
         assert np.max(np.abs(lo.amplitudes - hi.amplitudes[:16])) < 1e-10
-
-
-def test_recoil_params_beta_identity():
-    p = RecoilParams(Q=2.5, x0=0.4)
-    assert p.beta == 1j * 2.5 * 0.4 / math.sqrt(2.0)
-    with pytest.raises(ValueError):
-        RecoilParams(Q=1.0, x0=0.0)
 
 
 _small = st.floats(-1.4, 1.4, allow_nan=False)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from atomslits.errors import PerturbationError, ScenarioError
+from atomslits.errors import PerturbationError, ScenarioError, TruncationError
 from atomslits.fockspace import project
 from atomslits.scenarios import (
     Config,
@@ -315,6 +315,13 @@ def test_spec_validation():
         ScenarioSpec(Config.E, coupling_g=-1.0)
     with pytest.raises(ValueError):
         ScenarioSpec(Config.A, nmax=1)
+    with pytest.raises(TruncationError):
+        ScenarioSpec(Config.A, nmax=172)
+    for field in ("beta", "alpha", "coupling_g", "evolve_time"):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioSpec(Config.E, **{field: math.inf})
+    with pytest.raises(PerturbationError):
+        build(spec(Config.C1, Pulse.LONG, beta=0.71))
     with pytest.raises(PerturbationError):
         build(spec(Config.B, treatment=Treatment.FIRST_ORDER, beta=1.0))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atomslits.errors import SpaceMismatchError
-from atomslits.fockspace import FockSpace, basis_state, ground_state
+from atomslits.fockspace import FockSpace, FockVector, basis_state, ground_state
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
 from atomslits.transforms import (
     PROJECTOR_NAMES,
@@ -144,11 +144,11 @@ def test_named_projectors_orthogonal_and_complete():
     sym = named_projector("sym", TWO)
     antisym = named_projector("antisym", TWO)
     ground = named_projector("ground", TWO)
-    assert np.max(np.abs(sym.matrix @ antisym.matrix)) < 1e-15
-    resolved = sym.matrix + antisym.matrix + ground.matrix
+    assert np.max(np.abs(sym.columns.conj().T @ antisym.columns)) < 1e-15
     for occ in ((0, 0), (1, 0), (0, 1)):
-        v = basis_state(TWO, occ).amplitudes
-        assert np.max(np.abs(resolved @ v - v)) < 1e-12
+        v = basis_state(TWO, occ)
+        resolved = sum(p.apply(v).amplitudes for p in (sym, antisym, ground))
+        assert np.max(np.abs(resolved - v.amplitudes)) < 1e-12
 
 
 def test_named_projector_errors():
@@ -170,8 +170,75 @@ def test_c_short_conditioned_on_excited_is_pi_shifted():
 def test_ground_projector_works_on_any_space():
     single = FockSpace((4,))
     p = named_projector("ground", single)
-    assert p.matrix[0, 0] == 1.0
-    assert np.count_nonzero(p.matrix) == 1
+    assert p.columns.shape == (4, 1)
+    assert p.columns[0, 0] == 1.0
+    assert np.count_nonzero(p.columns) == 1
     g = ground_state(TWO)
     p2 = named_projector("ground", TWO)
     assert np.max(np.abs(p2.apply(g).amplitudes - g.amplitudes)) < 1e-15
+
+
+# --- dense references -----------------------------------------------------
+
+
+def _random_mixture(space, seed):
+    rng = np.random.default_rng(seed)
+    paths = [
+        FockVector(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+        for _ in range(2)
+    ]
+    return TwoPathMixture((TwoPathComponent(*paths),))
+
+
+def _embedded_pair_unitary(space, block):
+    """The 2x2 block on span{|1,0>, |0,1>} inside an identity on the whole space."""
+    pair = (space.index((1, 0)), space.index((0, 1)))
+    u = np.eye(space.dim, dtype=np.complex128)
+    u[np.ix_(pair, pair)] = block
+    return u
+
+
+# Even dimensions only: for an odd dimension BLAS's remainder path rounds the
+# pair rows of the dense reference product itself one ulp differently.
+@pytest.mark.parametrize("space", [FockSpace((4, 4)), FockSpace((16, 16))])
+def test_pair_rotations_equal_dense_embedding(space):
+    m = _random_mixture(space, 5)
+    eraser = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
+    c, s = math.cos(0.8 * 0.37), math.sin(0.8 * 0.37)
+    beat = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    for out, block in (
+        (apply_eraser(m), eraser),
+        (apply_eraser(m, inverse=True), eraser.conj().T),
+        (evolve_beat(m, 0.8, 0.37), beat),
+    ):
+        u = _embedded_pair_unitary(space, block)
+        for got, orig in zip(
+            (out.components[0].psi1, out.components[0].psi2),
+            (m.components[0].psi1, m.components[0].psi2),
+        ):
+            assert np.array_equal(got.amplitudes, u @ orig.amplitudes)
+
+
+def test_named_projectors_equal_dense_outer_product():
+    root = 1.0 / math.sqrt(2.0)
+    single = FockSpace((5,))
+    two = FockSpace((6, 6))
+    i10, i01 = two.index((1, 0)), two.index((0, 1))
+    columns = {
+        ("ground", single): {0: 1.0},
+        ("single_atom_0", single): {0: 1.0},
+        ("single_atom_1", single): {1: 1.0},
+        ("ground", two): {0: 1.0},
+        ("atom1_excited", two): {i10: 1.0},
+        ("atom2_excited", two): {i01: 1.0},
+        ("sym", two): {i10: root, i01: root},
+        ("antisym", two): {i10: root, i01: -root},
+    }
+    rng = np.random.default_rng(9)
+    for (name, space), entries in columns.items():
+        u = np.zeros(space.dim, dtype=np.complex128)
+        for index, value in entries.items():
+            u[index] = value
+        v = FockVector(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+        got = named_projector(name, space).apply(v).amplitudes
+        assert np.max(np.abs(got - np.outer(u, u.conj()) @ v.amplitudes)) < 1e-15
