@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance, closedform
 from ._version import __version__
 from .errors import PhysicsDomainError, ScenarioError, SpaceMismatchError
 from .fockspace import coherent_state, inner
@@ -45,6 +44,9 @@ EXIT_ACCEPTANCE = 4
 # Largest --samples accepted; the sampled curve is a consistency check, and
 # this bound keeps a mistyped count from exhausting memory.
 MAX_SAMPLES = 65536
+# Largest STEPS in sweep --beta-range MIN:MAX:STEPS; each step builds up to
+# two scenarios, so the bound keeps a mistyped count from running for hours.
+MAX_SWEEP_STEPS = 10000
 
 
 class FlagError(Exception):
@@ -123,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep beta and tabulate visibilities against the "
                             "closed-form reference")
     s.add_argument("--beta-range", required=True, metavar="MIN:MAX:STEPS",
-                   dest="beta_range", help="real sweep range, MIN >= 0")
+                   dest="beta_range",
+                   help=f"real sweep range, MIN >= 0, STEPS at most {MAX_SWEEP_STEPS}")
     s.set_defaults(handler=cmd_sweep)
 
     w = sub.add_parser("whichway",
@@ -279,6 +282,8 @@ def _parse_beta_range(text: str) -> np.ndarray:
         raise FlagError("--beta-range", f"expected numbers MIN:MAX:STEPS, got {text!r}")
     if steps < 1:
         raise FlagError("--beta-range", "needs at least one step")
+    if steps > MAX_SWEEP_STEPS:
+        raise FlagError("--beta-range", f"STEPS must be <= {MAX_SWEEP_STEPS}, got {steps}")
     if lo < 0:
         raise FlagError("--beta-range", "MIN must be >= 0")
     if hi < lo:
@@ -307,6 +312,8 @@ def _sweep_visibilities(args, beta: float) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> int:
+    from . import closedform
+
     _validate_scenario_flags(args)
     betas = _parse_beta_range(args.beta_range)
     rows = []
@@ -345,6 +352,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_whichway(args) -> int:
+    from . import closedform
+
     if not 0 <= args.beta < math.inf:
         raise FlagError("--beta", "must be finite and >= 0")
     if not 0 <= args.delta < math.inf:
@@ -402,6 +411,8 @@ def cmd_whichway(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import acceptance
+
     report = acceptance.run_all()
     _write_text(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_ACCEPTANCE

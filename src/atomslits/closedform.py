@@ -40,6 +40,14 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
+def _gaussian(x: float) -> float:
+    """exp(-x^2), 0.0 where x^2 overflows a float."""
+    try:
+        return math.exp(-(x**2))
+    except OverflowError:
+        return 0.0
+
+
 def _norm_config(config) -> str:
     name = getattr(config, "value", config)
     name = str(name).upper()
@@ -144,7 +152,7 @@ def whichway_probabilities(beta: float, delta: float) -> WhichwayProbabilities:
         p_plus=projection_probability(delta, beta),
         p_minus=projection_probability(delta, -beta),
         fractional_error=math.exp(-4.0 * beta * delta),
-        detect_prob=math.exp(-(delta**2)),
+        detect_prob=_gaussian(delta),
     )
 
 
@@ -178,5 +186,5 @@ def tradeoff_curve(
     points = []
     for e in errors:
         d = required_probe(beta, e)
-        points.append(TradeoffPoint(e, d, math.exp(-(d**2))))
+        points.append(TradeoffPoint(e, d, _gaussian(d)))
     return points

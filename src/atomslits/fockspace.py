@@ -12,7 +12,9 @@ states and operators can be shared across threads without coordination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +59,7 @@ class FockSpace:
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "labels", labels)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return math.prod(self.mode_dims)
 
@@ -67,7 +69,18 @@ class FockSpace:
 
     def index(self, occupations: Sequence[int]) -> int:
         """Flat row-major index of a joint level (first listed mode slowest)."""
-        return int(np.ravel_multi_index(tuple(occupations), self.mode_dims))
+        occupations = tuple(occupations)
+        if len(occupations) != len(self.mode_dims):
+            raise ValueError(
+                f"parameter multi_index must be a sequence of length {len(self.mode_dims)}"
+            )
+        flat = 0
+        for n, d in zip(occupations, self.mode_dims):
+            n = operator.index(n)
+            if not 0 <= n < d:
+                raise ValueError("invalid entry in coordinates array")
+            flat = flat * d + n
+        return flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +89,8 @@ class FockVector:
 
     Supports addition, subtraction and scalar multiplication so states can be
     assembled directly from basis vectors. Amplitudes are copied in and
-    frozen; arithmetic returns new vectors.
+    frozen; arithmetic returns new vectors. The norm is computed on first use
+    and kept, which is safe because the amplitudes never change.
     """
 
     space: FockSpace
@@ -92,14 +106,31 @@ class FockVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _wrap(cls, space: FockSpace, amps: np.ndarray) -> "FockVector":
+        """Adopt a 1-D complex128 array of length space.dim without copying.
+
+        For an array the package has just allocated, or the read-only
+        amplitudes of another vector; the array is frozen in place.
+        """
+        v = object.__new__(cls)
+        amps.setflags(write=False)
+        object.__setattr__(v, "space", space)
+        object.__setattr__(v, "amplitudes", amps)
+        return v
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        n = self.__dict__.get("_norm")
+        if n is None:
+            n = float(np.linalg.norm(self.amplitudes))
+            object.__setattr__(self, "_norm", n)
+        return n
 
     def normalized(self) -> "FockVector":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.space, self.amplitudes / n)
+        return FockVector._wrap(self.space, self.amplitudes / n)
 
     def _require_same_space(self, other: "FockVector") -> None:
         if self.space != other.space:
@@ -110,26 +141,26 @@ class FockVector:
 
     def __add__(self, other: "FockVector") -> "FockVector":
         self._require_same_space(other)
-        return FockVector(self.space, self.amplitudes + other.amplitudes)
+        return FockVector._wrap(self.space, self.amplitudes + other.amplitudes)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         self._require_same_space(other)
-        return FockVector(self.space, self.amplitudes - other.amplitudes)
+        return FockVector._wrap(self.space, self.amplitudes - other.amplitudes)
 
     def __mul__(self, scalar: complex) -> "FockVector":
-        return FockVector(self.space, self.amplitudes * complex(scalar))
+        return FockVector._wrap(self.space, self.amplitudes * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FockVector":
-        return FockVector(self.space, -self.amplitudes)
+        return FockVector._wrap(self.space, -self.amplitudes)
 
 
 def basis_state(space: FockSpace, occupations: Sequence[int]) -> FockVector:
     """Number state |n0, n1, ...> of the given space."""
     amps = np.zeros(space.dim, dtype=np.complex128)
     amps[space.index(occupations)] = 1.0
-    return FockVector(space, amps)
+    return FockVector._wrap(space, amps)
 
 
 def ground_state(space: FockSpace) -> FockVector:
@@ -138,7 +169,7 @@ def ground_state(space: FockSpace) -> FockVector:
 
 def zero_vector(space: FockSpace) -> FockVector:
     """The null vector; used for a path carrying no amplitude."""
-    return FockVector(space, np.zeros(space.dim, dtype=np.complex128))
+    return FockVector._wrap(space, np.zeros(space.dim, dtype=np.complex128))
 
 
 # 170! is the largest factorial a float64 holds, so the coherent series
@@ -157,11 +188,20 @@ def check_nmax(nmax: int) -> None:
         )
 
 
+def _squared_abs(z: complex) -> float:
+    """abs(z) ** 2, or inf where that square overflows a float."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _truncation_guard(beta: complex, nmax: int) -> None:
     check_nmax(nmax)
-    if abs(beta) ** 2 > nmax:
+    b2 = _squared_abs(beta)
+    if b2 > nmax:
         raise TruncationError(
-            f"|beta|^2 = {abs(beta)**2:.4g} exceeds truncation dimension {nmax}; "
+            f"|beta|^2 = {b2:.4g} exceeds truncation dimension {nmax}; "
             f"the cutoff would drop most of the state"
         )
 
@@ -181,7 +221,7 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
     amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / np.sqrt(factorial)
     captured = float(np.vdot(amps, amps).real)
     residual = max(0.0, 1.0 - captured)
-    return FockVector(FockSpace((nmax,)), amps / math.sqrt(captured)), residual
+    return FockVector._wrap(FockSpace((nmax,)), amps / math.sqrt(captured)), residual
 
 
 def destroy(nmax: int) -> np.ndarray:
@@ -228,7 +268,7 @@ def tensor(vectors: Sequence[FockVector]) -> FockVector:
         amps = np.kron(amps, v.amplitudes)
         dims = dims + v.space.mode_dims
         labels = labels + v.space.labels
-    return FockVector(FockSpace(dims, labels), amps)
+    return FockVector._wrap(FockSpace(dims, labels), amps)
 
 
 def project(v: FockVector, mode_index: int, fock_level: int) -> tuple[FockVector, float]:
@@ -247,10 +287,9 @@ def project(v: FockVector, mode_index: int, fock_level: int) -> tuple[FockVector
             f"fock_level {fock_level} out of range for "
             f"mode dimension {space.mode_dims[mode_index]}"
         )
-    cube = v.amplitudes.reshape(space.mode_dims)
-    out = np.zeros_like(cube)
+    out = np.zeros(space.dim, dtype=np.complex128)
     sel: list = [slice(None)] * space.nmodes
     sel[mode_index] = fock_level
-    out[tuple(sel)] = cube[tuple(sel)]
-    projected = FockVector(space, out.reshape(-1))
+    out.reshape(space.mode_dims)[tuple(sel)] = v.amplitudes.reshape(space.mode_dims)[tuple(sel)]
+    projected = FockVector._wrap(space, out)
     return projected, projected.norm() ** 2

@@ -40,6 +40,7 @@ from .errors import PerturbationError, ScenarioError
 from .fockspace import (
     FockSpace,
     FockVector,
+    _squared_abs,
     basis_state,
     check_nmax,
     coherent_state,
@@ -168,11 +169,11 @@ def _single_atom_space(nmax: int) -> FockSpace:
 
 def _in_space(space: FockSpace, *factors: FockVector) -> FockVector:
     """Tensor single-mode states and rebind them to a labeled space."""
-    return FockVector(space, tensor(factors).amplitudes)
+    return FockVector._wrap(space, tensor(factors).amplitudes)
 
 
 def _elastic_amplitude(beta: complex) -> float:
-    b2 = abs(beta) ** 2
+    b2 = _squared_abs(beta)
     if b2 >= 1.0:
         raise PerturbationError(
             f"first-order treatment requires |beta| < 1, got |beta|^2 = {b2:.4g}"
@@ -186,7 +187,7 @@ def _golden_rule_b2(beta: complex) -> float:
     Long-pulse weights and the first-order C/D contrast 1-2|b|^2 are
     perturbative results that closedform refuses beyond this bound too.
     """
-    b2 = abs(beta) ** 2
+    b2 = _squared_abs(beta)
     if b2 >= 0.5:
         raise PerturbationError(
             f"long pulses and first-order config C/D need |beta|^2 < 0.5, "
@@ -270,11 +271,11 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     if spec.treatment is Treatment.EXACT:
         plus, _ = coherent_state(b, nmax)
         minus, _ = coherent_state(-b, nmax)
-        psi1 = FockVector(space, plus.amplitudes)
-        psi2 = FockVector(space, minus.amplitudes)
+        psi1 = _in_space(space, plus)
+        psi2 = _in_space(space, minus)
     else:
-        psi1 = FockVector(space, _first_order_kicked(nmax, b).amplitudes)
-        psi2 = FockVector(space, _first_order_kicked(nmax, -b).amplitudes)
+        psi1 = _in_space(space, _first_order_kicked(nmax, b))
+        psi2 = _in_space(space, _first_order_kicked(nmax, -b))
     return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
 
 

@@ -9,13 +9,12 @@ projectors exposed on the command line.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import SpaceMismatchError
 from .fockspace import FockSpace, FockVector
-from .twopath import FreqTag, Projector, TwoPathMixture
+from .twopath import FreqTag, Projector, TwoPathComponent, TwoPathMixture
 
 __all__ = [
     "PROJECTOR_NAMES",
@@ -46,9 +45,11 @@ def _rotate_pair(m: TwoPathMixture, block: np.ndarray) -> TwoPathMixture:
     def rotated(v: FockVector) -> FockVector:
         amps = v.amplitudes.copy()
         amps[pair] = block @ amps[pair]
-        return FockVector(v.space, amps)
+        return FockVector._wrap(v.space, amps)
 
-    comps = tuple(replace(c, psi1=rotated(c.psi1), psi2=rotated(c.psi2)) for c in m.components)
+    comps = tuple(
+        TwoPathComponent(rotated(c.psi1), rotated(c.psi2), c.tag, c.weight) for c in m.components
+    )
     return TwoPathMixture(comps, condition=m.condition)
 
 
@@ -102,7 +103,8 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
     if not tagset:
         raise ValueError("apply_dispersive needs at least one frequency tag")
     comps = tuple(
-        replace(c, psi2=-c.psi2) if c.tag in tagset else c for c in m.components
+        TwoPathComponent(c.psi1, -c.psi2, c.tag, c.weight) if c.tag in tagset else c
+        for c in m.components
     )
     return TwoPathMixture(comps, condition=m.condition)
 

@@ -24,7 +24,7 @@ of truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -137,7 +137,7 @@ class Projector:
 
     columns is U, a dim x k block of orthonormal columns spanning the kept
     subspace; a coincidence projector is rank one, so k is 1 there and the
-    dim x dim matrix is never formed.
+    dim x dim matrix is never formed. U^dag is formed once, at construction.
     """
 
     space: FockSpace
@@ -153,6 +153,7 @@ class Projector:
             )
         u.setflags(write=False)
         object.__setattr__(self, "columns", u)
+        object.__setattr__(self, "_adjoint", u.conj().T)
 
     def apply(self, v: FockVector) -> FockVector:
         if v.space != self.space:
@@ -160,8 +161,7 @@ class Projector:
                 f"projector '{self.name}' is defined on {self.space.mode_dims}, "
                 f"state lives in {v.space.mode_dims}"
             )
-        u = self.columns
-        return FockVector(self.space, u @ (u.conj().T @ v.amplitudes))
+        return FockVector._wrap(self.space, self.columns @ (self._adjoint @ v.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +277,7 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
         )
     before = _require_light(m)
     comps = tuple(
-        replace(c, psi1=projector.apply(c.psi1), psi2=projector.apply(c.psi2))
+        TwoPathComponent(projector.apply(c.psi1), projector.apply(c.psi2), c.tag, c.weight)
         for c in m.components
     )
     conditioned = TwoPathMixture(comps, condition=projector.name)

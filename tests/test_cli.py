@@ -9,7 +9,7 @@ import pytest
 
 import atomslits
 from atomslits import acceptance
-from atomslits.cli import main
+from atomslits.cli import MAX_SWEEP_STEPS, main
 
 
 def run(argv, capsys):
@@ -184,6 +184,8 @@ def test_outputs_are_deterministic(tmp_path, capsys):
         (["whichway", "--beta", "nan", "--delta", "0.5"], "--beta"),
         (["whichway", "--beta", "0.5", "--delta", "inf"], "--delta"),
         (["pattern", "--config", "B", "--samples", str(10**12)], "--samples"),
+        (["sweep", "--config", "B", "--beta-range", f"0:0.1:{MAX_SWEEP_STEPS + 1}"],
+         "--beta-range"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
@@ -254,6 +256,15 @@ def test_non_finite_scenario_values_exit_two(argv, needle, capsys):
         (["pattern", "--config", "C1", "--nmax", "172"], 3),
         (["pattern", "--config", "B", "--nmax", str(10**12)], 3),
         (["whichway", "--beta", "0.5", "--delta", "0.5", "--nmax", str(10**12)], 3),
+        # a finite kick whose square overflows a float is out of domain, not a crash
+        (["pattern", "--config", "B", "--beta", "1e200"], 3),
+        (["pattern", "--config", "D", "--alpha", "1e200"], 3),
+        (["whichway", "--beta", "1e200", "--delta", "0.1"], 3),
+        (["whichway", "--beta", "0.1", "--delta", "1e200"], 3),
+        (["pattern", "--config", "B", "--treatment", "first", "--beta", "1e200"], 3),
+        (["pattern", "--config", "B", "--pulse", "long", "--beta", "1e200"], 3),
+        # a tiny kick needs a huge probe, which fires with probability 0.0
+        (["whichway", "--beta", "1e-200", "--delta", "0.1"], 0),
     ],
 )
 def test_domain_limits_exit_codes(argv, expected, capsys):
@@ -269,9 +280,10 @@ def test_cli_runs_without_scipy():
         "import atomslits\n"
         "from atomslits import cli\n"
         "codes = [cli.main(['pattern', '--config', 'B', '--beta', '0.2', '--eraser',"
-        " '--coincidence', 'sym', '--out', os.devnull]),"
-        " cli.main(['report', '--out', os.devnull])]\n"
-        "print(codes, 'scipy' in sys.modules)\n"
+        " '--coincidence', 'sym', '--out', os.devnull])]\n"
+        "lazy = 'atomslits.acceptance' not in sys.modules\n"
+        "codes.append(cli.main(['report', '--out', os.devnull]))\n"
+        "print(codes, 'scipy' in sys.modules, lazy)\n"
     )
     src = str(Path(atomslits.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -279,7 +291,19 @@ def test_cli_runs_without_scipy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0] False\n"
+    assert result.stdout == "[0, 0] False True\n"
+
+
+def test_eraser_antisym_on_symmetric_exact_b_is_exactly_flat(capsys):
+    # after the eraser, path 2's one-quantum amplitude lies wholly in the sym
+    # state, so its antisym projection and the coherence must come out as
+    # exact zeros, not as rounding residue
+    code, out, _ = run(["pattern", "--config", "B", "--treatment", "exact", "--beta=-0.207528",
+                        "--eraser", "--coincidence", "antisym"], capsys)
+    assert code == 0
+    meta, _, _ = csv_sections(out)
+    assert meta["visibility"] == "0.0"
+    assert meta["phase_offset"] == "0.0"
 
 
 def test_epsilon_domain_is_flag_error(capsys):
@@ -307,7 +331,8 @@ def test_report_fails_with_corrupted_tolerance(monkeypatch, capsys):
     # an impossible tolerance must fail the run and drive a nonzero exit
     impossible = acceptance.run_all({"b_short_contrast": 1e-30})
     assert impossible["passed"] is False
-    monkeypatch.setattr("atomslits.cli.acceptance.run_all", lambda: impossible)
+    # cmd_report imports acceptance when it runs, so the module attribute is patched
+    monkeypatch.setattr(acceptance, "run_all", lambda: impossible)
     code, out, _ = run(["report"], capsys)
     assert code == 4
     assert json.loads(out)["passed"] is False

@@ -217,3 +217,67 @@ def test_overlap_law_hypothesis(b, d):
     vb, _ = coherent_state(b, 20)
     vd, _ = coherent_state(d, 20)
     assert abs(abs(inner(vd, vb)) ** 2 - math.exp(-abs(d - b) ** 2)) < 1e-8
+
+
+# --- adopted arrays and cached values -------------------------------------
+
+
+def test_public_constructor_copies_the_callers_array():
+    space = FockSpace((3,))
+    source = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+    v = FockVector(space, source)
+    assert not np.shares_memory(source, v.amplitudes)
+    assert v.norm() == float(np.linalg.norm(source))
+    source[0] = 99.0
+    assert v.amplitudes[0] == 1.0
+    assert source.flags.writeable
+
+
+def test_library_vectors_are_read_only_with_exact_cached_norm():
+    space = FockSpace((3, 4))
+    a = basis_state(space, (1, 2))
+    b = FockVector(space, np.arange(12) * (0.5 + 0.25j))
+    picked, prob = project(b, 1, 2)
+    results = [
+        a,
+        ground_state(space),
+        a + b,
+        a - b,
+        (0.3 - 0.7j) * b,
+        b * 2.5,
+        -b,
+        b.normalized(),
+        coherent_state(0.4 + 0.1j, 9)[0],
+        tensor([coherent_state(0.2, 3)[0], basis_state(FockSpace((4,)), (1,))]),
+        picked,
+    ]
+    for v in results:
+        assert not v.amplitudes.flags.writeable
+        assert v.amplitudes.dtype == np.complex128
+        assert v.amplitudes.shape == (v.space.dim,)
+        assert v.norm() == float(np.linalg.norm(v.amplitudes))
+    assert prob == float(np.linalg.norm(picked.amplitudes)) ** 2
+
+
+def test_index_is_row_major_and_refuses_like_ravel_multi_index():
+    space = FockSpace((3, 4, 2))
+    for occ in np.ndindex(*space.mode_dims):
+        flat = space.index(occ)
+        assert type(flat) is int
+        assert flat == np.ravel_multi_index(occ, space.mode_dims)
+    assert space.index((np.int64(2), 3, 1)) == space.dim - 1
+    for bad in ((3, 0, 0), (0, -1, 0), (0, 0, 2)):
+        with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+            space.index(bad)
+    with pytest.raises(ValueError, match="sequence of length 3"):
+        space.index((1, 1))
+    with pytest.raises(TypeError):
+        space.index((1.0, 0, 0))
+
+
+def test_cached_dim_leaves_equality_and_hash_alone():
+    fresh = FockSpace((5, 6), ("a", "b"))
+    used = FockSpace((5, 6), ("a", "b"))
+    assert used.dim == 30
+    assert used == fresh and hash(used) == hash(fresh)
+    assert FockSpace((5, 7), ("a", "b")) != used

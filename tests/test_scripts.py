@@ -1,0 +1,40 @@
+"""Smoke runs of the scripts the README documents."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import atomslits
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(atomslits.__file__).resolve().parents[1])
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
+def test_contrast_sweep_writes_one_csv_per_case(tmp_path):
+    outdir = tmp_path / "sweep"
+    result = run_script("contrast_sweep.py", "--outdir", str(outdir), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    csvs = sorted(outdir.glob("*.csv"))
+    assert len(csvs) == 9
+    for path in csvs:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "beta,visibility,reference,deviation"
+        assert len(lines) == 12
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
+
+
+def test_whichway_tradeoff_writes_its_curve(tmp_path):
+    out = tmp_path / "t.csv"
+    result = run_script("whichway_tradeoff.py", "--out", str(out), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "fractional_error,required_delta,detect_prob"
+    assert len(lines) == 26

@@ -16,6 +16,7 @@ from atomslits.transforms import (
 )
 from atomslits.twopath import (
     FreqTag,
+    Projector,
     TwoPathComponent,
     TwoPathMixture,
     condition,
@@ -242,3 +243,36 @@ def test_named_projectors_equal_dense_outer_product():
         v = FockVector(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
         got = named_projector(name, space).apply(v).amplitudes
         assert np.max(np.abs(got - np.outer(u, u.conj()) @ v.amplitudes)) < 1e-15
+
+
+def test_chain_results_are_read_only_with_exact_cached_norm():
+    space = FockSpace((6, 6))
+    m = _random_mixture(space, 3)
+    source = np.random.default_rng(4).normal(size=(space.dim, 2)) + 0j
+    columns, _ = np.linalg.qr(source)
+    custom = Projector(space, columns)
+    steps = [
+        apply_eraser(m),
+        apply_eraser(m, inverse=True),
+        evolve_beat(m, 0.8, 0.37),
+        apply_dispersive(m, [FreqTag.ELASTIC]),
+        condition(m, named_projector("sym", space))[0],
+        condition(m, custom)[0],
+    ]
+    paths = [p for out in steps for c in out.components for p in (c.psi1, c.psi2)]
+    paths.append(custom.apply(m.components[0].psi1))
+    for v in paths:
+        assert not v.amplitudes.flags.writeable
+        assert v.norm() == float(np.linalg.norm(v.amplitudes))
+    assert not custom.columns.flags.writeable
+    assert not np.shares_memory(custom.columns, columns)
+
+
+def test_projector_apply_is_u_times_u_dagger_v_bit_for_bit():
+    space = FockSpace((5, 5))
+    m = _random_mixture(space, 8)
+    for name in ("ground", "atom1_excited", "sym", "antisym"):
+        projector = named_projector(name, space)
+        u = projector.columns
+        v = m.components[0].psi2
+        assert np.array_equal(projector.apply(v).amplitudes, u @ (u.conj().T @ v.amplitudes))
