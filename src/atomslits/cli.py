@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="light pulse regime (default: short)")
     scenario.add_argument("--treatment", choices=[t.value for t in Treatment], default=None,
                           help="exact coherent-state markers or first-order amplitudes "
-                               "(default: exact; config E always runs first-order)")
+                               "(default: first for config E, exact elsewhere)")
     scenario.add_argument("--beta", type=_complex_arg, default=0j,
                           help="recoil kick amplitude, complex accepted (default: 0)")
     scenario.add_argument("--alpha", type=_complex_arg, default=None,
@@ -94,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Fock truncation per mode (default: 16)")
     scenario.add_argument("--eraser", action="store_true",
                           help="apply the which-way eraser rotation")
-    scenario.add_argument("--dispersive", default=None, metavar="TAG[,TAG]",
+    scenario.add_argument("--dispersive", type=_parse_tags, default=None, metavar="TAG[,TAG]",
                           help="pi phase flip on tagged components; tags: "
                                + ",".join(t.value for t in FreqTag))
-    scenario.add_argument("--coincidence", default=None, metavar="NAME",
+    scenario.add_argument("--coincidence", choices=PROJECTOR_NAMES, default=None, metavar="NAME",
                           help="condition on a named projector: " + ", ".join(PROJECTOR_NAMES))
 
     output = argparse.ArgumentParser(add_help=False)
@@ -152,16 +153,6 @@ def _validate_scenario_flags(args) -> None:
         raise FlagError("--coupling", f"applies to config E only, not config {args.config}")
     if args.evolve_time is not None and args.config != "E":
         raise FlagError("--evolve-time", f"applies to config E only, not config {args.config}")
-    if args.config == "D" and args.pulse == "long":
-        raise FlagError("--pulse", "config D supports short pulses only")
-    if args.config == "E" and args.pulse == "short" and args.treatment == "exact":
-        raise FlagError("--treatment", "config E is implemented at first order only")
-    if args.coincidence is not None and args.coincidence not in PROJECTOR_NAMES:
-        raise FlagError("--coincidence",
-                        f"unknown projector {args.coincidence!r}; choose one of "
-                        + ", ".join(PROJECTOR_NAMES))
-    if args.dispersive is not None:
-        _parse_tags(args.dispersive)
 
 
 def _parse_tags(text: str) -> set[FreqTag]:
@@ -171,32 +162,26 @@ def _parse_tags(text: str) -> set[FreqTag]:
         try:
             tags.add(FreqTag(piece))
         except ValueError:
-            raise FlagError("--dispersive",
-                            f"unknown tag {piece!r}; tags: "
-                            + ",".join(t.value for t in FreqTag))
-    if not tags:
-        raise FlagError("--dispersive", "needs at least one tag")
+            raise argparse.ArgumentTypeError(
+                f"unknown tag {piece!r}; tags: " + ",".join(t.value for t in FreqTag))
     return tags
 
 
-def _resolved_treatment(args) -> str:
-    if args.treatment is not None:
-        return args.treatment
-    return "first" if args.config == "E" else "exact"
-
-
-def _make_spec(args, beta=None, treatment=None) -> ScenarioSpec:
-    return ScenarioSpec(
-        config=Config(args.config),
-        pulse=Pulse(args.pulse),
-        beta=args.beta if beta is None else beta,
-        alpha=args.alpha if args.alpha is not None else 0j,
-        epsilon=args.epsilon,
-        coupling_g=args.coupling if args.coupling is not None else 0.0,
-        evolve_time=args.evolve_time if args.evolve_time is not None else 0.0,
-        treatment=Treatment(treatment or _resolved_treatment(args)),
-        nmax=args.nmax,
-    )
+def _make_spec(args, beta=None) -> ScenarioSpec:
+    try:
+        return ScenarioSpec(
+            config=args.config,
+            pulse=args.pulse,
+            beta=args.beta if beta is None else beta,
+            alpha=args.alpha if args.alpha is not None else 0j,
+            epsilon=args.epsilon,
+            coupling_g=args.coupling if args.coupling is not None else 0.0,
+            evolve_time=args.evolve_time if args.evolve_time is not None else 0.0,
+            treatment=args.treatment,
+            nmax=args.nmax,
+        )
+    except ScenarioError as exc:
+        raise FlagError(f"--{exc.field}", str(exc))
 
 
 def _apply_transforms(mixture, args):
@@ -207,9 +192,8 @@ def _apply_transforms(mixture, args):
         mixture = apply_eraser(mixture)
         applied.append("eraser")
     if args.dispersive is not None:
-        tags = _parse_tags(args.dispersive)
-        mixture = apply_dispersive(mixture, tags)
-        applied.append("dispersive:" + ",".join(sorted(t.value for t in tags)))
+        mixture = apply_dispersive(mixture, args.dispersive)
+        applied.append("dispersive:" + ",".join(sorted(t.value for t in args.dispersive)))
     if args.coincidence is not None:
         try:
             projector = named_projector(args.coincidence, mixture.space)
@@ -294,21 +278,13 @@ def _parse_beta_range(text: str) -> np.ndarray:
 def _sweep_visibilities(args, beta: float) -> tuple[float, float]:
     """Visibility in the exact and first-order lanes, after any transforms.
 
-    Regimes with a single defined treatment (config A, config E, every long
-    pulse) report that one value in both columns.
+    The lanes are the regime's treatments, or the spec's own treatment if there
+    are none; a single lane fills both columns.
     """
-
-    def lane(treatment: str) -> float:
-        mixture, _, _ = _apply_transforms(build(_make_spec(args, beta=beta, treatment=treatment)), args)
-        return visibility(mixture)
-
-    if args.pulse == "long" or args.config == "A":
-        v = lane("first" if args.config == "E" else _resolved_treatment(args))
-        return v, v
-    if args.config == "E":
-        v = lane("first")
-        return v, v
-    return lane("exact"), lane("first")
+    spec = _make_spec(args, beta=beta)
+    lanes = [visibility(_apply_transforms(build(replace(spec, treatment=t)), args)[0])
+             for t in spec.treatments or (spec.treatment,)]
+    return lanes[0], lanes[-1]
 
 
 def cmd_sweep(args) -> int:
@@ -426,19 +402,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except FlagError as exc:
-        print(f"atomslits: error: {exc}", file=sys.stderr)
-        return EXIT_FLAG
-    except ScenarioError as exc:
-        print(f"atomslits: error: {exc}", file=sys.stderr)
-        return EXIT_FLAG
     except PhysicsDomainError as exc:
         print(f"atomslits: physics domain error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except SpaceMismatchError as exc:
-        print(f"atomslits: error: {exc}", file=sys.stderr)
-        return EXIT_FLAG
-    except ValueError as exc:
+    except (FlagError, ValueError) as exc:
         print(f"atomslits: error: {exc}", file=sys.stderr)
         return EXIT_FLAG
 

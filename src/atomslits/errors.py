@@ -36,4 +36,11 @@ class SpaceMismatchError(ValueError):
 
 
 class ScenarioError(ValueError):
-    """Unsupported combination of configuration, pulse regime and treatment."""
+    """Unsupported combination of configuration, pulse regime and treatment.
+
+    field names the ScenarioSpec field at fault, "pulse" or "treatment".
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

@@ -201,8 +201,8 @@ def _truncation_guard(beta: complex, nmax: int) -> None:
     b2 = _squared_abs(beta)
     if b2 > nmax:
         raise TruncationError(
-            f"|beta|^2 = {b2:.4g} exceeds truncation dimension {nmax}; "
-            f"the cutoff would drop most of the state"
+            f"coherent amplitude {beta:.4g} has squared modulus {b2:.4g} above the "
+            f"truncation dimension {nmax}; the cutoff would drop most of the state"
         )
 
 

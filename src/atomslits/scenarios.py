@@ -34,6 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from . import transforms
 from .errors import PerturbationError, ScenarioError
@@ -96,6 +97,11 @@ class ScenarioSpec:
     builders ignore them). beta, alpha, coupling_g and evolve_time must be
     finite; epsilon must stay in (0, 0.1], the single-scattering regime all
     results assume; nmax must lie in [2, 171].
+
+    treatment None resolves to the config's default: first order for config
+    E on either pulse, exact elsewhere. Combinations the regime table does
+    not define (a long pulse for config D, the exact treatment for a short
+    pulse on config E) raise ScenarioError here, before any other check.
     """
 
     config: Config
@@ -105,13 +111,22 @@ class ScenarioSpec:
     epsilon: float = 0.01
     coupling_g: float = 0.0
     evolve_time: float = 0.0
-    treatment: Treatment = Treatment.EXACT
+    treatment: Treatment | None = None
     nmax: int = 16
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "config", Config(self.config))
         object.__setattr__(self, "pulse", Pulse(self.pulse))
+        regime = _REGIMES[self.config]
+        if self.treatment is None:
+            object.__setattr__(self, "treatment", (regime.treatments or (Treatment.EXACT,))[0])
         object.__setattr__(self, "treatment", Treatment(self.treatment))
+        if self.pulse is Pulse.LONG and regime.long is None:
+            raise ScenarioError("pulse", f"config {self.config.value} supports short pulses only")
+        if self.treatments and self.treatment not in self.treatments:
+            allowed = "/".join(t.value for t in self.treatments)
+            raise ScenarioError("treatment", f"config {self.config.value} short pulses are "
+                                             f"implemented for treatment {allowed} only")
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -131,6 +146,11 @@ class ScenarioSpec:
         if self.evolve_time < 0:
             raise ValueError("evolve_time must be >= 0")
         check_nmax(self.nmax)
+
+    @property
+    def treatments(self) -> tuple[Treatment, ...]:
+        """The treatments this config and pulse tell apart; () where the treatment does not enter."""
+        return _REGIMES[self.config].treatments if self.pulse is Pulse.SHORT else ()
 
     def to_dict(self) -> dict:
         """Flat key-value form used for config files and report headers."""
@@ -327,13 +347,9 @@ def build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
 
     Starts elementwise identical to first-order config B, then evolves the
     excitation pair for evolve_time at coupling coupling_g. At a quarter of
-    the beat period the evolution acts as a quantum eraser. Only the
-    first-order treatment is supported.
+    the beat period the evolution acts as a quantum eraser. The regime table
+    defines it at first order only.
     """
-    if spec.treatment is not Treatment.FIRST_ORDER:
-        raise ScenarioError(
-            "config E is implemented at first order only; use treatment='first'"
-        )
     base = build_B_short(spec)
     return transforms.evolve_beat(base, spec.coupling_g, spec.evolve_time)
 
@@ -362,26 +378,34 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     )
 
 
-def build(spec: ScenarioSpec) -> TwoPathMixture:
-    """Dispatch a ScenarioSpec to its builder.
+class _Regime(NamedTuple):
+    short: Callable[[ScenarioSpec], TwoPathMixture]
+    treatments: tuple[Treatment, ...]  # the first is the default; () if it does not enter
+    long: Callable[[ScenarioSpec], TwoPathMixture] | None  # None: undefined
 
-    Raises ScenarioError for undefined combinations: config D exists for
-    short pulses only, config E for the first-order treatment only. Raises
-    PerturbationError outside the perturbative domain: |beta| < 1 for
-    first-order B and E, |beta|^2 < 0.5 for every long pulse and first-order
-    C/D.
+
+_BOTH = (Treatment.EXACT, Treatment.FIRST_ORDER)
+
+# The catalogue: which (config, pulse, treatment) combinations exist, each
+# config's default treatment, and the builder that runs each regime.
+_REGIMES = {
+    Config.A: _Regime(build_A, (), build_A),
+    Config.B: _Regime(build_B_short, _BOTH, build_B_long),
+    Config.C1: _Regime(build_C_short, _BOTH, build_C_long),
+    Config.C2: _Regime(build_C_short, _BOTH, build_C_long),
+    Config.D: _Regime(build_D_short, _BOTH, None),
+    Config.E: _Regime(build_E_short, (Treatment.FIRST_ORDER,), build_E_long),
+}
+
+
+def build(spec: ScenarioSpec) -> TwoPathMixture:
+    """Run a ScenarioSpec through its regime's builder.
+
+    ScenarioSpec has already resolved the default treatment (first order for
+    config E, exact elsewhere) and refused undefined combinations with
+    ScenarioError. Raises PerturbationError outside the perturbative domain:
+    |beta| < 1 for first-order B and E, |beta|^2 < 0.5 for every long pulse
+    and first-order C/D.
     """
-    cfg = spec.config
-    if cfg is Config.A:
-        return build_A(spec)
-    if cfg is Config.B:
-        return build_B_short(spec) if spec.pulse is Pulse.SHORT else build_B_long(spec)
-    if cfg in (Config.C1, Config.C2):
-        return build_C_short(spec) if spec.pulse is Pulse.SHORT else build_C_long(spec)
-    if cfg is Config.D:
-        if spec.pulse is not Pulse.SHORT:
-            raise ScenarioError("config D supports short pulses only")
-        return build_D_short(spec)
-    if cfg is Config.E:
-        return build_E_short(spec) if spec.pulse is Pulse.SHORT else build_E_long(spec)
-    raise ScenarioError(f"unknown configuration {cfg!r}")
+    regime = _REGIMES[spec.config]
+    return (regime.short if spec.pulse is Pulse.SHORT else regime.long)(spec)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import atomslits
 from atomslits import acceptance
@@ -265,6 +269,9 @@ def test_non_finite_scenario_values_exit_two(argv, needle, capsys):
         (["pattern", "--config", "B", "--pulse", "long", "--beta", "1e200"], 3),
         # a tiny kick needs a huge probe, which fires with probability 0.0
         (["whichway", "--beta", "1e-200", "--delta", "0.1"], 0),
+        # an undefined combination is a flag error even where nmax is out of range too
+        (["pattern", "--config", "D", "--pulse", "long", "--nmax", "500"], 2),
+        (["pattern", "--config", "E", "--treatment", "exact", "--nmax", "500"], 2),
     ],
 )
 def test_domain_limits_exit_codes(argv, expected, capsys):
@@ -272,6 +279,23 @@ def test_domain_limits_exit_codes(argv, expected, capsys):
     assert code == expected
     if expected == 3:
         assert "physics domain error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "--config", "D", "--alpha", "1e200"],
+        ["whichway", "--beta", "0.1", "--delta", "1e200"],
+    ],
+)
+def test_truncation_error_names_the_refused_amplitude(argv, capsys):
+    # the refused amplitude is alpha or the probe delta, not the kick beta
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "truncation" in err
+    assert "beta" not in err
+    assert "1e+200" in err
 
 
 def test_cli_runs_without_scipy():
@@ -342,3 +366,133 @@ def test_version_flag(capsys):
     code, out, _ = run(["--version"], capsys)
     assert code == 0
     assert "atomslits" in out
+
+
+# The catalogue's undefined (config, pulse, treatment) combinations and the
+# flag the CLI names for each; every other combination runs.
+CONFIGS = ("A", "B", "C1", "C2", "D", "E")
+
+
+def undefined_flag(config, pulse, treatment):
+    if config == "D" and pulse == "long":
+        return "--pulse"
+    if config == "E" and pulse == "short" and treatment == "exact":
+        return "--treatment"
+    return None
+
+
+@pytest.mark.parametrize("treatment", [None, "exact", "first"])
+@pytest.mark.parametrize("pulse", ["short", "long"])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_regime_runs_or_names_the_flag(config, pulse, treatment, capsys):
+    argv = ["pattern", "--config", config, "--pulse", pulse, "--beta", "0.3"]
+    if treatment is not None:
+        argv += ["--treatment", treatment]
+    code, out, err = run(argv, capsys)
+    flag = undefined_flag(config, pulse, treatment)
+    if flag is None:
+        assert code == 0
+        meta, _, _ = csv_sections(out)
+        # config E defaults to first order on both pulses, the rest to exact
+        default = "first" if config == "E" else "exact"
+        assert meta["treatment"] == (treatment or default)
+    else:
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "config,pulse",
+    [(c, p) for c in CONFIGS for p in ("short", "long") if not undefined_flag(c, p, None)],
+)
+def test_sweep_lanes_and_echo_follow_the_regime(config, pulse, capsys):
+    code, out, _ = run(["sweep", "--config", config, "--pulse", pulse,
+                        "--beta-range", "0.1:0.3:3"], capsys)
+    assert code == 0
+    meta, _, rows = csv_sections(out)
+    assert meta["treatment"] == ("first" if config == "E" else "exact")
+    # two lanes where the regime tells exact from first order, else one lane in both columns
+    two_lanes = pulse == "short" and config in ("B", "C1", "C2", "D")
+    for row in rows:
+        assert (row["visibility_exact"] != row["visibility_first_order"]) is two_lanes
+
+
+# Floats a user could type, weighted towards the values that break numerics;
+# the tame ranges keep a share of the calls inside the physical domain.
+_wild = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, -0.0, 5e-324]),
+    st.floats(-3.0, 3.0),
+    st.floats(),
+)
+_kick = st.one_of(st.floats(-0.6, 0.6), _wild, st.builds(complex, _wild, _wild))
+_nmax = st.one_of(st.integers(2, 24), st.integers(-5, 400))
+
+
+def _option(flag, value):
+    return [] if value is None else [f"{flag}={value}"]
+
+
+@st.composite
+def pattern_argv(draw):
+    config = draw(st.sampled_from(CONFIGS))
+    argv = ["pattern", "--config", config, "--pulse", draw(st.sampled_from(["short", "long"]))]
+    argv += _option("--treatment", draw(st.sampled_from([None, "exact", "first"])))
+    argv += _option("--beta", draw(_kick))
+    if config == "D":
+        argv += _option("--alpha", draw(st.none() | _kick))
+    if config == "E":
+        argv += _option("--coupling", draw(st.none() | st.floats(0.0, 2.0) | _wild))
+        argv += _option("--evolve-time", draw(st.none() | st.floats(0.0, 2.0) | _wild))
+    argv += _option("--epsilon", draw(st.none() | st.floats(1e-3, 0.1) | _wild))
+    argv += _option("--nmax", draw(_nmax))
+    return argv
+
+
+@st.composite
+def whichway_argv(draw):
+    return (["whichway"] + _option("--beta", draw(_wild)) + _option("--delta", draw(_wild))
+            + _option("--nmax", draw(_nmax)))
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# The closed forms are evaluated in floating point, so a visibility or an
+# overlap probability at 1 can come out a few ulps above it (1.0000000000000002).
+ROUNDING = 1e-12
+
+
+def assert_clean_refusal(code, out, err):
+    assert code in (2, 3), err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@settings(max_examples=300)
+@given(argv=pattern_argv())
+def test_pattern_gives_finite_visibility_or_a_clean_refusal(argv):
+    code, out, err = run_quiet(argv)
+    if code != 0:
+        assert_clean_refusal(code, out, err)
+        return
+    v = float(csv_sections(out)[0]["visibility"])
+    assert 0.0 <= v <= 1.0 + ROUNDING
+
+
+@settings(max_examples=100)
+@given(argv=whichway_argv())
+def test_whichway_gives_finite_probabilities_or_a_clean_refusal(argv):
+    code, out, err = run_quiet(argv)
+    if code != 0:
+        assert_clean_refusal(code, out, err)
+        return
+    meta = csv_sections(out)[0]
+    for key in ("p_plus", "p_minus", "detect_prob", "simulated_p_plus", "simulated_p_minus"):
+        assert 0.0 <= float(meta[key]) <= 1.0 + ROUNDING, key
+    for key in ("fractional_error", "simulated_ratio"):
+        assert math.isfinite(float(meta[key])), key

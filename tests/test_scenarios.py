@@ -326,6 +326,33 @@ def test_spec_validation():
         build(spec(Config.B, treatment=Treatment.FIRST_ORDER, beta=1.0))
 
 
+# The catalogue's undefined (config, pulse, treatment) combinations and the
+# field each refusal names; every other combination builds.
+def undefined_field(config, pulse, treatment):
+    if config is Config.D and pulse is Pulse.LONG:
+        return "pulse"
+    if config is Config.E and pulse is Pulse.SHORT and treatment is Treatment.EXACT:
+        return "treatment"
+    return None
+
+
+@pytest.mark.parametrize("treatment", [None, *Treatment])
+@pytest.mark.parametrize("pulse", list(Pulse))
+@pytest.mark.parametrize("config", list(Config))
+def test_regime_table_walk(config, pulse, treatment):
+    field = undefined_field(config, pulse, treatment)
+    if field is not None:
+        # refused at construction, ahead of the nmax ceiling
+        with pytest.raises(ScenarioError) as refused:
+            ScenarioSpec(config, pulse, beta=0.3, treatment=treatment, nmax=500)
+        assert refused.value.field == field
+        return
+    s = ScenarioSpec(config, pulse, beta=0.3, treatment=treatment)
+    default = Treatment.FIRST_ORDER if config is Config.E else Treatment.EXACT
+    assert s.treatment is (treatment or default)
+    assert 0.0 <= visibility(build(s)) <= 1.0
+
+
 def test_spec_flat_serialization_round_trip():
     s = ScenarioSpec(
         Config.E,
@@ -348,3 +375,13 @@ def test_spec_accepts_plain_strings():
     assert s.config is Config.C2
     assert s.pulse is Pulse.LONG
     assert build(s) is not None
+
+
+def test_treatments_a_regime_tells_apart():
+    both = (Treatment.EXACT, Treatment.FIRST_ORDER)
+    assert ScenarioSpec(Config.B).treatments == both
+    assert ScenarioSpec(Config.D, treatment=Treatment.FIRST_ORDER).treatments == both
+    assert ScenarioSpec(Config.E).treatments == (Treatment.FIRST_ORDER,)
+    assert ScenarioSpec(Config.A).treatments == ()
+    assert ScenarioSpec(Config.B, Pulse.LONG).treatments == ()
+    assert ScenarioSpec(Config.E, Pulse.LONG, treatment=Treatment.EXACT).treatments == ()
