@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--alpha", type=_complex_arg, default=None,
                           help="longitudinal common-mode kick, config D only")
     scenario.add_argument("--epsilon", type=float, default=0.01,
-                          help="scattering amplitude, in (0, 0.1] (default: 0.01)")
+                          help="scattering amplitude, in [1.4917e-154, 0.1] (default: 0.01)")
     scenario.add_argument("--coupling", type=float, default=None,
                           help="slit-slit coupling g, config E only; the normal modes "
                                "split by the beat frequency 2g")

@@ -122,7 +122,9 @@ class FockVector:
     def norm(self) -> float:
         n = self.__dict__.get("_norm")
         if n is None:
-            n = float(np.linalg.norm(self.amplitudes))
+            # the sum np.linalg.norm forms for a complex vector, without its dispatch
+            re, im = self.amplitudes.real, self.amplitudes.imag
+            n = math.sqrt(re.dot(re) + im.dot(im))
             object.__setattr__(self, "_norm", n)
         return n
 
@@ -217,11 +219,12 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
     _truncation_guard(beta, nmax)
     b = complex(beta)
     n = np.arange(nmax)
-    factorial = np.cumprod(np.maximum(n, 1), dtype=float)
+    factorial = np.maximum(n, 1.0).cumprod()
     amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / np.sqrt(factorial)
     captured = float(np.vdot(amps, amps).real)
     residual = max(0.0, 1.0 - captured)
-    return FockVector._wrap(FockSpace((nmax,)), amps / math.sqrt(captured)), residual
+    amps /= math.sqrt(captured)
+    return FockVector._wrap(FockSpace((nmax,)), amps), residual
 
 
 def destroy(nmax: int) -> np.ndarray:
@@ -258,14 +261,14 @@ def inner(u: FockVector, v: FockVector) -> complex:
 
 
 def tensor(vectors: Sequence[FockVector]) -> FockVector:
-    """Kronecker composition in listed order (first factor slowest)."""
+    """Kronecker composition in listed order (first factor slowest), as np.kron."""
     if len(vectors) == 0:
         raise ValueError("tensor of an empty list is undefined")
     amps = vectors[0].amplitudes
     dims = vectors[0].space.mode_dims
     labels = vectors[0].space.labels
     for v in vectors[1:]:
-        amps = np.kron(amps, v.amplitudes)
+        amps = np.multiply.outer(amps, v.amplitudes).ravel()
         dims = dims + v.space.mode_dims
         labels = labels + v.space.labels
     return FockVector._wrap(FockSpace(dims, labels), amps)

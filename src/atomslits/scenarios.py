@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import transforms
 from .errors import PerturbationError, ScenarioError
@@ -68,6 +71,10 @@ __all__ = [
 ]
 
 
+# The smallest epsilon whose square, a factor on every weight, is a normal float.
+_EPSILON_MIN = math.sqrt(sys.float_info.min)
+
+
 class Config(str, Enum):
     A = "A"
     B = "B"
@@ -94,9 +101,10 @@ class ScenarioSpec:
     beta is the dimensionless recoil kick beta = i Q x0 / sqrt(2) for photon
     momentum transfer Q and trap oscillator length x0. alpha applies to
     config D only; coupling_g and evolve_time apply to config E only (other
-    builders ignore them). beta, alpha, coupling_g and evolve_time must be
-    finite; epsilon must stay in (0, 0.1], the single-scattering regime all
-    results assume; nmax must lie in [2, 171].
+    builders ignore them). beta, alpha, coupling_g, evolve_time and their
+    product must be finite; epsilon must stay in [1.49e-154, 0.1], the
+    single-scattering regime in which epsilon**2 is a normal float; nmax must
+    lie in [2, 171].
 
     treatment None resolves to the config's default: first order for config
     E on either pulse, exact elsewhere. Combinations the regime table does
@@ -136,15 +144,21 @@ class ScenarioSpec:
         for name in ("beta", "alpha", "coupling_g", "evolve_time"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.epsilon <= 0.1:
+        if not _EPSILON_MIN <= self.epsilon <= 0.1:
             raise ValueError(
-                f"epsilon must lie in (0, 0.1], got {self.epsilon}; the model is "
-                f"first order in the scattering amplitude"
+                f"epsilon must lie in [{_EPSILON_MIN!r}, 0.1], got {self.epsilon}; the "
+                f"model is first order in the scattering amplitude, and epsilon**2 must "
+                f"be a normal float"
             )
         if self.coupling_g < 0:
             raise ValueError("coupling_g must be >= 0")
         if self.evolve_time < 0:
             raise ValueError("evolve_time must be >= 0")
+        if not math.isfinite(self.coupling_g * self.evolve_time):
+            raise ValueError(
+                f"coupling_g * evolve_time must be finite, got {self.coupling_g} * "
+                f"{self.evolve_time}"
+            )
         check_nmax(self.nmax)
 
     @property
@@ -216,11 +230,18 @@ def _golden_rule_b2(beta: complex) -> float:
     return b2
 
 
-def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
+def _superposition(space: FockSpace, *terms: tuple[tuple[int, ...], complex]) -> FockVector:
+    """sum_k c_k |n_k>, each c_k added to a zero: the bits of the scaled basis-vector sum."""
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    for occupations, c in terms:
+        amps[space.index(occupations)] += c
+    return FockVector._wrap(space, amps)
+
+
+def _first_order_kicked(space: FockSpace, beta: complex) -> FockVector:
     """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker of C/D."""
-    space = FockSpace((nmax,))
     c0 = math.sqrt(1.0 - _golden_rule_b2(beta))
-    return c0 * basis_state(space, (0,)) + beta * basis_state(space, (1,))
+    return _superposition(space, ((0,), c0), ((1,), beta))
 
 
 def build_A(spec: ScenarioSpec) -> TwoPathMixture:
@@ -243,13 +264,13 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     w = spec.epsilon**2
     if spec.treatment is Treatment.EXACT:
         kicked, _ = coherent_state(b, nmax)
-        still, _ = coherent_state(0, nmax)
+        still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
         psi1 = _in_space(space, kicked, still)
         psi2 = _in_space(space, still, kicked)
     else:
         c0 = _elastic_amplitude(b)
-        psi1 = c0 * basis_state(space, (0, 0)) + b * basis_state(space, (1, 0))
-        psi2 = c0 * basis_state(space, (0, 0)) + b * basis_state(space, (0, 1))
+        psi1 = _superposition(space, ((0, 0), c0), ((1, 0), b))
+        psi2 = _superposition(space, ((0, 0), c0), ((0, 1), b))
     return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
 
 
@@ -294,8 +315,8 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
         psi1 = _in_space(space, plus)
         psi2 = _in_space(space, minus)
     else:
-        psi1 = _in_space(space, _first_order_kicked(nmax, b))
-        psi2 = _in_space(space, _first_order_kicked(nmax, -b))
+        psi1 = _first_order_kicked(space, b)
+        psi2 = _first_order_kicked(space, -b)
     return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
 
 
@@ -335,8 +356,8 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
         plus, _ = coherent_state(b, nmax)
         minus, _ = coherent_state(-b, nmax)
     else:
-        plus = _first_order_kicked(nmax, b)
-        minus = _first_order_kicked(nmax, -b)
+        plus = _first_order_kicked(common.space, b)
+        minus = _first_order_kicked(common.space, -b)
     psi1 = _in_space(space, common, plus)
     psi2 = _in_space(space, common, minus)
     return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
@@ -366,8 +387,8 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     space = _two_atom_space(nmax)
     g = ground_state(space)
     root = 1.0 / math.sqrt(2.0)
-    sym = root * (basis_state(space, (1, 0)) + basis_state(space, (0, 1)))
-    antisym = root * (basis_state(space, (1, 0)) - basis_state(space, (0, 1)))
+    sym = _superposition(space, ((1, 0), root), ((0, 1), root))
+    antisym = _superposition(space, ((1, 0), root), ((0, 1), -root))
     eps2 = spec.epsilon**2
     return TwoPathMixture(
         (

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .fockspace import FockSpace, FockVector
-from .twopath import FreqTag, Projector, TwoPathComponent, TwoPathMixture
+from .twopath import FreqTag, Projector, TwoPathMixture
 
 __all__ = [
     "PROJECTOR_NAMES",
@@ -40,17 +40,21 @@ def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
 
 def _rotate_pair(m: TwoPathMixture, block: np.ndarray) -> TwoPathMixture:
     """Act with a 2x2 block on span{|1,0>, |0,1>} of every path state, identity elsewhere."""
-    pair = list(_excitation_pair_indices(m.space))
+    i, j = _excitation_pair_indices(m.space)
+    (p, q), (r, s) = block.tolist()
 
     def rotated(v: FockVector) -> FockVector:
         amps = v.amplitudes.copy()
-        amps[pair] = block @ amps[pair]
+        a, b = complex(amps[i]), complex(amps[j])
+        # summed from 0j in this order, the bits of block @ [a, b], signed zeros too
+        amps[i] = 0j + p * a + q * b
+        amps[j] = 0j + r * a + s * b
         return FockVector._wrap(v.space, amps)
 
-    comps = tuple(
-        TwoPathComponent(rotated(c.psi1), rotated(c.psi2), c.tag, c.weight) for c in m.components
+    return m._with_components(
+        tuple(c._with_paths(rotated(c.psi1), rotated(c.psi2)) for c in m.components),
+        m.condition,
     )
-    return TwoPathMixture(comps, condition=m.condition)
 
 
 def apply_eraser(m: TwoPathMixture, inverse: bool = False) -> TwoPathMixture:
@@ -77,6 +81,8 @@ def evolve_beat(m: TwoPathMixture, g: float, t: float) -> TwoPathMixture:
     """
     if g < 0:
         raise ValueError(f"coupling g must be >= 0, got {g}")
+    if not math.isfinite(g * t):
+        raise ValueError(f"coupling g * time t must be finite, got {g} * {t}")
     c = math.cos(g * t)
     s = math.sin(g * t)
     block = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
@@ -102,11 +108,10 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
     tagset = frozenset(FreqTag(t) for t in tags)
     if not tagset:
         raise ValueError("apply_dispersive needs at least one frequency tag")
-    comps = tuple(
-        TwoPathComponent(c.psi1, -c.psi2, c.tag, c.weight) if c.tag in tagset else c
-        for c in m.components
+    return m._with_components(
+        tuple(c._with_paths(c.psi1, -c.psi2) if c.tag in tagset else c for c in m.components),
+        m.condition,
     )
-    return TwoPathMixture(comps, condition=m.condition)
 
 
 PROJECTOR_NAMES = (

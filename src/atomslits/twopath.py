@@ -87,6 +87,12 @@ class TwoPathComponent:
         object.__setattr__(self, "tag", FreqTag(self.tag))
         object.__setattr__(self, "weight", w)
 
+    def _with_paths(self, psi1: FockVector, psi2: FockVector) -> "TwoPathComponent":
+        """This tag and weight on new path states of this space, not checked again."""
+        c = object.__new__(TwoPathComponent)
+        c.__dict__.update(psi1=psi1, psi2=psi2, tag=self.tag, weight=self.weight)
+        return c
+
     @property
     def space(self) -> FockSpace:
         return self.psi1.space
@@ -121,6 +127,13 @@ class TwoPathMixture:
         if not sum(c.weight for c in comps) > 0:
             raise ValueError("total mixture weight must be positive")
         object.__setattr__(self, "components", comps)
+
+    def _with_components(self, components: tuple[TwoPathComponent, ...],
+                         condition: str) -> "TwoPathMixture":
+        """This mixture's components, each kept or remade by _with_paths; not checked again."""
+        m = object.__new__(TwoPathMixture)
+        m.__dict__.update(components=components, condition=condition)
+        return m
 
     @property
     def space(self) -> FockSpace:
@@ -161,7 +174,9 @@ class Projector:
                 f"projector '{self.name}' is defined on {self.space.mode_dims}, "
                 f"state lives in {v.space.mode_dims}"
             )
-        return FockVector._wrap(self.space, self.columns @ (self._adjoint @ v.amplitudes))
+        # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
+        return FockVector._wrap(self.space,
+                                np.dot(self.columns, np.dot(self._adjoint, v.amplitudes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +203,17 @@ class PatternScan:
         ints.setflags(write=False)
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "intensities", ints)
+
+    @classmethod
+    def _wrap(cls, phis: np.ndarray, intensities: np.ndarray, visibility: float,
+              phase_offset: float, condition: str) -> "PatternScan":
+        """Adopt two float arrays of one shape that the package has just allocated."""
+        phis.setflags(write=False)
+        intensities.setflags(write=False)
+        scan = object.__new__(cls)
+        scan.__dict__.update(phis=phis, intensities=intensities, visibility=visibility,
+                             phase_offset=phase_offset, condition=condition)
+        return scan
 
     def sampled_visibility(self) -> float:
         """(Imax - Imin)/(Imax + Imin) recomputed from the stored samples."""
@@ -254,14 +280,9 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     # exact minima of a V = 1 pattern can round to a few ulp below zero
     if intensities.min() < -1e-9 * d:
         raise AssertionError("intensity went significantly negative; bookkeeping bug")
-    intensities = np.clip(intensities, 0.0, None)
-    return PatternScan(
-        phis=phis,
-        intensities=intensities,
-        visibility=2.0 * abs(c) / d,
-        phase_offset=_principal_phase(c),
-        condition=m.condition,
-    )
+    np.clip(intensities, 0.0, None, out=intensities)
+    return PatternScan._wrap(phis, intensities, 2.0 * abs(c) / d, _principal_phase(c),
+                             m.condition)
 
 
 def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, float]:
@@ -276,9 +297,9 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
             f"projector '{projector.name}' does not act on the mixture's space"
         )
     before = _require_light(m)
-    comps = tuple(
-        TwoPathComponent(projector.apply(c.psi1), projector.apply(c.psi2), c.tag, c.weight)
-        for c in m.components
+    conditioned = m._with_components(
+        tuple(c._with_paths(projector.apply(c.psi1), projector.apply(c.psi2))
+              for c in m.components),
+        projector.name,
     )
-    conditioned = TwoPathMixture(comps, condition=projector.name)
     return conditioned, mean_intensity(conditioned) / before

@@ -190,6 +190,9 @@ def test_outputs_are_deterministic(tmp_path, capsys):
         (["pattern", "--config", "B", "--samples", str(10**12)], "--samples"),
         (["sweep", "--config", "B", "--beta-range", f"0:0.1:{MAX_SWEEP_STEPS + 1}"],
          "--beta-range"),
+        # finite factors whose product, the beat phase g t, overflows
+        (["pattern", "--config", "E", "--coupling", "1e300", "--evolve-time", "1e300"],
+         "coupling_g * evolve_time"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
@@ -334,6 +337,26 @@ def test_epsilon_domain_is_flag_error(capsys):
     code, _, err = run(["pattern", "--config", "A", "--epsilon", "0.5"], capsys)
     assert code == 2
     assert "epsilon" in err
+
+
+# epsilon**2 scales every weight; below sqrt(float_info.min) it is subnormal or 0,
+# which turns the true visibility 0.91 into 0.9 at 1e-161 and 0.9100790513833992
+# at 1e-160, and leaves no weight at all at 1e-170.
+@pytest.mark.parametrize("epsilon", ["1e-170", "1e-161", "1e-160", "1.4916681462400412e-154"])
+def test_epsilon_whose_square_is_subnormal_is_flag_error(epsilon, capsys):
+    code, out, err = run(["pattern", "--config", "B", "--pulse", "long", "--beta", "0.3",
+                          "--epsilon", epsilon], capsys)
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+
+
+def test_smallest_epsilon_keeps_the_visibility(capsys):
+    code, out, _ = run(["pattern", "--config", "B", "--pulse", "long", "--beta", "0.3",
+                        "--epsilon", repr(math.sqrt(sys.float_info.min))], capsys)
+    assert code == 0
+    meta, _, _ = csv_sections(out)
+    assert float(meta["visibility"]) == pytest.approx(0.91, abs=1e-15)
 
 
 def test_report_passes_on_fresh_tree(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -324,6 +325,20 @@ def test_spec_validation():
         build(spec(Config.C1, Pulse.LONG, beta=0.71))
     with pytest.raises(PerturbationError):
         build(spec(Config.B, treatment=Treatment.FIRST_ORDER, beta=1.0))
+
+
+def test_spec_refuses_an_overflowing_beat_phase():
+    with pytest.raises(ValueError, match=r"coupling_g \* evolve_time must be finite"):
+        ScenarioSpec(Config.E, coupling_g=1e300, evolve_time=1e300)
+    assert ScenarioSpec(Config.E, coupling_g=1e154, evolve_time=1e154).coupling_g == 1e154
+
+
+def test_spec_refuses_an_epsilon_whose_square_is_not_normal():
+    smallest = math.sqrt(sys.float_info.min)
+    assert ScenarioSpec(Config.B, epsilon=smallest).epsilon**2 >= sys.float_info.min
+    for eps in (math.nextafter(smallest, 0.0), 1e-160, 5e-324):
+        with pytest.raises(ValueError, match="epsilon"):
+            ScenarioSpec(Config.B, epsilon=eps)
 
 
 # The catalogue's undefined (config, pulse, treatment) combinations and the

@@ -119,6 +119,13 @@ def test_beat_rejects_negative_coupling():
     assert quarter_beat_time(2.0) == pytest.approx(math.pi / 8)
 
 
+@pytest.mark.parametrize("g,t", [(1e300, 1e300), (math.nan, 1.0), (1.0, math.inf)])
+def test_beat_refuses_a_non_finite_phase(g, t):
+    m = TwoPathMixture((TwoPathComponent(E10, E01),))
+    with pytest.raises(ValueError, match=r"g \* time t must be finite"):
+        evolve_beat(m, g, t)
+
+
 def test_dispersive_restores_long_pulse_c():
     m = build(ScenarioSpec(Config.C1, Pulse.LONG, beta=0.5))
     assert visibility(apply_dispersive(m, {FreqTag.SHIFTED})) == pytest.approx(1.0, abs=1e-12)
