@@ -6,7 +6,11 @@ slowest: the flat index of occupation (n0, n1) in a space with dims (d0, d1)
 is n0 * d1 + n1. Operators and serialization both rely on this ordering.
 
 All values are immutable after construction and every function is pure, so
-states and operators can be shared across threads without coordination.
+states and operators can be shared across threads without coordination. The
+spaces the package builds are interned: equal dims and labels give one shared
+FockSpace object. The per-nmax level table of the coherent series is computed
+once and held read-only. Both live in small bounded functools.lru_cache
+tables, which are thread-safe.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -83,6 +87,12 @@ class FockSpace:
         return flat
 
 
+@lru_cache(maxsize=32)
+def _space(mode_dims: tuple[int, ...], labels: tuple[str, ...] = ()) -> FockSpace:
+    """The package's one shared FockSpace for these dims and labels."""
+    return FockSpace(mode_dims, labels)
+
+
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """Complex amplitude vector over a FockSpace.
@@ -103,6 +113,8 @@ class FockVector:
                 f"amplitude length {amps.shape[0]} does not match "
                 f"space dimension {self.space.dim}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -201,11 +213,23 @@ def _squared_abs(z: complex) -> float:
 def _truncation_guard(beta: complex, nmax: int) -> None:
     check_nmax(nmax)
     b2 = _squared_abs(beta)
+    if math.isnan(b2):
+        raise ValueError(f"coherent amplitude {beta:.4g} is not a number")
     if b2 > nmax:
         raise TruncationError(
             f"coherent amplitude {beta:.4g} has squared modulus {b2:.4g} above the "
             f"truncation dimension {nmax}; the cutoff would drop most of the state"
         )
+
+
+@lru_cache(maxsize=32, typed=True)
+def _levels(nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only levels n = 0..nmax-1 and sqrt(n!), the coherent series' fixed part."""
+    n = np.arange(nmax)
+    root_factorial = np.sqrt(np.maximum(n, 1.0).cumprod())
+    n.setflags(write=False)
+    root_factorial.setflags(write=False)
+    return n, root_factorial
 
 
 def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
@@ -218,13 +242,12 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
     """
     _truncation_guard(beta, nmax)
     b = complex(beta)
-    n = np.arange(nmax)
-    factorial = np.maximum(n, 1.0).cumprod()
-    amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / np.sqrt(factorial)
+    n, root_factorial = _levels(nmax)
+    amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / root_factorial
     captured = float(np.vdot(amps, amps).real)
     residual = max(0.0, 1.0 - captured)
     amps /= math.sqrt(captured)
-    return FockVector._wrap(FockSpace((nmax,)), amps), residual
+    return FockVector._wrap(_space((nmax,)), amps), residual
 
 
 def destroy(nmax: int) -> np.ndarray:
@@ -260,18 +283,21 @@ def inner(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
+def _kron(vectors: Sequence[FockVector]) -> np.ndarray:
+    """The amplitudes np.kron forms for the listed factors, first factor slowest."""
+    amps = vectors[0].amplitudes
+    for v in vectors[1:]:
+        amps = np.multiply.outer(amps, v.amplitudes).ravel()
+    return amps
+
+
 def tensor(vectors: Sequence[FockVector]) -> FockVector:
     """Kronecker composition in listed order (first factor slowest), as np.kron."""
     if len(vectors) == 0:
         raise ValueError("tensor of an empty list is undefined")
-    amps = vectors[0].amplitudes
-    dims = vectors[0].space.mode_dims
-    labels = vectors[0].space.labels
-    for v in vectors[1:]:
-        amps = np.multiply.outer(amps, v.amplitudes).ravel()
-        dims = dims + v.space.mode_dims
-        labels = labels + v.space.labels
-    return FockVector._wrap(FockSpace(dims, labels), amps)
+    dims = tuple(d for v in vectors for d in v.space.mode_dims)
+    labels = tuple(label for v in vectors for label in v.space.labels)
+    return FockVector._wrap(_space(dims, labels), _kron(vectors))
 
 
 def project(v: FockVector, mode_index: int, fock_level: int) -> tuple[FockVector, float]:

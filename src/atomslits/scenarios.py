@@ -44,12 +44,13 @@ from .errors import PerturbationError, ScenarioError
 from .fockspace import (
     FockSpace,
     FockVector,
+    _kron,
+    _space,
     _squared_abs,
     basis_state,
     check_nmax,
     coherent_state,
     ground_state,
-    tensor,
     zero_vector,
 )
 from .twopath import FreqTag, TwoPathComponent, TwoPathMixture
@@ -194,16 +195,16 @@ def _complex_str(z: complex) -> str:
 
 
 def _two_atom_space(nmax: int) -> FockSpace:
-    return FockSpace((nmax, nmax), ("atom1", "atom2"))
+    return _space((nmax, nmax), ("atom1", "atom2"))
 
 
 def _single_atom_space(nmax: int) -> FockSpace:
-    return FockSpace((nmax,), ("atom",))
+    return _space((nmax,), ("atom",))
 
 
 def _in_space(space: FockSpace, *factors: FockVector) -> FockVector:
-    """Tensor single-mode states and rebind them to a labeled space."""
-    return FockVector._wrap(space, tensor(factors).amplitudes)
+    """The tensor product of single-mode states, on a labeled space."""
+    return FockVector._wrap(space, _kron(factors))
 
 
 def _elastic_amplitude(beta: complex) -> float:
@@ -285,16 +286,13 @@ def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     b2 = _golden_rule_b2(b)
     space = _two_atom_space(nmax)
     g = ground_state(space)
+    empty = zero_vector(space)
     eps2 = spec.epsilon**2
     return TwoPathMixture(
         (
             TwoPathComponent(g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-            TwoPathComponent(
-                basis_state(space, (1, 0)), zero_vector(space), FreqTag.SHIFTED, eps2 * b2
-            ),
-            TwoPathComponent(
-                zero_vector(space), basis_state(space, (0, 1)), FreqTag.SHIFTED, eps2 * b2
-            ),
+            TwoPathComponent(basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, eps2 * b2),
+            TwoPathComponent(empty, basis_state(space, (0, 1)), FreqTag.SHIFTED, eps2 * b2),
         )
     )
 
@@ -349,7 +347,7 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     which-way information.
     """
     b, a, nmax = spec.beta, spec.alpha, spec.nmax
-    space = FockSpace((nmax, nmax), ("z", "y"))
+    space = _space((nmax, nmax), ("z", "y"))
     w = spec.epsilon**2
     common, _ = coherent_state(a, nmax)
     if spec.treatment is Treatment.EXACT:

@@ -38,23 +38,34 @@ def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
     return space.index((1, 0)), space.index((0, 1))
 
 
+def _is_plus_zero(z: complex) -> bool:
+    """Whether z is +0+0j to the bit, the image of every zero pair under the rotation."""
+    return z == 0 and math.copysign(1.0, z.real) > 0 and math.copysign(1.0, z.imag) > 0
+
+
+def _rotated(v: FockVector, i: int, j: int, block: list) -> FockVector:
+    """v with the 2x2 block applied to its amplitudes i and j; v itself if that changes no bit."""
+    a, b = v.amplitudes.item(i), v.amplitudes.item(j)
+    if _is_plus_zero(a) and _is_plus_zero(b):
+        return v  # the rotation would write the same +0+0j pair back
+    (p, q), (r, s) = block
+    amps = v.amplitudes.copy()
+    # summed from 0j in this order, the bits of block @ [a, b], signed zeros too
+    amps[i] = 0j + p * a + q * b
+    amps[j] = 0j + r * a + s * b
+    return FockVector._wrap(v.space, amps)
+
+
 def _rotate_pair(m: TwoPathMixture, block: np.ndarray) -> TwoPathMixture:
     """Act with a 2x2 block on span{|1,0>, |0,1>} of every path state, identity elsewhere."""
     i, j = _excitation_pair_indices(m.space)
-    (p, q), (r, s) = block.tolist()
-
-    def rotated(v: FockVector) -> FockVector:
-        amps = v.amplitudes.copy()
-        a, b = complex(amps[i]), complex(amps[j])
-        # summed from 0j in this order, the bits of block @ [a, b], signed zeros too
-        amps[i] = 0j + p * a + q * b
-        amps[j] = 0j + r * a + s * b
-        return FockVector._wrap(v.space, amps)
-
-    return m._with_components(
-        tuple(c._with_paths(rotated(c.psi1), rotated(c.psi2)) for c in m.components),
-        m.condition,
-    )
+    rows = block.tolist()
+    components = []
+    for c in m.components:
+        psi1 = _rotated(c.psi1, i, j, rows)
+        psi2 = psi1 if c.psi2 is c.psi1 else _rotated(c.psi2, i, j, rows)
+        components.append(c._with_paths(psi1, psi2))
+    return m._with_components(tuple(components), m.condition)
 
 
 def apply_eraser(m: TwoPathMixture, inverse: bool = False) -> TwoPathMixture:
@@ -157,4 +168,4 @@ def named_projector(name: str, space: FockSpace) -> Projector:
         else:  # antisym
             amps[i10] = 1.0 / math.sqrt(2.0)
             amps[i01] = -1.0 / math.sqrt(2.0)
-    return Projector(space, amps[:, None], name)
+    return Projector._wrap(space, amps[:, None], name)

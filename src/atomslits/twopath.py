@@ -18,7 +18,9 @@ Visibility has the closed form
 and the phase offset is the principal argument of the same coherence sum, so
 I(phi) is proportional to 1 + V cos(phi + phase_offset). pattern() reports the
 closed-form values; the sampled curve is a consistency check, not the source
-of truth.
+of truth. The sample grid phi and exp(i phi) for each sample count are
+computed once and held read-only in a small bounded functools.lru_cache
+table, which is thread-safe; scans with one sample count share their phis.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +154,9 @@ class Projector:
     columns is U, a dim x k block of orthonormal columns spanning the kept
     subspace; a coincidence projector is rank one, so k is 1 there and the
     dim x dim matrix is never formed. U^dag is formed once, at construction.
+    The columns are copied in and must be finite, with a Gram matrix U^dag U
+    idempotent within 1e-12, which is exactly when U U^dag is an orthogonal
+    projector.
     """
 
     space: FockSpace
@@ -164,9 +170,40 @@ class Projector:
                 f"projector columns of shape {u.shape} do not match "
                 f"space dimension {self.space.dim}"
             )
+        if not np.isfinite(u).all():
+            raise ValueError(f"projector '{self.name}' columns must be finite")
+        gram = u.conj().T @ u
+        if np.abs(gram @ gram - gram).max(initial=0.0) > 1e-12:
+            raise ValueError(
+                f"projector '{self.name}' columns do not span an orthogonal projector: "
+                f"U^dag U is not idempotent within 1e-12"
+            )
+        self._adopt(u)
+
+    def _adopt(self, u: np.ndarray) -> None:
         u.setflags(write=False)
         object.__setattr__(self, "columns", u)
         object.__setattr__(self, "_adjoint", u.conj().T)
+
+    @classmethod
+    def _wrap(cls, space: FockSpace, columns: np.ndarray, name: str) -> "Projector":
+        """Adopt a dim x k complex128 block of orthonormal columns the package has
+        just allocated, without a copy or the constructor's checks."""
+        p = object.__new__(cls)
+        p.__dict__.update(space=space, name=name)
+        p._adopt(columns)
+        return p
+
+    def _image(self, v: FockVector, images: dict[bytes, FockVector]) -> FockVector:
+        """U (U^dag v), kept in `images` under the bytes of U^dag v; the same bytes
+        give the same bits, so every vector with them shares one result."""
+        # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
+        s = np.dot(self._adjoint, v.amplitudes)
+        key = s.tobytes()
+        out = images.get(key)
+        if out is None:
+            out = images[key] = FockVector._wrap(self.space, np.dot(self.columns, s))
+        return out
 
     def apply(self, v: FockVector) -> FockVector:
         if v.space != self.space:
@@ -174,9 +211,7 @@ class Projector:
                 f"projector '{self.name}' is defined on {self.space.mode_dims}, "
                 f"state lives in {v.space.mode_dims}"
             )
-        # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
-        return FockVector._wrap(self.space,
-                                np.dot(self.columns, np.dot(self._adjoint, v.amplitudes)))
+        return self._image(v, {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +297,16 @@ def phase_offset(m: TwoPathMixture) -> float:
     return _principal_phase(coherence_sum(m))
 
 
+@lru_cache(maxsize=8, typed=True)
+def _unit_circle(nsamples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uniform grid phi over [0, 2 pi) and exp(i phi), for pattern()."""
+    phis = 2.0 * np.pi * np.arange(nsamples) / nsamples
+    circle = np.exp(1j * phis)
+    phis.setflags(write=False)
+    circle.setflags(write=False)
+    return phis, circle
+
+
 def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     """Sample I(phi) on a uniform grid over [0, 2 pi) and extract the fringe data.
 
@@ -275,8 +320,8 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
         raise ValueError(f"nsamples must be >= 16, got {nsamples}")
     d = _require_light(m)
     c = coherence_sum(m)
-    phis = 2.0 * np.pi * np.arange(nsamples) / nsamples
-    intensities = d + 2.0 * np.real(c * np.exp(1j * phis))
+    phis, circle = _unit_circle(nsamples)
+    intensities = d + 2.0 * np.real(c * circle)
     # exact minima of a V = 1 pattern can round to a few ulp below zero
     if intensities.min() < -1e-9 * d:
         raise AssertionError("intensity went significantly negative; bookkeeping bug")
@@ -297,9 +342,12 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
             f"projector '{projector.name}' does not act on the mixture's space"
         )
     before = _require_light(m)
-    conditioned = m._with_components(
-        tuple(c._with_paths(projector.apply(c.psi1), projector.apply(c.psi2))
-              for c in m.components),
-        projector.name,
-    )
+    # a path shared by both slots is projected once; equal U^dag v bytes share one image
+    images: dict[bytes, FockVector] = {}
+    components = []
+    for c in m.components:
+        psi1 = projector._image(c.psi1, images)
+        psi2 = psi1 if c.psi2 is c.psi1 else projector._image(c.psi2, images)
+        components.append(c._with_paths(psi1, psi2))
+    conditioned = m._with_components(tuple(components), projector.name)
     return conditioned, mean_intensity(conditioned) / before

@@ -281,3 +281,20 @@ def test_cached_dim_leaves_equality_and_hash_alone():
     assert used.dim == 30
     assert used == fresh and hash(used) == hash(fresh)
     assert FockSpace((5, 7), ("a", "b")) != used
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+def test_public_vector_refuses_non_finite_amplitudes(bad):
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FockVector(FockSpace((4,)), amps)
+
+
+@pytest.mark.parametrize("beta", [math.nan, complex(math.nan, 0.1), complex(0.2, math.nan)])
+def test_truncation_guard_names_a_nan_amplitude(beta):
+    for make in (coherent_state, displacement_operator):
+        with pytest.raises(ValueError, match="not a number") as info:
+            make(beta, 8)
+        assert type(info.value) is ValueError
+        assert "nan" in str(info.value)

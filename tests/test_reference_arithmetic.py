@@ -3,8 +3,10 @@
 Each kernel below does the floating-point operations of a plainer form (np.kron,
 np.linalg.norm, matmul, sums of scaled basis vectors) with fewer numpy calls and
 no dense temporaries. The plain form is the reference, and equality is on the
-raw bytes, so a changed signed zero would show as well. The last test bounds
-the peak memory of a whole chain.
+raw bytes, so a changed signed zero would show as well. The tables computed
+once (levels, sample grids, spaces) are compared with their fresh formulas, and
+results shared within a call with the results computed one by one. The last
+tests bound the peak memory of a whole chain.
 """
 
 import itertools
@@ -17,10 +19,12 @@ import pytest
 from atomslits.fockspace import (
     FockSpace,
     FockVector,
+    _levels,
     basis_state,
     coherent_state,
     ground_state,
     tensor,
+    zero_vector,
 )
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
 from atomslits.transforms import (
@@ -37,6 +41,7 @@ from atomslits.twopath import (
     TwoPathMixture,
     coherence_sum,
     condition,
+    _unit_circle,
     mean_intensity,
     pattern,
 )
@@ -106,6 +111,37 @@ def test_ground_state_is_coherent_state_at_zero(nmax):
                      coherent_state(0, nmax)[0].amplitudes)
 
 
+@pytest.mark.parametrize("nmax", [2, 16, 64, 171])
+def test_level_table_is_read_only_and_the_fresh_formula(nmax):
+    n, root_factorial = _levels(nmax)
+    fresh = np.arange(nmax)
+    assert same_bits(n, fresh)
+    assert same_bits(root_factorial, np.sqrt(np.maximum(fresh, 1.0).cumprod()))
+    assert not n.flags.writeable and not root_factorial.flags.writeable
+    assert _levels(nmax)[1] is root_factorial
+
+
+def test_builds_share_spaces_and_the_empty_path(monkeypatch):
+    specs = [ScenarioSpec(Config.B, beta=0.3, nmax=24),
+             ScenarioSpec(Config.B, beta=0.1, treatment=Treatment.FIRST_ORDER, nmax=24),
+             ScenarioSpec(Config.D, beta=0.2, alpha=0.4, nmax=24),
+             ScenarioSpec(Config.C1, beta=0.2, nmax=24)]
+    warm = [build(spec) for spec in specs]
+    constructed = []
+    original = FockSpace.__post_init__
+    monkeypatch.setattr(FockSpace, "__post_init__",
+                        lambda self: constructed.append(self) or original(self))
+    again = [build(spec) for spec in specs]
+    assert constructed == []
+    assert again[0].space is again[1].space is warm[0].space
+    assert again[2].space is warm[2].space and again[3].space is warm[3].space
+    assert coherent_state(0.3, 24)[0].space is coherent_state(-0.1j, 24)[0].space
+    factors = [ground_state(FockSpace((3,), ("x",))), ground_state(FockSpace((4,), ("y",)))]
+    assert tensor(factors).space is tensor(factors).space
+    _, left, right = build(ScenarioSpec(Config.B, Pulse.LONG, beta=0.3, nmax=24)).components
+    assert left.psi2 is right.psi1  # one zero vector for both empty paths
+
+
 # --- projectors and pair rotations ---------------------------------------------
 
 
@@ -166,6 +202,56 @@ def test_pair_rotations_are_the_block_matmul():
             out = transform(m).components[0]
             assert same_bits(out.psi1.amplitudes, _reference_rotation(psi1, block, pair))
             assert same_bits(out.psi2.amplitudes, _reference_rotation(psi2, block, pair))
+
+
+def test_rotation_keeps_a_path_whose_pair_is_plus_zero_and_rotates_a_shared_path_once():
+    space = FockSpace((16, 16))
+    pair = [space.index((1, 0)), space.index((0, 1))]
+    g, e = ground_state(space), basis_state(space, (2, 3))
+    rng = np.random.default_rng(12)
+    v = FockVector(space, random_amplitudes(rng, space.dim))
+    m = TwoPathMixture((TwoPathComponent(g, e), TwoPathComponent(v, v)))
+    for out, block in ((apply_eraser(m), ERASER),
+                       (apply_eraser(m, inverse=True), ERASER.conj().T),
+                       (evolve_beat(m, 0.8, 0.37), beat_block(0.8, 0.37))):
+        kept, shared = out.components
+        assert kept.psi1 is g and kept.psi2 is e
+        assert shared.psi1 is shared.psi2
+        assert same_bits(shared.psi1.amplitudes, _reference_rotation(v.amplitudes, block, pair))
+    # any other zero pair is rewritten to the +0+0j that block @ x gives
+    for a, b in itertools.product([0j, complex(-0.0, 0.0), complex(0.0, -0.0)], repeat=2):
+        amps = g.amplitudes.copy()
+        amps[pair] = a, b
+        w = FockVector(space, amps)
+        out = apply_eraser(TwoPathMixture((TwoPathComponent(w, g),))).components[0].psi1
+        assert (out is w) == (np.array([a, b]).tobytes() == bytes(32))
+        assert same_bits(out.amplitudes, _reference_rotation(amps, ERASER, pair))
+
+
+def test_condition_shares_equal_projections_and_matches_the_one_by_one_form():
+    space = FockSpace((16, 16))
+    rng = np.random.default_rng(13)
+    v = FockVector(space, random_amplitudes(rng, space.dim, zeros=30))
+    twin = FockVector(space, v.amplitudes)  # equal bytes, another object
+    u = FockVector(space, random_amplitudes(rng, space.dim))
+    z = zero_vector(space)
+    m = TwoPathMixture((TwoPathComponent(v, v), TwoPathComponent(twin, u, weight=0.5),
+                        TwoPathComponent(z, -z, FreqTag.SHIFTED), TwoPathComponent(u, z)))
+    columns, _ = np.linalg.qr(rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3)))
+    projectors = [named_projector(name, space) for name in
+                  ("ground", "atom1_excited", "atom2_excited", "sym", "antisym")]
+    for projector in projectors + [Projector(space, columns)]:
+        cm, post = condition(m, projector)
+        (a, b, c, d) = cm.components
+        assert a.psi1 is a.psi2 is b.psi1  # one image for v and its twin
+        assert d.psi1 is b.psi2 and d.psi2 is c.psi1
+        for before, after in zip(m.components, cm.components):
+            for path, image in ((before.psi1, after.psi1), (before.psi2, after.psi2)):
+                assert same_bits(image.amplitudes, projector.apply(path).amplitudes)
+                if projector.columns.shape[1] == 1:
+                    u_ = projector.columns
+                    assert same_bits(image.amplitudes, u_ @ (u_.conj().T @ path.amplitudes))
+        assert post == mean_intensity(cm) / mean_intensity(m)
 
 
 # --- builders ----------------------------------------------------------------
@@ -278,6 +364,29 @@ def test_pattern_samples_are_the_clipped_closed_form():
             assert not scan.phis.flags.writeable and not scan.intensities.flags.writeable
 
 
+@pytest.mark.parametrize("nsamples", [16, 256, 1000, 65536])
+def test_unit_circle_table_is_read_only_and_the_fresh_formula(nsamples):
+    phis, circle = _unit_circle(nsamples)
+    fresh = 2.0 * np.pi * np.arange(nsamples) / nsamples
+    assert same_bits(phis, fresh)
+    assert same_bits(circle, np.exp(1j * fresh))
+    assert not phis.flags.writeable and not circle.flags.writeable
+    assert _unit_circle(nsamples)[1] is circle
+
+
+def test_interleaved_sample_counts_give_identical_bytes():
+    m = build(ScenarioSpec(Config.B, beta=0.3 + 0.1j))
+    d, c = mean_intensity(m), coherence_sum(m)
+    # more distinct counts than the table holds, each asked for again later
+    counts = [16, 256, 1000, 65536, 17, 64] + list(range(20, 32)) + [256, 16, 1000, 17]
+    for nsamples in counts:
+        phis = 2.0 * np.pi * np.arange(nsamples) / nsamples
+        scan = pattern(m, nsamples)
+        assert same_bits(scan.phis, phis)
+        assert same_bits(scan.intensities,
+                         np.clip(d + 2.0 * np.real(c * np.exp(1j * phis)), 0.0, None))
+
+
 # --- memory ----------------------------------------------------------------------
 
 # ROADMAP item 2's ceiling for a whole chain at nmax 64. One dense dim x dim
@@ -295,8 +404,8 @@ REGIMES = [
 ]
 
 
-@pytest.mark.parametrize("regime", REGIMES, ids=lambda r: "-".join(filter(None, r)))
-def test_chain_at_nmax_64_peaks_below_5_mb(regime):
+def chain_peak_bytes(regime):
+    """tracemalloc peak of build -> eraser or beat -> dispersive -> condition -> pattern."""
     config, pulse, treatment = regime
     spec = ScenarioSpec(config, pulse, beta=0.3 + 0.1j, treatment=treatment, nmax=64,
                         alpha=0.5 if config == "D" else 0j)
@@ -316,4 +425,21 @@ def test_chain_at_nmax_64_peaks_below_5_mb(regime):
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < PEAK_LIMIT_BYTES
+    return peak
+
+
+@pytest.mark.parametrize("regime", REGIMES, ids=lambda r: "-".join(filter(None, r)))
+def test_chain_at_nmax_64_peaks_below_5_mb(regime):
+    assert chain_peak_bytes(regime) < PEAK_LIMIT_BYTES
+
+
+# A long pulse holds its ground, excited and empty path states side by side.
+# Unchanged path states are kept and equal projections shared, so these chains
+# peak at 8 to 9 arrays of 64 KiB (0.50 and 0.57 MiB); copying every path state
+# at every stage took 14 (0.88 MiB).
+LONG_PULSE_PEAK_LIMIT_BYTES = 0.7 * 2**20
+
+
+@pytest.mark.parametrize("config", ["B", "E"])
+def test_long_pulse_chain_at_nmax_64_peaks_below_0_7_mib(config):
+    assert chain_peak_bytes((config, "long", None)) < LONG_PULSE_PEAK_LIMIT_BYTES

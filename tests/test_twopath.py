@@ -212,3 +212,24 @@ def test_phase_covariance_hypothesis(theta):
     assert abs(visibility(base) - visibility(turned)) < 1e-10
     gap = (phase_offset(turned) - phase_offset(base) - theta) % (2 * math.pi)
     assert min(gap, 2 * math.pi - gap) < 1e-9
+
+
+def test_projector_refuses_non_finite_columns():
+    for bad in (math.nan, math.inf):
+        columns = np.diag([1.0, 0, 0, 0])
+        columns[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Projector(SPACE, columns)
+
+
+def test_projector_refuses_columns_that_are_no_orthogonal_projector():
+    space = FockSpace((16,))
+    rng = np.random.default_rng(5)
+    skewed = np.linalg.qr(rng.normal(size=(16, 2)))[0] @ np.array([[1.0, 0.1], [0.0, 1.0]])
+    for columns in (3 * np.ones((16, 1)), 2 * np.eye(16)[:, :3], skewed):
+        with pytest.raises(ValueError, match="idempotent"):
+            Projector(space, columns)
+    # idempotent Gram matrices: orthonormal columns, with or without zero columns
+    for columns in (np.eye(16), np.diag([1.0] + [0.0] * 15), np.zeros((16, 0)),
+                    np.linalg.qr(rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3)))[0]):
+        Projector(space, columns)
