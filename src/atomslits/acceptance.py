@@ -18,7 +18,7 @@ from . import closedform
 from ._version import __version__
 from .fockspace import coherent_state, displacement_operator, inner, project
 from .scenarios import Config, Pulse, ScenarioSpec, Treatment, build
-from .transforms import apply_dispersive, apply_eraser, evolve_beat, named_projector
+from .transforms import apply_dispersive, apply_eraser, named_projector, quarter_beat_time
 from .twopath import (
     FreqTag,
     TwoPathMixture,
@@ -31,8 +31,11 @@ from .twopath import (
 __all__ = ["CRITERIA", "Criterion", "run_all"]
 
 
-def _check(name: str, value: float, expected: float, tolerance: float) -> dict:
-    deviation = abs(value - expected)
+def _check(name: str, value: float, expected: float, tolerance: float,
+           deviation: float | None = None) -> dict:
+    """One check record; the deviation defaults to |value - expected|."""
+    if deviation is None:
+        deviation = abs(value - expected)
     return {
         "name": name,
         "value": float(value),
@@ -48,15 +51,7 @@ def _phase_gap(a: float, b: float) -> float:
 
 
 def _phase_check(name: str, value: float, expected: float, tolerance: float) -> dict:
-    gap = _phase_gap(value, expected)
-    return {
-        "name": name,
-        "value": float(value),
-        "expected": float(expected),
-        "tolerance": float(tolerance),
-        "deviation": float(gap),
-        "passed": bool(gap <= tolerance),
-    }
+    return _check(name, value, expected, tolerance, _phase_gap(value, expected))
 
 
 def _conditioned(m: TwoPathMixture, projector_name: str):
@@ -220,7 +215,7 @@ def _crit_e_quarter_beat_eraser(tol: float) -> list[dict]:
     checks = []
     b = 0.2
     g = 0.8
-    quarter = math.pi / (4.0 * g)
+    quarter = quarter_beat_time(g)
     beat = build(
         ScenarioSpec(
             Config.E,

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="run the acceptance suite, emit a JSON summary")
     r.add_argument("--out", default=None, metavar="PATH")
-    r.set_defaults(handler=cmd_report)
+    r.set_defaults(handler=cmd_report, format="json")
 
     return parser
 
@@ -204,16 +204,20 @@ def _apply_transforms(mixture, args):
     return mixture, applied, post_selection
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
+def _write(args, payload, meta=None, header="", rows=()) -> None:
+    """Write payload as JSON, or meta, header and rows as CSV; to stdout or --out."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = [f"# {key}={value}" for key, value in meta.items()]
+        lines.append(header)
+        lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {key}={value}" for key, value in meta.items()]
 
 
 def cmd_pattern(args) -> int:
@@ -230,28 +234,22 @@ def cmd_pattern(args) -> int:
     meta["post_selection_probability"] = _fmt(post_selection)
     meta["visibility"] = _fmt(scan.visibility)
     meta["phase_offset"] = _fmt(scan.phase_offset)
-    if args.format == "json":
-        payload = {
-            "meta": {
-                "spec": spec.to_dict(),
-                "transforms": applied,
-                "version": __version__,
-            },
-            "pattern": {
-                "phis": [float(x) for x in scan.phis],
-                "intensities": [float(x) for x in scan.intensities],
-            },
-            "visibility": scan.visibility,
-            "phase_offset": scan.phase_offset,
-            "condition": scan.condition,
-            "post_selection_probability": post_selection,
-        }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = _meta_lines(meta)
-        lines.append("phi,intensity")
-        lines.extend(f"{_fmt(p)},{_fmt(i)}" for p, i in zip(scan.phis, scan.intensities))
-        _write_text("\n".join(lines) + "\n", args.out)
+    payload = {
+        "meta": {
+            "spec": spec.to_dict(),
+            "transforms": applied,
+            "version": __version__,
+        },
+        "pattern": {
+            "phis": scan.phis.tolist(),
+            "intensities": scan.intensities.tolist(),
+        },
+        "visibility": scan.visibility,
+        "phase_offset": scan.phase_offset,
+        "condition": scan.condition,
+        "post_selection_probability": post_selection,
+    }
+    _write(args, payload, meta, "phi,intensity", zip(scan.phis, scan.intensities))
     return EXIT_OK
 
 
@@ -309,21 +307,11 @@ def cmd_sweep(args) -> int:
     spec_echo["beta"] = args.beta_range
     meta = {"version": __version__, "command": "sweep"}
     meta.update(spec_echo)
-    if args.format == "json":
-        payload = {
-            "meta": {"spec": spec_echo, "version": __version__},
-            "rows": rows,
-        }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = _meta_lines(meta)
-        lines.append("beta,visibility_exact,visibility_first_order,oracle,deviation")
-        lines.extend(
-            ",".join(_fmt(r[k]) for k in
-                     ("beta", "visibility_exact", "visibility_first_order", "oracle", "deviation"))
-            for r in rows
-        )
-        _write_text("\n".join(lines) + "\n", args.out)
+    payload = {
+        "meta": {"spec": spec_echo, "version": __version__},
+        "rows": rows,
+    }
+    _write(args, payload, meta, ",".join(rows[0]), (r.values() for r in rows))
     return EXIT_OK
 
 
@@ -341,48 +329,40 @@ def cmd_whichway(args) -> int:
     sim_plus = abs(inner(probe, plus)) ** 2
     sim_minus = abs(inner(probe, minus)) ** 2
     curve = closedform.tradeoff_curve(args.beta) if args.beta > 0 else []
-    if args.format == "json":
-        payload = {
-            "meta": {"version": __version__, "beta": args.beta, "delta": args.delta,
-                     "nmax": args.nmax},
-            "p_plus": ref.p_plus,
-            "p_minus": ref.p_minus,
-            "fractional_error": ref.fractional_error,
-            "detect_prob": ref.detect_prob,
-            "simulated": {
-                "p_plus": sim_plus,
-                "p_minus": sim_minus,
-                "ratio": sim_minus / sim_plus,
-            },
-            "tradeoff": [
-                {"fractional_error": p.fractional_error, "required_delta": p.delta,
-                 "detect_prob": p.detect_prob}
-                for p in curve
-            ],
-        }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        meta = {
-            "version": __version__,
-            "command": "whichway",
-            "beta": _fmt(args.beta),
-            "delta": _fmt(args.delta),
-            "nmax": args.nmax,
-            "p_plus": _fmt(ref.p_plus),
-            "p_minus": _fmt(ref.p_minus),
-            "fractional_error": _fmt(ref.fractional_error),
-            "detect_prob": _fmt(ref.detect_prob),
-            "simulated_p_plus": _fmt(sim_plus),
-            "simulated_p_minus": _fmt(sim_minus),
-            "simulated_ratio": _fmt(sim_minus / sim_plus),
-        }
-        lines = _meta_lines(meta)
-        lines.append("fractional_error,required_delta,detect_prob")
-        lines.extend(
-            f"{_fmt(p.fractional_error)},{_fmt(p.delta)},{_fmt(p.detect_prob)}"
+    payload = {
+        "meta": {"version": __version__, "beta": args.beta, "delta": args.delta,
+                 "nmax": args.nmax},
+        "p_plus": ref.p_plus,
+        "p_minus": ref.p_minus,
+        "fractional_error": ref.fractional_error,
+        "detect_prob": ref.detect_prob,
+        "simulated": {
+            "p_plus": sim_plus,
+            "p_minus": sim_minus,
+            "ratio": sim_minus / sim_plus,
+        },
+        "tradeoff": [
+            {"fractional_error": p.fractional_error, "required_delta": p.delta,
+             "detect_prob": p.detect_prob}
             for p in curve
-        )
-        _write_text("\n".join(lines) + "\n", args.out)
+        ],
+    }
+    meta = {
+        "version": __version__,
+        "command": "whichway",
+        "beta": _fmt(args.beta),
+        "delta": _fmt(args.delta),
+        "nmax": args.nmax,
+        "p_plus": _fmt(ref.p_plus),
+        "p_minus": _fmt(ref.p_minus),
+        "fractional_error": _fmt(ref.fractional_error),
+        "detect_prob": _fmt(ref.detect_prob),
+        "simulated_p_plus": _fmt(sim_plus),
+        "simulated_p_minus": _fmt(sim_minus),
+        "simulated_ratio": _fmt(sim_minus / sim_plus),
+    }
+    _write(args, payload, meta, "fractional_error,required_delta,detect_prob",
+           ((p.fractional_error, p.delta, p.detect_prob) for p in curve))
     return EXIT_OK
 
 
@@ -390,7 +370,7 @@ def cmd_report(args) -> int:
     from . import acceptance
 
     report = acceptance.run_all()
-    _write_text(json.dumps(report, indent=2) + "\n", args.out)
+    _write(args, report)
     return EXIT_OK if report["passed"] else EXIT_ACCEPTANCE
 
 

@@ -1,4 +1,4 @@
-"""States and ladder operators of truncated harmonic-oscillator modes.
+"""States of truncated harmonic-oscillator modes, and the displacement operator.
 
 A FockSpace is one or more bosonic modes, each cut off at a finite number of
 levels. Joint amplitudes are stored row-major with the first listed mode
@@ -31,8 +31,6 @@ __all__ = [
     "basis_state",
     "check_nmax",
     "coherent_state",
-    "create",
-    "destroy",
     "displacement_operator",
     "ground_state",
     "inner",
@@ -140,12 +138,6 @@ class FockVector:
             object.__setattr__(self, "_norm", n)
         return n
 
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector._wrap(self.space, self.amplitudes / n)
-
     def _require_same_space(self, other: "FockVector") -> None:
         if self.space != other.space:
             raise SpaceMismatchError(
@@ -250,17 +242,6 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
     return FockVector._wrap(_space((nmax,)), amps), residual
 
 
-def destroy(nmax: int) -> np.ndarray:
-    """Annihilation operator a in the nmax-truncated number basis."""
-    check_nmax(nmax)
-    return np.diag(np.sqrt(np.arange(1, nmax, dtype=float)), k=1).astype(np.complex128)
-
-
-def create(nmax: int) -> np.ndarray:
-    """Creation operator a^dag (truncated, so a^dag |nmax-1> is dropped)."""
-    return destroy(nmax).conj().T
-
-
 def displacement_operator(beta: complex, nmax: int) -> np.ndarray:
     """Matrix exponential of beta a^dag - conj(beta) a in the truncated space.
 
@@ -273,7 +254,9 @@ def displacement_operator(beta: complex, nmax: int) -> np.ndarray:
     """
     _truncation_guard(beta, nmax)
     b = complex(beta)
-    w, v = np.linalg.eigh(1j * (b * create(nmax) - b.conjugate() * destroy(nmax)))
+    # the annihilation operator a in the truncated number basis
+    a = np.diag(np.sqrt(np.arange(1, nmax, dtype=float)), k=1).astype(np.complex128)
+    w, v = np.linalg.eigh(1j * (b * a.conj().T - b.conjugate() * a))
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 

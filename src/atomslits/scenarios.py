@@ -168,7 +168,7 @@ class ScenarioSpec:
         return _REGIMES[self.config].treatments if self.pulse is Pulse.SHORT else ()
 
     def to_dict(self) -> dict:
-        """Flat key-value form used for config files and report headers."""
+        """Flat key-value form echoed in CLI output headers."""
         return {
             "config": self.config.value,
             "pulse": self.pulse.value,
@@ -180,14 +180,6 @@ class ScenarioSpec:
             "treatment": self.treatment.value,
             "nmax": self.nmax,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        kwargs = dict(data)
-        for key in ("beta", "alpha"):
-            if key in kwargs:
-                kwargs[key] = complex(str(kwargs[key]))
-        return cls(**kwargs)
 
 
 def _complex_str(z: complex) -> str:

@@ -127,8 +127,8 @@ class TwoPathMixture:
         for c in comps[1:]:
             if c.space != space:
                 raise SpaceMismatchError("all components must share one FockSpace")
-        if not sum(c.weight for c in comps) > 0:
-            raise ValueError("total mixture weight must be positive")
+        if not 0 < sum(c.weight for c in comps) < math.inf:
+            raise ValueError("total mixture weight must be positive and finite")
         object.__setattr__(self, "components", comps)
 
     def _with_components(self, components: tuple[TwoPathComponent, ...],
@@ -172,8 +172,11 @@ class Projector:
             )
         if not np.isfinite(u).all():
             raise ValueError(f"projector '{self.name}' columns must be finite")
-        gram = u.conj().T @ u
-        if np.abs(gram @ gram - gram).max(initial=0.0) > 1e-12:
+        # huge finite columns overflow the Gram matrix to inf or nan; both are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = u.conj().T @ u
+            gap = np.abs(gram @ gram - gram).max(initial=0.0)
+        if not gap <= 1e-12:
             raise ValueError(
                 f"projector '{self.name}' columns do not span an orthogonal projector: "
                 f"U^dag U is not idempotent within 1e-12"
@@ -220,7 +223,7 @@ class PatternScan:
 
     `visibility` and `phase_offset` are the closed-form values; the samples
     satisfy I(phi) = mean * (1 + V cos(phi + phase_offset)) and can be used to
-    recompute them as a consistency check.
+    recompute them as a consistency check. Every value must be finite.
     """
 
     phis: np.ndarray
@@ -234,6 +237,9 @@ class PatternScan:
         ints = np.array(self.intensities, dtype=float, copy=True)
         if phis.shape != ints.shape:
             raise ValueError("phis and intensities must have the same shape")
+        if not (np.isfinite(phis).all() and np.isfinite(ints).all()
+                and math.isfinite(self.visibility) and math.isfinite(self.phase_offset)):
+            raise ValueError("phis, intensities, visibility and phase_offset must be finite")
         phis.setflags(write=False)
         ints.setflags(write=False)
         object.__setattr__(self, "phis", phis)

@@ -172,6 +172,26 @@ def test_outputs_are_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, *flags, "--format", fmt]
+        for cmd, flags in (
+            ("pattern", ["--config", "B", "--beta", "0.2", "--samples", "16", "--eraser"]),
+            ("sweep", ["--config", "C1", "--beta-range", "0:0.3:4"]),
+            ("whichway", ["--beta", "0.5", "--delta", "1"]),
+        )
+        for fmt in ("csv", "json")
+    ] + [["report"]],
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
+    code, out, _ = run_quiet(argv)
+    assert code == 0
+    path = tmp_path / "out"
+    assert run_quiet(argv + ["--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
     "argv,needle",
     [
         (["pattern", "--config", "B", "--alpha", "1"], "--alpha"),

@@ -246,7 +246,6 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
         (0.3 - 0.7j) * b,
         b * 2.5,
         -b,
-        b.normalized(),
         coherent_state(0.4 + 0.1j, 9)[0],
         tensor([coherent_state(0.2, 3)[0], basis_state(FockSpace((4,)), (1,))]),
         picked,

@@ -30,11 +30,3 @@ def test_contrast_sweep_writes_one_csv_per_case(tmp_path):
         assert len(lines) == 12
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
 
-
-def test_whichway_tradeoff_writes_its_curve(tmp_path):
-    out = tmp_path / "t.csv"
-    result = run_script("whichway_tradeoff.py", "--out", str(out), cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == "fractional_error,required_delta,detect_prob"
-    assert len(lines) == 26
