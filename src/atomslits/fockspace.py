@@ -7,7 +7,7 @@ is n0 * d1 + n1. Operators and serialization both rely on this ordering.
 
 All values are immutable after construction and every function is pure, so
 states and operators can be shared across threads without coordination. The
-spaces the package builds are interned: equal dims and labels give one shared
+spaces the package builds are interned by dims: equal dims give one shared
 FockSpace object. The per-nmax level table of the coherent series is computed
 once and held read-only. Both live in small bounded functools.lru_cache
 tables, which are thread-safe.
@@ -45,7 +45,6 @@ class FockSpace:
     """Composite truncated oscillator space; dimensions are fixed for life."""
 
     mode_dims: tuple[int, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.mode_dims)
@@ -53,13 +52,7 @@ class FockSpace:
             raise ValueError("a FockSpace needs at least one mode")
         if any(d < 2 for d in dims):
             raise ValueError(f"every mode dimension must be >= 2, got {dims}")
-        labels = tuple(str(label) for label in self.labels)
-        if not labels:
-            labels = tuple(f"mode{i}" for i in range(len(dims)))
-        if len(labels) != len(dims):
-            raise ValueError("labels and mode_dims differ in length")
         object.__setattr__(self, "mode_dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     @cached_property
     def dim(self) -> int:
@@ -86,19 +79,18 @@ class FockSpace:
 
 
 @lru_cache(maxsize=32)
-def _space(mode_dims: tuple[int, ...], labels: tuple[str, ...] = ()) -> FockSpace:
-    """The package's one shared FockSpace for these dims and labels."""
-    return FockSpace(mode_dims, labels)
+def _space(mode_dims: tuple[int, ...]) -> FockSpace:
+    """The package's one shared FockSpace for these dims."""
+    return FockSpace(mode_dims)
 
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """Complex amplitude vector over a FockSpace.
 
-    Supports addition, subtraction and scalar multiplication so states can be
-    assembled directly from basis vectors. Amplitudes are copied in and
-    frozen; arithmetic returns new vectors. The norm is computed on first use
-    and kept, which is safe because the amplitudes never change.
+    Amplitudes are copied in and frozen, and must be finite with a finite
+    norm. The norm is computed on first use and kept, which is safe because
+    the amplitudes never change.
     """
 
     space: FockSpace
@@ -111,10 +103,12 @@ class FockVector:
                 f"amplitude length {amps.shape[0]} does not match "
                 f"space dimension {self.space.dim}"
             )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        # a NaN or inf amplitude, or huge ones, give a norm that is not finite
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.norm()):
+                raise ValueError("amplitudes and their norm must be finite")
 
     @classmethod
     def _wrap(cls, space: FockSpace, amps: np.ndarray) -> "FockVector":
@@ -137,26 +131,6 @@ class FockVector:
             n = math.sqrt(re.dot(re) + im.dot(im))
             object.__setattr__(self, "_norm", n)
         return n
-
-    def _require_same_space(self, other: "FockVector") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"operands live in different spaces: "
-                f"{self.space.mode_dims} vs {other.space.mode_dims}"
-            )
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        self._require_same_space(other)
-        return FockVector._wrap(self.space, self.amplitudes + other.amplitudes)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        self._require_same_space(other)
-        return FockVector._wrap(self.space, self.amplitudes - other.amplitudes)
-
-    def __mul__(self, scalar: complex) -> "FockVector":
-        return FockVector._wrap(self.space, self.amplitudes * complex(scalar))
-
-    __rmul__ = __mul__
 
     def __neg__(self) -> "FockVector":
         return FockVector._wrap(self.space, -self.amplitudes)
@@ -262,25 +236,22 @@ def displacement_operator(beta: complex, nmax: int) -> np.ndarray:
 
 def inner(u: FockVector, v: FockVector) -> complex:
     """Sesquilinear inner product <u|v>, conjugate-linear in the first slot."""
-    u._require_same_space(v)
+    if u.space != v.space:
+        raise SpaceMismatchError(
+            f"operands live in different spaces: {u.space.mode_dims} vs {v.space.mode_dims}"
+        )
     return complex(np.vdot(u.amplitudes, v.amplitudes))
-
-
-def _kron(vectors: Sequence[FockVector]) -> np.ndarray:
-    """The amplitudes np.kron forms for the listed factors, first factor slowest."""
-    amps = vectors[0].amplitudes
-    for v in vectors[1:]:
-        amps = np.multiply.outer(amps, v.amplitudes).ravel()
-    return amps
 
 
 def tensor(vectors: Sequence[FockVector]) -> FockVector:
     """Kronecker composition in listed order (first factor slowest), as np.kron."""
     if len(vectors) == 0:
         raise ValueError("tensor of an empty list is undefined")
+    amps = vectors[0].amplitudes
+    for v in vectors[1:]:
+        amps = np.multiply.outer(amps, v.amplitudes).ravel()
     dims = tuple(d for v in vectors for d in v.space.mode_dims)
-    labels = tuple(label for v in vectors for label in v.space.labels)
-    return FockVector._wrap(_space(dims, labels), _kron(vectors))
+    return FockVector._wrap(_space(dims), amps)
 
 
 def project(v: FockVector, mode_index: int, fock_level: int) -> tuple[FockVector, float]:

@@ -44,13 +44,13 @@ from .errors import PerturbationError, ScenarioError
 from .fockspace import (
     FockSpace,
     FockVector,
-    _kron,
     _space,
     _squared_abs,
     basis_state,
     check_nmax,
     coherent_state,
     ground_state,
+    tensor,
     zero_vector,
 )
 from .twopath import FreqTag, TwoPathComponent, TwoPathMixture
@@ -186,19 +186,6 @@ def _complex_str(z: complex) -> str:
     return str(complex(z)).strip("()")
 
 
-def _two_atom_space(nmax: int) -> FockSpace:
-    return _space((nmax, nmax), ("atom1", "atom2"))
-
-
-def _single_atom_space(nmax: int) -> FockSpace:
-    return _space((nmax,), ("atom",))
-
-
-def _in_space(space: FockSpace, *factors: FockVector) -> FockVector:
-    """The tensor product of single-mode states, on a labeled space."""
-    return FockVector._wrap(space, _kron(factors))
-
-
 def _elastic_amplitude(beta: complex) -> float:
     b2 = _squared_abs(beta)
     if b2 >= 1.0:
@@ -231,15 +218,15 @@ def _superposition(space: FockSpace, *terms: tuple[tuple[int, ...], complex]) ->
     return FockVector._wrap(space, amps)
 
 
-def _first_order_kicked(space: FockSpace, beta: complex) -> FockVector:
+def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
     """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker of C/D."""
     c0 = math.sqrt(1.0 - _golden_rule_b2(beta))
-    return _superposition(space, ((0,), c0), ((1,), beta))
+    return _superposition(_space((nmax,)), ((0,), c0), ((1,), beta))
 
 
 def build_A(spec: ScenarioSpec) -> TwoPathMixture:
     """Rigid slits: both paths carry the untouched ground marker, full contrast."""
-    space = _two_atom_space(spec.nmax)
+    space = _space((spec.nmax, spec.nmax))
     g = ground_state(space)
     w = spec.epsilon**2
     return TwoPathMixture((TwoPathComponent(g, g, FreqTag.ELASTIC, w),))
@@ -253,14 +240,14 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     contrast exactly 1-|b|^2.
     """
     b, nmax = spec.beta, spec.nmax
-    space = _two_atom_space(nmax)
     w = spec.epsilon**2
     if spec.treatment is Treatment.EXACT:
         kicked, _ = coherent_state(b, nmax)
         still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
-        psi1 = _in_space(space, kicked, still)
-        psi2 = _in_space(space, still, kicked)
+        psi1 = tensor((kicked, still))
+        psi2 = tensor((still, kicked))
     else:
+        space = _space((nmax, nmax))
         c0 = _elastic_amplitude(b)
         psi1 = _superposition(space, ((0, 0), c0), ((1, 0), b))
         psi2 = _superposition(space, ((0, 0), c0), ((0, 1), b))
@@ -276,7 +263,7 @@ def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     """
     b, nmax = spec.beta, spec.nmax
     b2 = _golden_rule_b2(b)
-    space = _two_atom_space(nmax)
+    space = _space((nmax, nmax))
     g = ground_state(space)
     empty = zero_vector(space)
     eps2 = spec.epsilon**2
@@ -297,16 +284,13 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     1-2|b|^2. C1 and C2 are equivalent and share this builder.
     """
     b, nmax = spec.beta, spec.nmax
-    space = _single_atom_space(nmax)
     w = spec.epsilon**2
     if spec.treatment is Treatment.EXACT:
-        plus, _ = coherent_state(b, nmax)
-        minus, _ = coherent_state(-b, nmax)
-        psi1 = _in_space(space, plus)
-        psi2 = _in_space(space, minus)
+        psi1, _ = coherent_state(b, nmax)
+        psi2, _ = coherent_state(-b, nmax)
     else:
-        psi1 = _first_order_kicked(space, b)
-        psi2 = _first_order_kicked(space, -b)
+        psi1 = _first_order_kicked(nmax, b)
+        psi2 = _first_order_kicked(nmax, -b)
     return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
 
 
@@ -319,7 +303,7 @@ def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
     """
     b, nmax = spec.beta, spec.nmax
     b2 = _golden_rule_b2(b)
-    space = _single_atom_space(nmax)
+    space = _space((nmax,))
     g = ground_state(space)
     e1 = basis_state(space, (1,))
     eps2 = spec.epsilon**2
@@ -339,17 +323,16 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     which-way information.
     """
     b, a, nmax = spec.beta, spec.alpha, spec.nmax
-    space = _space((nmax, nmax), ("z", "y"))
     w = spec.epsilon**2
     common, _ = coherent_state(a, nmax)
     if spec.treatment is Treatment.EXACT:
         plus, _ = coherent_state(b, nmax)
         minus, _ = coherent_state(-b, nmax)
     else:
-        plus = _first_order_kicked(common.space, b)
-        minus = _first_order_kicked(common.space, -b)
-    psi1 = _in_space(space, common, plus)
-    psi2 = _in_space(space, common, minus)
+        plus = _first_order_kicked(nmax, b)
+        minus = _first_order_kicked(nmax, -b)
+    psi1 = tensor((common, plus))
+    psi2 = tensor((common, minus))
     return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
 
 
@@ -374,7 +357,7 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     """
     b, nmax = spec.beta, spec.nmax
     b2 = _golden_rule_b2(b)
-    space = _two_atom_space(nmax)
+    space = _space((nmax, nmax))
     g = ground_state(space)
     root = 1.0 / math.sqrt(2.0)
     sym = _superposition(space, ((1, 0), root), ((0, 1), root))

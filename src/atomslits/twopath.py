@@ -279,6 +279,8 @@ def _require_light(m: TwoPathMixture) -> float:
         raise EmptyPatternError(
             "both paths carry zero amplitude; the state was fully conditioned away"
         )
+    if not math.isfinite(2.0 * d):
+        raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
     return d
 
 

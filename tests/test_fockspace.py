@@ -32,8 +32,6 @@ def test_space_rejects_degenerate_modes():
         FockSpace((1, 4))
     with pytest.raises(ValueError):
         FockSpace(())
-    with pytest.raises(ValueError):
-        FockSpace((3, 3), ("only_one",))
 
 
 def test_vector_is_frozen_and_checked():
@@ -158,11 +156,11 @@ def test_tensor_respects_index_order():
 
 def test_inner_is_sesquilinear_and_positive():
     space = FockSpace((4,))
-    v = 0.6 * basis_state(space, (0,)) + (0.3 + 0.4j) * basis_state(space, (2,))
+    v = FockVector(space, [0.6, 0.0, 0.3 + 0.4j, 0.0])
     self_overlap = inner(v, v)
     assert self_overlap.imag == 0.0
     assert abs(self_overlap.real - v.norm() ** 2) < 1e-14
-    w = 1j * v
+    w = FockVector(space, 1j * v.amplitudes)
     assert abs(inner(v, w) - 1j * self_overlap) < 1e-14
     with pytest.raises(SpaceMismatchError):
         inner(v, ground_state(FockSpace((5,))))
@@ -171,7 +169,10 @@ def test_inner_is_sesquilinear_and_positive():
 def test_project_picks_single_level():
     space = FockSpace((3, 3))
     beta = 0.3
-    v = basis_state(space, (0, 0)) + beta * basis_state(space, (1, 0))
+    amps = np.zeros(space.dim)
+    amps[space.index((0, 0))] = 1.0
+    amps[space.index((1, 0))] = beta
+    v = FockVector(space, amps)
     picked, prob = project(v, 0, 1)
     assert abs(prob - beta**2) < 1e-14
     assert picked.amplitudes[space.index((1, 0))] == beta
@@ -241,10 +242,6 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
     results = [
         a,
         ground_state(space),
-        a + b,
-        a - b,
-        (0.3 - 0.7j) * b,
-        b * 2.5,
         -b,
         coherent_state(0.4 + 0.1j, 9)[0],
         tensor([coherent_state(0.2, 3)[0], basis_state(FockSpace((4,)), (1,))]),
@@ -256,6 +253,14 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
         assert v.amplitudes.shape == (v.space.dim,)
         assert v.norm() == float(np.linalg.norm(v.amplitudes))
     assert prob == float(np.linalg.norm(picked.amplitudes)) ** 2
+
+
+def test_vectors_refuse_scaling_and_addition():
+    v = basis_state(FockSpace((2,)), (0,))
+    with pytest.raises(TypeError):
+        v * math.nan
+    with pytest.raises(TypeError):
+        v + v
 
 
 def test_index_is_row_major_and_refuses_like_ravel_multi_index():
@@ -275,11 +280,11 @@ def test_index_is_row_major_and_refuses_like_ravel_multi_index():
 
 
 def test_cached_dim_leaves_equality_and_hash_alone():
-    fresh = FockSpace((5, 6), ("a", "b"))
-    used = FockSpace((5, 6), ("a", "b"))
+    fresh = FockSpace((5, 6))
+    used = FockSpace((5, 6))
     assert used.dim == 30
     assert used == fresh and hash(used) == hash(fresh)
-    assert FockSpace((5, 7), ("a", "b")) != used
+    assert FockSpace((5, 7)) != used
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])

@@ -17,7 +17,14 @@ from atomslits import (
     ScenarioSpec,
     TwoPathComponent,
     TwoPathMixture,
+    build,
+    condition,
     errors,
+    inner,
+    named_projector,
+    pattern,
+    phase_offset,
+    visibility,
 )
 
 MODULES = ("acceptance", "cli", "closedform", "errors", "fockspace", "scenarios",
@@ -85,11 +92,38 @@ def _finite(x) -> bool:
     return all(_finite(item) for item in vars(x).values())
 
 
+def _mixture(obj):
+    """The mixture an accepted object stands for or builds, None for a scan or projector."""
+    if isinstance(obj, FockVector):
+        return TwoPathMixture((TwoPathComponent(obj, E0),))
+    if isinstance(obj, TwoPathComponent):
+        return TwoPathMixture((obj,))
+    if isinstance(obj, ScenarioSpec):
+        return build(obj)
+    return obj if isinstance(obj, TwoPathMixture) else None
+
+
+def _uses(obj):
+    """Calls of the public functions on an accepted object, each one deferred."""
+    if isinstance(obj, Projector):
+        return [lambda: condition(TwoPathMixture((TwoPathComponent(E0, E1),)), obj)]
+    m = _mixture(obj)
+    if m is None:
+        return []
+    paths = [p for c in m.components for p in (c.psi1, c.psi2)]
+    return ([p.norm for p in paths] + [lambda p=p: inner(p, paths[0]) for p in paths]
+            + [lambda: visibility(m), lambda: phase_offset(m), lambda: pattern(m, 16),
+               lambda: condition(m, named_projector("ground", m.space))])
+
+
 @settings(max_examples=400)
-# pinned refusals: an overflowing Gram matrix, an infinite total weight, a NaN scan
+# pinned refusals: an overflowing Gram matrix, an infinite total weight, a NaN
+# scan, a weight whose fringe peak overflows, amplitudes whose norm overflows
 @example(kind="Projector", values=[1e300] * 8)
 @example(kind="TwoPathMixture", values=[1e308] * 8)
 @example(kind="PatternScan", values=[math.nan] * 8)
+@example(kind="TwoPathMixture", values=[1e308] + [0.0] * 7)
+@example(kind="FockVector", values=[1e200] + [0.0] * 7)
 @given(kind=st.sampled_from(sorted(CONSTRUCTORS)), values=st.lists(_value, min_size=8, max_size=8))
 def test_public_constructors_refuse_or_hold_only_finite_numbers(kind, values):
     with warnings.catch_warnings():
@@ -98,9 +132,19 @@ def test_public_constructors_refuse_or_hold_only_finite_numbers(kind, values):
             obj = CONSTRUCTORS[kind](values)
         except _REFUSALS:
             return
-    assert _finite(obj)
-    if kind == "TwoPathMixture":
-        assert math.isfinite(obj.total_weight)
+        assert _finite(obj)
+        if kind == "TwoPathMixture":
+            assert math.isfinite(obj.total_weight)
+        try:
+            uses = _uses(obj)
+        except _REFUSALS:  # a spec outside its builder's domain
+            return
+        for use in uses:
+            try:
+                result = use()
+            except _REFUSALS:
+                continue
+            assert _finite(result)
 
 
 @pytest.mark.parametrize("field", range(4))

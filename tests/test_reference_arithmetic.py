@@ -135,8 +135,11 @@ def test_builds_share_spaces_and_the_empty_path(monkeypatch):
     assert constructed == []
     assert again[0].space is again[1].space is warm[0].space
     assert again[2].space is warm[2].space and again[3].space is warm[3].space
+    two_mode = [build(ScenarioSpec(config, beta=0.1, nmax=24)).space
+                for config in (Config.B, Config.E, Config.D)]
+    assert two_mode[0] is two_mode[1] is two_mode[2] is warm[0].space
     assert coherent_state(0.3, 24)[0].space is coherent_state(-0.1j, 24)[0].space
-    factors = [ground_state(FockSpace((3,), ("x",))), ground_state(FockSpace((4,), ("y",)))]
+    factors = [ground_state(FockSpace((3,))), ground_state(FockSpace((4,)))]
     assert tensor(factors).space is tensor(factors).space
     _, left, right = build(ScenarioSpec(Config.B, Pulse.LONG, beta=0.3, nmax=24)).components
     assert left.psi2 is right.psi1  # one zero vector for both empty paths
@@ -257,10 +260,10 @@ def test_condition_shares_equal_projections_and_matches_the_one_by_one_form():
 # --- builders ----------------------------------------------------------------
 
 
-def _kron(*vectors):
-    amps = vectors[0].amplitudes
-    for v in vectors[1:]:
-        amps = np.kron(amps, v.amplitudes)
+def _kron(*factors):
+    amps = factors[0]
+    for f in factors[1:]:
+        amps = np.kron(amps, f)
     return amps
 
 
@@ -268,48 +271,53 @@ def reference_paths(spec):
     """The builders' path states as (psi1, psi2, tag, weight), in the plain form.
 
     Basis-vector sums for the first-order markers and the E-long normal modes,
-    np.kron for products, and coherent_state(0) for B's resting atom.
+    each written as scaled basis amplitudes added elementwise, np.kron for
+    products, and coherent_state(0) for B's resting atom.
     """
     b, nmax = spec.beta, spec.nmax
     one, two = FockSpace((nmax,)), FockSpace((nmax, nmax))
     w = spec.epsilon**2
 
+    def e(space, occupations):
+        return basis_state(space, occupations).amplitudes
+
     def kicked(beta):
         c0 = math.sqrt(1.0 - abs(beta) ** 2)
-        return c0 * basis_state(one, (0,)) + beta * basis_state(one, (1,))
+        return e(one, (0,)) * complex(c0) + e(one, (1,)) * complex(beta)
 
     def first_order_b():
         c0 = math.sqrt(1.0 - abs(b) ** 2)
-        return (c0 * basis_state(two, (0, 0)) + b * basis_state(two, (1, 0)),
-                c0 * basis_state(two, (0, 0)) + b * basis_state(two, (0, 1)))
+        return (e(two, (0, 0)) * complex(c0) + e(two, (1, 0)) * complex(b),
+                e(two, (0, 0)) * complex(c0) + e(two, (0, 1)) * complex(b))
 
     lane = (spec.config, spec.pulse, spec.treatment)
     if lane == (Config.B, Pulse.SHORT, Treatment.EXACT):
-        k, still = coherent_state(b, nmax)[0], coherent_state(0, nmax)[0]
+        k, still = coherent_state(b, nmax)[0].amplitudes, coherent_state(0, nmax)[0].amplitudes
         return [(_kron(k, still), _kron(still, k), FreqTag.ELASTIC, w)]
     if lane == (Config.B, Pulse.SHORT, Treatment.FIRST_ORDER):
         psi1, psi2 = first_order_b()
-        return [(psi1.amplitudes, psi2.amplitudes, FreqTag.ELASTIC, w)]
+        return [(psi1, psi2, FreqTag.ELASTIC, w)]
     if lane[:2] == (Config.E, Pulse.SHORT):
         block = beat_block(spec.coupling_g, spec.evolve_time)
         pair = (two.index((1, 0)), two.index((0, 1)))
-        psi1, psi2 = (_reference_rotation(p.amplitudes, block, pair) for p in first_order_b())
+        psi1, psi2 = (_reference_rotation(p, block, pair) for p in first_order_b())
         return [(psi1, psi2, FreqTag.ELASTIC, w)]
     if lane in ((Config.C1, Pulse.SHORT, Treatment.FIRST_ORDER),
                 (Config.C2, Pulse.SHORT, Treatment.FIRST_ORDER)):
-        return [(kicked(b).amplitudes, kicked(-b).amplitudes, FreqTag.ELASTIC, w)]
+        return [(kicked(b), kicked(-b), FreqTag.ELASTIC, w)]
     if lane == (Config.D, Pulse.SHORT, Treatment.FIRST_ORDER):
-        common = coherent_state(spec.alpha, nmax)[0]
+        common = coherent_state(spec.alpha, nmax)[0].amplitudes
         return [(_kron(common, kicked(b)), _kron(common, kicked(-b)), FreqTag.ELASTIC, w)]
     if lane[:2] == (Config.E, Pulse.LONG):
         b2 = abs(b) ** 2
-        g = ground_state(two)
+        g = ground_state(two).amplitudes
         root = 1.0 / math.sqrt(2.0)
-        sym = root * (basis_state(two, (1, 0)) + basis_state(two, (0, 1)))
-        anti = root * (basis_state(two, (1, 0)) - basis_state(two, (0, 1)))
-        return [(g.amplitudes, g.amplitudes, FreqTag.ELASTIC, w * (1.0 - b2)),
-                (sym.amplitudes, sym.amplitudes, FreqTag.SYM, w * b2 / 2.0),
-                (anti.amplitudes, (-anti).amplitudes, FreqTag.ANTISYM, w * b2 / 2.0)]
+        e10, e01 = e(two, (1, 0)), e(two, (0, 1))
+        sym = (e10 + e01) * complex(root)
+        anti = (e10 - e01) * complex(root)
+        return [(g, g, FreqTag.ELASTIC, w * (1.0 - b2)),
+                (sym, sym, FreqTag.SYM, w * b2 / 2.0),
+                (anti, -anti, FreqTag.ANTISYM, w * b2 / 2.0)]
     raise AssertionError(f"no reference for {lane}")
 
 

@@ -24,7 +24,7 @@ from atomslits.twopath import (
     visibility,
 )
 
-TWO = FockSpace((3, 3), ("atom1", "atom2"))
+TWO = FockSpace((3, 3))
 E10 = basis_state(TWO, (1, 0))
 E01 = basis_state(TWO, (0, 1))
 

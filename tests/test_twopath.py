@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomslits.errors import EmptyPatternError, SpaceMismatchError
-from atomslits.fockspace import FockSpace, basis_state, coherent_state, zero_vector
+from atomslits.fockspace import FockSpace, FockVector, basis_state, coherent_state, zero_vector
 from atomslits.twopath import (
     FreqTag,
     Projector,
@@ -23,6 +23,11 @@ from atomslits.twopath import (
 SPACE = FockSpace((4,))
 B0 = basis_state(SPACE, (0,))
 B1 = basis_state(SPACE, (1,))
+
+
+def vec(*amps):
+    """The state of SPACE with these leading amplitudes, zero above them."""
+    return FockVector(SPACE, list(amps) + [0.0] * (SPACE.dim - len(amps)))
 
 
 def single(psi1, psi2, tag=FreqTag.ELASTIC, weight=1.0):
@@ -101,8 +106,8 @@ def test_incoherent_additivity():
 
 def test_phase_covariance_of_path_two():
     theta = 0.7
-    base = single(B0, (0.6 + 0.2j) * B0)
-    shifted = single(B0, complex(math.cos(theta), math.sin(theta)) * ((0.6 + 0.2j) * B0))
+    base = single(B0, vec(0.6 + 0.2j))
+    shifted = single(B0, vec(complex(math.cos(theta), math.sin(theta)) * (0.6 + 0.2j)))
     assert abs(visibility(base) - visibility(shifted)) < 1e-10
     gap = (phase_offset(shifted) - phase_offset(base) - theta) % (2 * math.pi)
     assert min(gap, 2 * math.pi - gap) < 1e-10
@@ -111,7 +116,7 @@ def test_phase_covariance_of_path_two():
 def test_unaligned_phase_first_harmonic():
     # for arbitrary phase offsets the uniform grid still reproduces the fringe
     # through its first Fourier coefficient (exact for a degree-1 curve)
-    base = single(B0, (0.6 + 0.2j) * B0)
+    base = single(B0, vec(0.6 + 0.2j))
     scan = pattern(base, 64)
     c0 = np.mean(scan.intensities)
     c1 = np.mean(scan.intensities * np.exp(-1j * scan.phis))
@@ -119,7 +124,7 @@ def test_unaligned_phase_first_harmonic():
 
 
 def test_condition_with_identity_is_noop():
-    m = single(B0 + 0.2 * B1, B0 - 0.2 * B1)
+    m = single(vec(1.0, 0.2), vec(1.0, -0.2))
     ident = Projector(SPACE, np.eye(SPACE.dim), "identity")
     cm, prob = condition(m, ident)
     assert prob == pytest.approx(1.0)
@@ -128,7 +133,7 @@ def test_condition_with_identity_is_noop():
 
 
 def test_condition_never_gains_intensity_and_rank_one_binary():
-    m = single(B0 + 0.2 * B1, B0 - 0.2 * B1)
+    m = single(vec(1.0, 0.2), vec(1.0, -0.2))
     p0 = Projector(SPACE, np.diag([1.0, 0, 0, 0]), "level0")
     cm, prob = condition(m, p0)
     assert 0.0 < prob <= 1.0
@@ -189,8 +194,8 @@ _amp = st.floats(-1.0, 1.0, allow_nan=False)
 @settings(max_examples=80, deadline=None)
 @given(a=_amp, b=_amp, c=_amp, d=_amp, w1=st.floats(0.1, 2.0), w2=st.floats(0.1, 2.0))
 def test_visibility_bounds_hypothesis(a, b, c, d, w1, w2):
-    psi1 = a * B0 + b * B1
-    psi2 = c * B0 + d * B1
+    psi1 = vec(a, b)
+    psi2 = vec(c, d)
     m = TwoPathMixture(
         (
             TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w1),
@@ -207,8 +212,8 @@ def test_visibility_bounds_hypothesis(a, b, c, d, w1, w2):
 @given(theta=st.floats(-math.pi, math.pi, allow_nan=False))
 def test_phase_covariance_hypothesis(theta):
     rot = complex(math.cos(theta), math.sin(theta))
-    base = single(B0 + 0.3 * B1, B0 - 0.3 * B1)
-    turned = single(B0 + 0.3 * B1, rot * (B0 - 0.3 * B1))
+    base = single(vec(1.0, 0.3), vec(1.0, -0.3))
+    turned = single(vec(1.0, 0.3), vec(rot, rot * -0.3))
     assert abs(visibility(base) - visibility(turned)) < 1e-10
     gap = (phase_offset(turned) - phase_offset(base) - theta) % (2 * math.pi)
     assert min(gap, 2 * math.pi - gap) < 1e-9
