@@ -9,8 +9,11 @@ All values are immutable after construction and every function is pure, so
 states and operators can be shared across threads without coordination. The
 spaces the package builds are interned by dims: equal dims give one shared
 FockSpace object. The per-nmax level table of the coherent series is computed
-once and held read-only. Both live in small bounded functools.lru_cache
-tables, which are thread-safe.
+once and held read-only, and so is each fixed state (basis_state,
+ground_state, zero_vector, the normal modes and the negations the builders
+use), one per (space, state) with its norm, in a table of 32 that holds at
+most 15.0 MB at nmax 171; spaces of more than 171**2 levels get new arrays.
+All live in small bounded functools.lru_cache tables, which are thread-safe.
 """
 
 from __future__ import annotations
@@ -133,28 +136,69 @@ class FockVector:
         return n
 
     def __neg__(self) -> "FockVector":
-        return FockVector._wrap(self.space, -self.amplitudes)
-
-
-def basis_state(space: FockSpace, occupations: Sequence[int]) -> FockVector:
-    """Number state |n0, n1, ...> of the given space."""
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index(occupations)] = 1.0
-    return FockVector._wrap(space, amps)
-
-
-def ground_state(space: FockSpace) -> FockVector:
-    return basis_state(space, (0,) * space.nmodes)
-
-
-def zero_vector(space: FockSpace) -> FockVector:
-    """The null vector; used for a path carrying no amplitude."""
-    return FockVector._wrap(space, np.zeros(space.dim, dtype=np.complex128))
+        # negating the float64 parts writes the bytes of -amplitudes, signed zeros
+        # too, without the complex loop
+        flipped = np.negative(self.amplitudes.view(np.float64))
+        return FockVector._wrap(self.space, flipped.view(np.complex128))
 
 
 # 170! is the largest factorial a float64 holds, so the coherent series
 # beta^n / sqrt(n!) is defined on levels n <= 170 only.
 MAX_NMAX = 171
+
+# The fixed-state and projector tables hold vectors of at most two modes of
+# MAX_NMAX levels, the largest marker space: 467,856 bytes each. A larger
+# space gets new arrays on every call, so no table can pin more.
+_SHARED_DIM_MAX = MAX_NMAX**2
+
+
+def _shared(table, space: FockSpace):
+    """The lru_cache table for a space up to _SHARED_DIM_MAX, else its uncached function."""
+    return table if space.dim <= _SHARED_DIM_MAX else table.__wrapped__
+
+
+def _superposition(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> FockVector:
+    """sum_k c_k |k> over flat levels k, each c_k added to a zero: the bits of the
+    scaled basis-vector sum."""
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    for k, c in terms:
+        amps[k] += c
+    return FockVector._wrap(space, amps)
+
+
+@lru_cache(maxsize=32)
+def _fixed_state(mode_dims: tuple[int, ...], terms: tuple[tuple[int, complex], ...],
+                 negated: bool) -> FockVector:
+    """_superposition on the shared space of these dims, or its negation, read only.
+
+    Number states, the empty path and the fixed normal modes are computed once
+    and shared with their norm once computed. Marker traffic uses about 8 per
+    space; the 32 entries hold at most 32 x 467,856 = 14,971,392 bytes at nmax
+    171.
+    """
+    v = _superposition(_space(mode_dims), terms)
+    return -v if negated else v
+
+
+def _shared_state(space: FockSpace, terms: tuple[tuple[int, complex], ...],
+                  negated: bool = False) -> FockVector:
+    """_fixed_state for this space. Its coefficients must be fixed and nonzero: +0.0
+    and -0.0 would be one key with two results."""
+    return _shared(_fixed_state, space)(space.mode_dims, terms, negated)
+
+
+def basis_state(space: FockSpace, occupations: Sequence[int]) -> FockVector:
+    """Number state |n0, n1, ...> of the given space, read only and shared."""
+    return _shared_state(space, ((space.index(occupations), 1.0),))
+
+
+def ground_state(space: FockSpace) -> FockVector:
+    return _shared_state(space, ((0, 1.0),))
+
+
+def zero_vector(space: FockSpace) -> FockVector:
+    """The null vector, read only and shared; used for a path carrying no amplitude."""
+    return _shared_state(space, ())
 
 
 def check_nmax(nmax: int) -> None:
@@ -244,9 +288,19 @@ def inner(u: FockVector, v: FockVector) -> complex:
 
 
 def tensor(vectors: Sequence[FockVector]) -> FockVector:
-    """Kronecker composition in listed order (first factor slowest), as np.kron."""
+    """Kronecker composition in listed order (first factor slowest), as np.kron.
+
+    Raises ValueError where the product's norm would overflow a float.
+    """
     if len(vectors) == 0:
         raise ValueError("tensor of an empty list is undefined")
+    # the norm of each partial product is the product of its factors' norms; its
+    # square, with a factor 2 for rounding, must stay finite or norm() overflows
+    norm = 1.0
+    for v in vectors:
+        norm *= v.norm()
+        if not math.isfinite(2.0 * norm * norm):
+            raise ValueError("the norm of the tensor product overflows a float")
     amps = vectors[0].amplitudes
     for v in vectors[1:]:
         amps = np.multiply.outer(amps, v.amplitudes).ravel()

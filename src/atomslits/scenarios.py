@@ -37,15 +37,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import transforms
 from .errors import PerturbationError, ScenarioError
 from .fockspace import (
-    FockSpace,
     FockVector,
+    _shared_state,
     _space,
     _squared_abs,
+    _superposition,
     basis_state,
     check_nmax,
     coherent_state,
@@ -210,26 +209,23 @@ def _golden_rule_b2(beta: complex) -> float:
     return b2
 
 
-def _superposition(space: FockSpace, *terms: tuple[tuple[int, ...], complex]) -> FockVector:
-    """sum_k c_k |n_k>, each c_k added to a zero: the bits of the scaled basis-vector sum."""
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    for occupations, c in terms:
-        amps[space.index(occupations)] += c
-    return FockVector._wrap(space, amps)
+def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float]) -> TwoPathMixture:
+    """The mixture of these (psi1, psi2, tag, weight) parts. A checked spec makes
+    every weight a finite float >= 0 and the total positive, so the public
+    constructors' checks are skipped."""
+    return TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components), "none")
 
 
 def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
     """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker of C/D."""
     c0 = math.sqrt(1.0 - _golden_rule_b2(beta))
-    return _superposition(_space((nmax,)), ((0,), c0), ((1,), beta))
+    return _superposition(_space((nmax,)), ((0, c0), (1, beta)))
 
 
 def build_A(spec: ScenarioSpec) -> TwoPathMixture:
     """Rigid slits: both paths carry the untouched ground marker, full contrast."""
-    space = _space((spec.nmax, spec.nmax))
-    g = ground_state(space)
-    w = spec.epsilon**2
-    return TwoPathMixture((TwoPathComponent(g, g, FreqTag.ELASTIC, w),))
+    g = ground_state(_space((spec.nmax, spec.nmax)))
+    return _mixture((g, g, FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -240,7 +236,6 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     contrast exactly 1-|b|^2.
     """
     b, nmax = spec.beta, spec.nmax
-    w = spec.epsilon**2
     if spec.treatment is Treatment.EXACT:
         kicked, _ = coherent_state(b, nmax)
         still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
@@ -248,10 +243,11 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
         psi2 = tensor((still, kicked))
     else:
         space = _space((nmax, nmax))
+        i10, i01 = transforms._excitation_pair_indices(space)
         c0 = _elastic_amplitude(b)
-        psi1 = _superposition(space, ((0, 0), c0), ((1, 0), b))
-        psi2 = _superposition(space, ((0, 0), c0), ((0, 1), b))
-    return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
+        psi1 = _superposition(space, ((0, c0), (i10, b)))
+        psi2 = _superposition(space, ((0, c0), (i01, b)))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -261,18 +257,15 @@ def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     photon to one slit and kills the fringe. Outcome fractions are 1-|b|^2 and
     |b|^2/2 per slit, so the one-path components enter with weight |b|^2.
     """
-    b, nmax = spec.beta, spec.nmax
-    b2 = _golden_rule_b2(b)
-    space = _space((nmax, nmax))
+    b2 = _golden_rule_b2(spec.beta)
+    space = _space((spec.nmax, spec.nmax))
     g = ground_state(space)
     empty = zero_vector(space)
     eps2 = spec.epsilon**2
-    return TwoPathMixture(
-        (
-            TwoPathComponent(g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-            TwoPathComponent(basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, eps2 * b2),
-            TwoPathComponent(empty, basis_state(space, (0, 1)), FreqTag.SHIFTED, eps2 * b2),
-        )
+    return _mixture(
+        (g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
+        (basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, eps2 * b2),
+        (empty, basis_state(space, (0, 1)), FreqTag.SHIFTED, eps2 * b2),
     )
 
 
@@ -284,14 +277,13 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     1-2|b|^2. C1 and C2 are equivalent and share this builder.
     """
     b, nmax = spec.beta, spec.nmax
-    w = spec.epsilon**2
     if spec.treatment is Treatment.EXACT:
         psi1, _ = coherent_state(b, nmax)
         psi2, _ = coherent_state(-b, nmax)
     else:
         psi1 = _first_order_kicked(nmax, b)
         psi2 = _first_order_kicked(nmax, -b)
-    return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -301,17 +293,14 @@ def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
     i.e. a pi-shifted fringe of full contrast, weight |b|^2. Without frequency
     selection the two lines add to contrast 1-2|b|^2.
     """
-    b, nmax = spec.beta, spec.nmax
-    b2 = _golden_rule_b2(b)
-    space = _space((nmax,))
+    b2 = _golden_rule_b2(spec.beta)
+    space = _space((spec.nmax,))
     g = ground_state(space)
     e1 = basis_state(space, (1,))
     eps2 = spec.epsilon**2
-    return TwoPathMixture(
-        (
-            TwoPathComponent(g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-            TwoPathComponent(e1, -e1, FreqTag.SHIFTED, eps2 * b2),
-        )
+    return _mixture(
+        (g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
+        (e1, _shared_state(space, ((1, 1.0),), negated=True), FreqTag.SHIFTED, eps2 * b2),
     )
 
 
@@ -323,7 +312,6 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     which-way information.
     """
     b, a, nmax = spec.beta, spec.alpha, spec.nmax
-    w = spec.epsilon**2
     common, _ = coherent_state(a, nmax)
     if spec.treatment is Treatment.EXACT:
         plus, _ = coherent_state(b, nmax)
@@ -333,7 +321,7 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
         minus = _first_order_kicked(nmax, -b)
     psi1 = tensor((common, plus))
     psi2 = tensor((common, minus))
-    return TwoPathMixture((TwoPathComponent(psi1, psi2, FreqTag.ELASTIC, w),))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -355,20 +343,17 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     antisymmetric mode pi-shifted; neither marks a path. Weights are |b|^2/2
     per mode, elastic 1-|b|^2.
     """
-    b, nmax = spec.beta, spec.nmax
-    b2 = _golden_rule_b2(b)
-    space = _space((nmax, nmax))
+    b2 = _golden_rule_b2(spec.beta)
+    space = _space((spec.nmax, spec.nmax))
     g = ground_state(space)
-    root = 1.0 / math.sqrt(2.0)
-    sym = _superposition(space, ((1, 0), root), ((0, 1), root))
-    antisym = _superposition(space, ((1, 0), root), ((0, 1), -root))
+    sym = transforms._normal_mode(space, 1.0)
+    antisym = transforms._normal_mode(space, -1.0)
+    flipped = transforms._normal_mode(space, -1.0, negated=True)
     eps2 = spec.epsilon**2
-    return TwoPathMixture(
-        (
-            TwoPathComponent(g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-            TwoPathComponent(sym, sym, FreqTag.SYM, eps2 * b2 / 2.0),
-            TwoPathComponent(antisym, -antisym, FreqTag.ANTISYM, eps2 * b2 / 2.0),
-        )
+    return _mixture(
+        (g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
+        (sym, sym, FreqTag.SYM, eps2 * b2 / 2.0),
+        (antisym, flipped, FreqTag.ANTISYM, eps2 * b2 / 2.0),
     )
 
 

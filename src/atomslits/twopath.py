@@ -90,10 +90,13 @@ class TwoPathComponent:
         object.__setattr__(self, "tag", FreqTag(self.tag))
         object.__setattr__(self, "weight", w)
 
-    def _with_paths(self, psi1: FockVector, psi2: FockVector) -> "TwoPathComponent":
-        """This tag and weight on new path states of this space, not checked again."""
-        c = object.__new__(TwoPathComponent)
-        c.__dict__.update(psi1=psi1, psi2=psi2, tag=self.tag, weight=self.weight)
+    @classmethod
+    def _wrap(cls, psi1: FockVector, psi2: FockVector, tag: FreqTag,
+              weight: float) -> "TwoPathComponent":
+        """Adopt path states of one space, a FreqTag and a finite float weight >= 0
+        that the package has already checked, without the constructor's checks."""
+        c = object.__new__(cls)
+        c.__dict__.update(psi1=psi1, psi2=psi2, tag=tag, weight=weight)
         return c
 
     @property
@@ -131,10 +134,12 @@ class TwoPathMixture:
             raise ValueError("total mixture weight must be positive and finite")
         object.__setattr__(self, "components", comps)
 
-    def _with_components(self, components: tuple[TwoPathComponent, ...],
-                         condition: str) -> "TwoPathMixture":
-        """This mixture's components, each kept or remade by _with_paths; not checked again."""
-        m = object.__new__(TwoPathMixture)
+    @classmethod
+    def _wrap(cls, components: tuple[TwoPathComponent, ...],
+              condition: str) -> "TwoPathMixture":
+        """Adopt a tuple of components of one space with a positive, finite total
+        weight that the package has already checked, without the constructor's checks."""
+        m = object.__new__(cls)
         m.__dict__.update(components=components, condition=condition)
         return m
 
@@ -184,9 +189,11 @@ class Projector:
         self._adopt(u)
 
     def _adopt(self, u: np.ndarray) -> None:
+        adjoint = u.conj().T
         u.setflags(write=False)
+        adjoint.setflags(write=False)
         object.__setattr__(self, "columns", u)
-        object.__setattr__(self, "_adjoint", u.conj().T)
+        object.__setattr__(self, "_adjoint", adjoint)
 
     @classmethod
     def _wrap(cls, space: FockSpace, columns: np.ndarray, name: str) -> "Projector":
@@ -269,8 +276,14 @@ def coherence_sum(m: TwoPathMixture) -> complex:
 
 
 def mean_intensity(m: TwoPathMixture) -> float:
-    """Phase average of I(phi): sum_k w_k (||psi1_k||^2 + ||psi2_k||^2)."""
-    return sum(c.weight * c.baseline() for c in m.components)
+    """Phase average of I(phi): sum_k w_k (||psi1_k||^2 + ||psi2_k||^2).
+
+    Computed on first use and kept on the mixture, which never changes.
+    """
+    d = m.__dict__.get("_mean_intensity")
+    if d is None:
+        d = m.__dict__["_mean_intensity"] = sum(c.weight * c.baseline() for c in m.components)
+    return d
 
 
 def _require_light(m: TwoPathMixture) -> float:
@@ -356,6 +369,6 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
     for c in m.components:
         psi1 = projector._image(c.psi1, images)
         psi2 = psi1 if c.psi2 is c.psi1 else projector._image(c.psi2, images)
-        components.append(c._with_paths(psi1, psi2))
-    conditioned = m._with_components(tuple(components), projector.name)
+        components.append(TwoPathComponent._wrap(psi1, psi2, c.tag, c.weight))
+    conditioned = TwoPathMixture._wrap(tuple(components), projector.name)
     return conditioned, mean_intensity(conditioned) / before

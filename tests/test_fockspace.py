@@ -302,3 +302,16 @@ def test_truncation_guard_names_a_nan_amplitude(beta):
             make(beta, 8)
         assert type(info.value) is ValueError
         assert "nan" in str(info.value)
+
+
+def test_tensor_refuses_a_product_whose_norm_overflows():
+    one = FockSpace((2,))
+    big = FockVector(one, [1e100, 0.0])
+    tiny = FockVector(one, [1e-250, 0.0])
+    # the product's norm 1e200 squares past the float range; so does 1e200 on the
+    # way to the finite 1e-50 of big x big x tiny
+    for factors in ([big, big], [big, big, tiny]):
+        with pytest.raises(ValueError, match="overflows"):
+            tensor(factors)
+    fine = tensor([FockVector(one, [1e70, 0.0]), FockVector(one, [1e70, 0.0])])
+    assert math.isclose(fine.norm(), 1e140)
