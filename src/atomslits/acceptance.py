@@ -54,11 +54,6 @@ def _phase_check(name: str, value: float, expected: float, tolerance: float) -> 
     return _check(name, value, expected, tolerance, _phase_gap(value, expected))
 
 
-def _conditioned(m: TwoPathMixture, projector_name: str):
-    cm, prob = condition(m, named_projector(projector_name, m.space))
-    return cm, prob
-
-
 def _mixture_gap(a: TwoPathMixture, b: TwoPathMixture) -> float:
     """Max elementwise difference between two mixtures; inf on a structure mismatch."""
     if len(a.components) != len(b.components):
@@ -99,8 +94,8 @@ def _crit_eraser_restores_contrast(tol: float) -> list[dict]:
         m = build(ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.FIRST_ORDER))
         v_before = visibility(m)
         erased = apply_eraser(m)
-        on_1, _ = _conditioned(erased, "atom1_excited")
-        on_2, _ = _conditioned(erased, "atom2_excited")
+        on_1, _ = condition(erased, named_projector("atom1_excited", erased.space))
+        on_2, _ = condition(erased, named_projector("atom2_excited", erased.space))
         checks.append(_check(f"conditioned_vis_atom1(beta={b})", visibility(on_1), 1.0, tol))
         checks.append(_phase_check(f"conditioned_phase_atom1(beta={b})", phase_offset(on_1), 0.0, tol))
         checks.append(_check(f"conditioned_vis_atom2(beta={b})", visibility(on_2), 1.0, tol))
@@ -116,7 +111,7 @@ def _crit_long_pulse_b_irreversible(tol: float) -> list[dict]:
     b = 0.3
     erased = apply_eraser(build(ScenarioSpec(Config.B, Pulse.LONG, beta=b)))
     for name in ("atom1_excited", "atom2_excited", "sym", "antisym"):
-        cm, _ = _conditioned(erased, name)
+        cm, _ = condition(erased, named_projector(name, erased.space))
         checks.append(_check(f"excited_sector_visibility({name})", visibility(cm), 0.0, tol))
     return checks
 
@@ -135,8 +130,8 @@ def _crit_c_contrast_and_coincidence(tol: float) -> list[dict]:
     b = 0.3
     for treatment in (Treatment.EXACT, Treatment.FIRST_ORDER):
         m = build(ScenarioSpec(Config.C1, Pulse.SHORT, beta=b, treatment=treatment))
-        on_0, _ = _conditioned(m, "single_atom_0")
-        on_1, _ = _conditioned(m, "single_atom_1")
+        on_0, _ = condition(m, named_projector("single_atom_0", m.space))
+        on_1, _ = condition(m, named_projector("single_atom_1", m.space))
         label = treatment.value
         checks.append(_check(f"conditioned_vis_level0({label})", visibility(on_0), 1.0, tol))
         checks.append(_phase_check(f"conditioned_phase_level0({label})", phase_offset(on_0), 0.0, tol))
@@ -230,8 +225,8 @@ def _crit_e_quarter_beat_eraser(tol: float) -> list[dict]:
         build(ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.FIRST_ORDER))
     )
     for name in ("atom1_excited", "atom2_excited"):
-        vb = visibility(_conditioned(beat, name)[0])
-        ve = visibility(_conditioned(erased, name)[0])
+        vb = visibility(condition(beat, named_projector(name, beat.space))[0])
+        ve = visibility(condition(erased, named_projector(name, erased.space))[0])
         checks.append(_check(f"quarter_beat_matches_eraser({name})", vb, ve, tol))
     frozen = build(
         ScenarioSpec(

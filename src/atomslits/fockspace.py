@@ -122,8 +122,7 @@ class FockVector:
         """
         v = object.__new__(cls)
         amps.setflags(write=False)
-        object.__setattr__(v, "space", space)
-        object.__setattr__(v, "amplitudes", amps)
+        v.__dict__.update(space=space, amplitudes=amps)
         return v
 
     def norm(self) -> float:
@@ -131,15 +130,17 @@ class FockVector:
         if n is None:
             # the sum np.linalg.norm forms for a complex vector, without its dispatch
             re, im = self.amplitudes.real, self.amplitudes.imag
-            n = math.sqrt(re.dot(re) + im.dot(im))
-            object.__setattr__(self, "_norm", n)
+            n = self.__dict__["_norm"] = math.sqrt(re.dot(re) + im.dot(im))
         return n
 
     def __neg__(self) -> "FockVector":
         # negating the float64 parts writes the bytes of -amplitudes, signed zeros
         # too, without the complex loop
         flipped = np.negative(self.amplitudes.view(np.float64))
-        return FockVector._wrap(self.space, flipped.view(np.complex128))
+        out = FockVector._wrap(self.space, flipped.view(np.complex128))
+        if "_norm" in self.__dict__:  # the same squares, summed in the same order
+            out.__dict__["_norm"] = self.__dict__["_norm"]
+        return out
 
 
 # 170! is the largest factorial a float64 holds, so the coherent series
@@ -162,7 +163,7 @@ def _superposition(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> 
     scaled basis-vector sum."""
     amps = np.zeros(space.dim, dtype=np.complex128)
     for k, c in terms:
-        amps[k] += c
+        amps[k] = amps.item(k) + c  # the IEEE sum numpy's scalar += forms
     return FockVector._wrap(space, amps)
 
 
@@ -280,7 +281,7 @@ def displacement_operator(beta: complex, nmax: int) -> np.ndarray:
 
 def inner(u: FockVector, v: FockVector) -> complex:
     """Sesquilinear inner product <u|v>, conjugate-linear in the first slot."""
-    if u.space != v.space:
+    if u.space is not v.space and u.space != v.space:
         raise SpaceMismatchError(
             f"operands live in different spaces: {u.space.mode_dims} vs {v.space.mode_dims}"
         )
@@ -301,10 +302,15 @@ def tensor(vectors: Sequence[FockVector]) -> FockVector:
         norm *= v.norm()
         if not math.isfinite(2.0 * norm * norm):
             raise ValueError("the norm of the tensor product overflows a float")
-    amps = vectors[0].amplitudes
+    return _product(vectors)
+
+
+def _product(vectors: Sequence[FockVector]) -> FockVector:
+    """tensor without its checks, for factors whose norms are known to be small."""
+    amps, dims = vectors[0].amplitudes, vectors[0].space.mode_dims
     for v in vectors[1:]:
         amps = np.multiply.outer(amps, v.amplitudes).ravel()
-    dims = tuple(d for v in vectors for d in v.space.mode_dims)
+        dims += v.space.mode_dims
     return FockVector._wrap(_space(dims), amps)
 
 

@@ -41,6 +41,7 @@ from . import transforms
 from .errors import PerturbationError, ScenarioError
 from .fockspace import (
     FockVector,
+    _product,
     _shared_state,
     _space,
     _squared_abs,
@@ -49,7 +50,6 @@ from .fockspace import (
     check_nmax,
     coherent_state,
     ground_state,
-    tensor,
     zero_vector,
 )
 from .twopath import FreqTag, TwoPathComponent, TwoPathMixture
@@ -94,6 +94,10 @@ class Treatment(str, Enum):
     FIRST_ORDER = "first"
 
 
+# value -> member of each enum, without the enum call; a member hashes and compares as its value
+_CONFIGS, _PULSES, _TREATMENTS = ({m.value: m for m in e} for e in (Config, Pulse, Treatment))
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Declarative description of one scenario run.
@@ -123,24 +127,25 @@ class ScenarioSpec:
     nmax: int = 16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "config", Config(self.config))
-        object.__setattr__(self, "pulse", Pulse(self.pulse))
-        regime = _REGIMES[self.config]
-        if self.treatment is None:
-            object.__setattr__(self, "treatment", (regime.treatments or (Treatment.EXACT,))[0])
-        object.__setattr__(self, "treatment", Treatment(self.treatment))
-        if self.pulse is Pulse.LONG and regime.long is None:
-            raise ScenarioError("pulse", f"config {self.config.value} supports short pulses only")
-        if self.treatments and self.treatment not in self.treatments:
-            allowed = "/".join(t.value for t in self.treatments)
-            raise ScenarioError("treatment", f"config {self.config.value} short pulses are "
+        try:
+            config, pulse = _CONFIGS[self.config], _PULSES[self.pulse]
+            treatment = None if self.treatment is None else _TREATMENTS[self.treatment]
+        except (KeyError, TypeError):  # not a value of its enum: the enum call says so
+            config, pulse = Config(self.config), Pulse(self.pulse)
+            treatment = None if self.treatment is None else Treatment(self.treatment)
+        regime = _REGIMES[config]
+        if treatment is None:
+            treatment = (regime.treatments or (Treatment.EXACT,))[0]
+        self.__dict__.update(config=config, pulse=pulse, treatment=treatment)
+        if pulse is Pulse.LONG and regime.long is None:
+            raise ScenarioError("pulse", f"config {config.value} supports short pulses only")
+        if pulse is Pulse.SHORT and regime.treatments and treatment not in regime.treatments:
+            allowed = "/".join(t.value for t in regime.treatments)
+            raise ScenarioError("treatment", f"config {config.value} short pulses are "
                                              f"implemented for treatment {allowed} only")
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "coupling_g", float(self.coupling_g))
-        object.__setattr__(self, "evolve_time", float(self.evolve_time))
-        object.__setattr__(self, "nmax", int(self.nmax))
+        self.__dict__.update(beta=complex(self.beta), alpha=complex(self.alpha),
+                             epsilon=float(self.epsilon), coupling_g=float(self.coupling_g),
+                             evolve_time=float(self.evolve_time), nmax=int(self.nmax))
         for name in ("beta", "alpha", "coupling_g", "evolve_time"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -239,8 +244,8 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     if spec.treatment is Treatment.EXACT:
         kicked, _ = coherent_state(b, nmax)
         still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
-        psi1 = tensor((kicked, still))
-        psi2 = tensor((still, kicked))
+        psi1 = _product((kicked, still))
+        psi2 = _product((still, kicked))
     else:
         space = _space((nmax, nmax))
         i10, i01 = transforms._excitation_pair_indices(space)
@@ -319,8 +324,8 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     else:
         plus = _first_order_kicked(nmax, b)
         minus = _first_order_kicked(nmax, -b)
-    psi1 = tensor((common, plus))
-    psi2 = tensor((common, minus))
+    psi1 = _product((common, plus))
+    psi2 = _product((common, minus))
     return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 

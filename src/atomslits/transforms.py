@@ -9,9 +9,7 @@ Each named projector is built once per (name, space) and shared read-only,
 its column a view of the shared fixed state of fockspace and its U^dag the one
 array it adds: a table of 16, which marker traffic's 3 two-mode spaces of 5
 projectors fill, holding at most 15.0 MB at nmax 171 with the columns it keeps
-alive. The excitation-pair indices are computed once per space, in a table of
-32 small tuples. Both are bounded functools.lru_cache tables, which are
-thread-safe.
+alive. It is a bounded functools.lru_cache table, which is thread-safe.
 """
 
 from __future__ import annotations
@@ -44,25 +42,19 @@ __all__ = [
 
 # pi/2 rotation of the excitation pair, columns are the images of
 # |1,0> and |0,1>:  |1,0> -> (|1,0> - |0,1>)/sqrt2,  |0,1> -> (|1,0> + |0,1>)/sqrt2
-_ERASER_BLOCK = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
+_ERASER_ROWS = (np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)).tolist()
+_INVERSE_ROWS = np.array(_ERASER_ROWS).conj().T.tolist()  # the rows of its adjoint
 # the amplitude of each level in a normal mode (|1,0> +- |0,1>)/sqrt2
 _ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
-    if space.nmodes != 2:
+    """Flat indices of |1,0> and |0,1> in a two-mode space of dims (d0, d1): d1 and 1."""
+    if len(space.mode_dims) != 2:
         raise SpaceMismatchError(
             f"operation needs a two-oscillator marker space, got {space.nmodes} mode(s)"
         )
-    return _pair_indices(space.mode_dims)
-
-
-@lru_cache(maxsize=32)
-def _pair_indices(mode_dims: tuple[int, int]) -> tuple[int, int]:
-    """Flat indices of |1,0> and |0,1>, once per two-mode space; 32 pairs of ints,
-    under 10 kB at any nmax."""
-    space = _space(mode_dims)
-    return space.index((1, 0)), space.index((0, 1))
+    return space.mode_dims[1], 1
 
 
 def _normal_mode(space: FockSpace, sign: float, negated: bool = False) -> FockVector:
@@ -79,7 +71,7 @@ def _is_plus_zero(z: complex) -> bool:
 def _rotated(v: FockVector, i: int, j: int, block: list) -> FockVector:
     """v with the 2x2 block applied to its amplitudes i and j; v itself if that changes no bit."""
     a, b = v.amplitudes.item(i), v.amplitudes.item(j)
-    if _is_plus_zero(a) and _is_plus_zero(b):
+    if a == 0 == b and _is_plus_zero(a) and _is_plus_zero(b):
         return v  # the rotation would write the same +0+0j pair back
     (p, q), (r, s) = block
     amps = v.amplitudes.copy()
@@ -89,10 +81,9 @@ def _rotated(v: FockVector, i: int, j: int, block: list) -> FockVector:
     return FockVector._wrap(v.space, amps)
 
 
-def _rotate_pair(m: TwoPathMixture, block: np.ndarray) -> TwoPathMixture:
-    """Act with a 2x2 block on span{|1,0>, |0,1>} of every path state, identity elsewhere."""
+def _rotate_pair(m: TwoPathMixture, rows: list) -> TwoPathMixture:
+    """Act with the 2x2 block of these rows on span{|1,0>, |0,1>}, identity elsewhere."""
     i, j = _excitation_pair_indices(m.space)
-    rows = block.tolist()
     components = []
     for c in m.components:
         psi1 = _rotated(c.psi1, i, j, rows)
@@ -109,8 +100,7 @@ def apply_eraser(m: TwoPathMixture, inverse: bool = False) -> TwoPathMixture:
     changes an unconditioned visibility; erasure shows up only through
     coincidence conditioning. inverse=True applies the adjoint rotation.
     """
-    block = _ERASER_BLOCK.conj().T if inverse else _ERASER_BLOCK
-    return _rotate_pair(m, block)
+    return _rotate_pair(m, _INVERSE_ROWS if inverse else _ERASER_ROWS)
 
 
 def evolve_beat(m: TwoPathMixture, g: float, t: float) -> TwoPathMixture:
@@ -127,10 +117,9 @@ def evolve_beat(m: TwoPathMixture, g: float, t: float) -> TwoPathMixture:
         raise ValueError(f"coupling g must be >= 0, got {g}")
     if not math.isfinite(g * t):
         raise ValueError(f"coupling g * time t must be finite, got {g} * {t}")
-    c = math.cos(g * t)
-    s = math.sin(g * t)
-    block = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    return _rotate_pair(m, block)
+    c = complex(math.cos(g * t))
+    s = -1j * math.sin(g * t)
+    return _rotate_pair(m, [[c, s], [s, c]])
 
 
 def quarter_beat_time(g: float) -> float:

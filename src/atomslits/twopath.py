@@ -103,13 +103,6 @@ class TwoPathComponent:
     def space(self) -> FockSpace:
         return self.psi1.space
 
-    def baseline(self) -> float:
-        """Phase-averaged intensity ||psi1||^2 + ||psi2||^2 of this component."""
-        return self.psi1.norm() ** 2 + self.psi2.norm() ** 2
-
-    def coherence(self) -> complex:
-        return inner(self.psi1, self.psi2)
-
 
 @dataclass(frozen=True, eq=False)
 class TwoPathMixture:
@@ -145,7 +138,7 @@ class TwoPathMixture:
 
     @property
     def space(self) -> FockSpace:
-        return self.components[0].space
+        return self.components[0].psi1.space
 
     @property
     def total_weight(self) -> float:
@@ -192,8 +185,9 @@ class Projector:
         adjoint = u.conj().T
         u.setflags(write=False)
         adjoint.setflags(write=False)
-        object.__setattr__(self, "columns", u)
-        object.__setattr__(self, "_adjoint", adjoint)
+        # one column whose only nonzero entry is exactly 1, as for a number state
+        single = u.shape[1] == 1 and int(np.count_nonzero(u)) == 1 and bool((u == 1).any())
+        self.__dict__.update(columns=u, _adjoint=adjoint, _single=single)
 
     @classmethod
     def _wrap(cls, space: FockSpace, columns: np.ndarray, name: str) -> "Projector":
@@ -204,15 +198,20 @@ class Projector:
         p._adopt(columns)
         return p
 
-    def _image(self, v: FockVector, images: dict[bytes, FockVector]) -> FockVector:
-        """U (U^dag v), kept in `images` under the bytes of U^dag v; the same bytes
-        give the same bits, so every vector with them shares one result."""
-        # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
-        s = np.dot(self._adjoint, v.amplitudes)
-        key = s.tobytes()
-        out = images.get(key)
+    def _image(self, v: FockVector, images: dict) -> FockVector:
+        """U (U^dag v), kept in `images` by id(v) (v alive in the caller) and by U^dag v's bytes."""
+        out = images.get(id(v))
         if out is None:
-            out = images[key] = FockVector._wrap(self.space, np.dot(self.columns, s))
+            # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
+            s = np.dot(self._adjoint, v.amplitudes)
+            key = s.tobytes()
+            out = images.get(key)
+            if out is None:
+                out = images[key] = FockVector._wrap(self.space, np.dot(self.columns, s))
+                if self._single:  # s at one level, +-0 elsewhere: each norm() dot adds
+                    z = s.item()  # one rounded square to exact zeros, in any order
+                    out.__dict__["_norm"] = math.sqrt(z.real * z.real + z.imag * z.imag)
+            images[id(v)] = out
         return out
 
     def apply(self, v: FockVector) -> FockVector:
@@ -252,17 +251,6 @@ class PatternScan:
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "intensities", ints)
 
-    @classmethod
-    def _wrap(cls, phis: np.ndarray, intensities: np.ndarray, visibility: float,
-              phase_offset: float, condition: str) -> "PatternScan":
-        """Adopt two float arrays of one shape that the package has just allocated."""
-        phis.setflags(write=False)
-        intensities.setflags(write=False)
-        scan = object.__new__(cls)
-        scan.__dict__.update(phis=phis, intensities=intensities, visibility=visibility,
-                             phase_offset=phase_offset, condition=condition)
-        return scan
-
     def sampled_visibility(self) -> float:
         """(Imax - Imin)/(Imax + Imin) recomputed from the stored samples."""
         hi = float(self.intensities.max())
@@ -272,7 +260,10 @@ class PatternScan:
 
 def coherence_sum(m: TwoPathMixture) -> complex:
     """The cross term sum_k w_k <psi1_k|psi2_k> whose magnitude sets the contrast."""
-    return sum((c.weight * c.coherence() for c in m.components), start=0j)
+    total = 0j
+    for c in m.components:
+        total += c.weight * inner(c.psi1, c.psi2)
+    return total
 
 
 def mean_intensity(m: TwoPathMixture) -> float:
@@ -282,18 +273,25 @@ def mean_intensity(m: TwoPathMixture) -> float:
     """
     d = m.__dict__.get("_mean_intensity")
     if d is None:
-        d = m.__dict__["_mean_intensity"] = sum(c.weight * c.baseline() for c in m.components)
+        d = 0
+        for c in m.components:
+            d += c.weight * (c.psi1.norm() ** 2 + c.psi2.norm() ** 2)
+        m.__dict__["_mean_intensity"] = d
     return d
 
 
 def _require_light(m: TwoPathMixture) -> float:
-    d = mean_intensity(m)
-    if d <= _INTENSITY_FLOOR * m.total_weight:
-        raise EmptyPatternError(
-            "both paths carry zero amplitude; the state was fully conditioned away"
-        )
-    if not math.isfinite(2.0 * d):
-        raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
+    """The mean intensity, checked to be light with a finite fringe peak; kept once checked."""
+    d = m.__dict__.get("_light")
+    if d is None:
+        d = mean_intensity(m)
+        if d <= _INTENSITY_FLOOR * m.total_weight:
+            raise EmptyPatternError(
+                "both paths carry zero amplitude; the state was fully conditioned away")
+        if not math.isfinite(2.0 * d):
+            raise ValueError(
+                f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
+        m.__dict__["_light"] = d
     return d
 
 
@@ -342,13 +340,21 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     d = _require_light(m)
     c = coherence_sum(m)
     phis, circle = _unit_circle(nsamples)
-    intensities = d + 2.0 * np.real(c * circle)
-    # exact minima of a V = 1 pattern can round to a few ulp below zero
-    if intensities.min() < -1e-9 * d:
+    re = (c * circle).real
+    intensities = re + re  # d + 2 Re(c e^{i phi}) to the bit: IEEE + commutes, x + x = 2 x
+    intensities += d
+    # exact minima of a V = 1 pattern can round to a few ulp below zero; as d > 0 no
+    # sample is -0.0, so the clip is needed only where the minimum is below zero
+    lowest = np.minimum.reduce(intensities)
+    if lowest < -1e-9 * d:
         raise AssertionError("intensity went significantly negative; bookkeeping bug")
-    np.clip(intensities, 0.0, None, out=intensities)
-    return PatternScan._wrap(phis, intensities, 2.0 * abs(c) / d, _principal_phase(c),
-                             m.condition)
+    if lowest < 0.0:
+        np.maximum(intensities, 0.0, out=intensities)
+    intensities.setflags(write=False)  # adopted with the read-only grid, unchecked
+    scan = object.__new__(PatternScan)
+    scan.__dict__.update(phis=phis, intensities=intensities, visibility=2.0 * abs(c) / d,
+                         phase_offset=_principal_phase(c), condition=m.condition)
+    return scan
 
 
 def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, float]:
@@ -358,17 +364,16 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
     Returns the conditioned mixture and the post-selection probability, i.e.
     the surviving fraction of the mean intensity.
     """
-    if projector.space != m.space:
+    if projector.space is not m.space and projector.space != m.space:
         raise SpaceMismatchError(
             f"projector '{projector.name}' does not act on the mixture's space"
         )
     before = _require_light(m)
-    # a path shared by both slots is projected once; equal U^dag v bytes share one image
-    images: dict[bytes, FockVector] = {}
+    # a path met twice is projected once; equal U^dag v bytes share one image
+    images: dict = {}
     components = []
     for c in m.components:
-        psi1 = projector._image(c.psi1, images)
-        psi2 = psi1 if c.psi2 is c.psi1 else projector._image(c.psi2, images)
+        psi1, psi2 = projector._image(c.psi1, images), projector._image(c.psi2, images)
         components.append(TwoPathComponent._wrap(psi1, psi2, c.tag, c.weight))
     conditioned = TwoPathMixture._wrap(tuple(components), projector.name)
     return conditioned, mean_intensity(conditioned) / before

@@ -33,7 +33,6 @@ from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
 from atomslits.transforms import (
     PROJECTOR_NAMES,
     _named_projector,
-    _pair_indices,
     apply_dispersive,
     apply_eraser,
     evolve_beat,
@@ -55,7 +54,7 @@ ERASER = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.
 ROOT = 1.0 / math.sqrt(2.0)
 
 # every table of fixed parts the package computes once
-TABLES = (_space, _levels, _fixed_state, _pair_indices, _named_projector, _unit_circle)
+TABLES = (_space, _levels, _fixed_state, _named_projector, _unit_circle)
 
 
 def same_bits(a, b):
@@ -383,6 +382,93 @@ def test_condition_shares_equal_projections_and_matches_the_one_by_one_form():
                     u_ = projector.columns
                     assert same_bits(image.amplitudes, u_ @ (u_.conj().T @ path.amplitudes))
         assert post == mean_intensity(cm) / mean_intensity(m)
+
+
+# --- norms known without a dense sum -------------------------------------------
+
+# Amplitudes that stress a sum of squares: signed zeros, subnormals, and parts
+# whose squares underflow to subnormals.
+EDGE_AMPLITUDES = [complex(x, y) for x, y in itertools.product(
+    (0.0, -0.0, 5e-324, -2.5e-320, 1e-160, -3.3e-155), repeat=2)]
+SINGLE_ENTRY_PROJECTORS = {1: ("ground", "single_atom_0", "single_atom_1"),
+                           2: ("ground", "atom1_excited", "atom2_excited")}
+
+
+def edge_vectors(rng, space, level):
+    """Dense random vectors at scales 1 and 1e+-100, each also with every edge
+    amplitude written at `level`."""
+    vectors = []
+    for scale in (1.0, 1e-100, 1e100):
+        amps = scale * random_amplitudes(rng, space.dim, zeros=space.dim // 4)
+        vectors.append(FockVector(space, amps))
+        for z in EDGE_AMPLITUDES[:: 1 if scale == 1.0 else 5]:
+            amps[level] = z
+            vectors.append(FockVector(space, amps))
+    return vectors
+
+
+@pytest.mark.parametrize("nmax", [2, 16, 64, 171])
+@pytest.mark.parametrize("nmodes", [1, 2])
+def test_single_entry_projector_images_carry_the_dense_norm(nmax, nmodes):
+    space = FockSpace((nmax,) * nmodes)
+    rng = np.random.default_rng(nmax * nmodes)
+    for name in SINGLE_ENTRY_PROJECTORS[nmodes]:
+        projector = named_projector(name, space)
+        level = int(np.flatnonzero(projector.columns[:, 0])[0])
+        vectors = edge_vectors(rng, space, level)
+        cm, _ = condition(TwoPathMixture(tuple(TwoPathComponent(v, v) for v in vectors)),
+                          projector)
+        images = [projector.apply(v) for v in vectors] + [c.psi1 for c in cm.components]
+        for image in images:
+            assert "_norm" in image.__dict__, name  # known before any dense sum
+            assert same_bits(np.float64(image.norm()),
+                             np.float64(np.linalg.norm(image.amplitudes))), name
+
+
+@pytest.mark.parametrize("nmax", [2, 16, 64])
+def test_sym_and_antisym_images_sum_their_norms_densely(nmax):
+    space = FockSpace((nmax, nmax))
+    rng = np.random.default_rng(nmax)
+    i10 = space.index((1, 0))
+    for name in ("sym", "antisym"):
+        projector = named_projector(name, space)
+        for v in edge_vectors(rng, space, i10):
+            image = projector.apply(v)
+            assert "_norm" not in image.__dict__, name
+            assert same_bits(np.float64(image.norm()),
+                             np.float64(np.linalg.norm(image.amplitudes))), name
+
+
+@pytest.mark.parametrize("dims", [(2,), (16,), (171,), (64, 64)])
+def test_negation_carries_the_norm_whether_known_before_or_after(dims):
+    space = FockSpace(dims)
+    rng = np.random.default_rng(sum(dims))
+    for v in edge_vectors(rng, space, space.dim - 1):
+        expected = np.float64(np.linalg.norm(-v.amplitudes))
+        known = v  # the public constructor computes the norm
+        assert same_bits(np.float64((-known).norm()), expected)
+        unknown = FockVector._wrap(space, v.amplitudes)
+        negated = -unknown
+        assert "_norm" not in negated.__dict__
+        assert same_bits(np.float64(negated.norm()), expected)
+        assert same_bits(np.float64(unknown.norm()), np.float64(np.linalg.norm(v.amplitudes)))
+        assert same_bits(np.float64((-unknown).norm()), expected)
+
+
+def test_rotated_paths_sum_their_norms_densely():
+    rng = np.random.default_rng(17)
+    transforms = [lambda m: apply_eraser(m), lambda m: apply_eraser(m, inverse=True),
+                  lambda m: evolve_beat(m, 0.8, 0.37)]
+    for dims in ((2, 2), (16, 16), (64, 64)):
+        space = FockSpace(dims)
+        for _ in range(20):
+            # the constructor computes each path's norm before the rotation
+            psi1, psi2 = (FockVector(space, random_amplitudes(rng, space.dim)) for _ in range(2))
+            m = TwoPathMixture((TwoPathComponent(psi1, psi2),))
+            for transform in transforms:
+                for path in (transform(m).components[0].psi1, transform(m).components[0].psi2):
+                    assert same_bits(np.float64(path.norm()),
+                                     np.float64(np.linalg.norm(path.amplitudes)))
 
 
 # --- builders ----------------------------------------------------------------

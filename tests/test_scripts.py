@@ -30,3 +30,19 @@ def test_contrast_sweep_writes_one_csv_per_case(tmp_path):
         assert len(lines) == 12
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
 
+
+
+def test_chain_cost_prints_every_stage(tmp_path):
+    result = run_script("chain_cost.py", "--nmax", "4", "--seed", "2", "--rounds", "1",
+                        cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "nmax 4, seed 2: best of 1 rounds of 24 chains, BLAS on one thread"
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["spec", "build", "eraser/beat", "dispersive",
+                                        "visibility", "projector", "condition", "pattern",
+                                        "total"]
+    costs = [float(row[1]) for row in rows]
+    assert all(us > 0 for us in costs)
+    assert abs(sum(costs[:-1]) - costs[-1]) < 0.5
+    assert list(tmp_path.iterdir()) == []
