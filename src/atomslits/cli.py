@@ -7,16 +7,16 @@ Subcommands:
   whichway   coherent-probe path discrimination and its certainty tradeoff
   report     run the acceptance suite and emit a pass/fail JSON summary
 
-Exit codes: 0 success, 2 flag or combination error, 3 physics-domain error
-(truncation guard, empty post-selection, perturbative domain), 4 acceptance
-failure. Identical flags produce byte-identical output; no timestamps are
-ever written.
+Exit codes: 0 success, 2 flag or combination error or output that cannot be
+written, 3 physics-domain error (truncation guard, empty post-selection,
+perturbative domain), 4 acceptance failure. Identical flags produce
+byte-identical output; no timestamps are ever written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -205,19 +205,29 @@ def _apply_transforms(mixture, args):
 
 
 def _write(args, payload, meta=None, header="", rows=()) -> None:
-    """Write payload as JSON, or meta, header and rows as CSV; to stdout or --out."""
+    """Write payload as JSON, or meta, header and rows as CSV; to stdout or --out.
+
+    Output that cannot be written is a FlagError naming --out or stdout.
+    """
     if args.format == "json":
+        import json  # CSV calls skip its import
+
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"# {key}={value}" for key, value in meta.items()]
         lines.append(header)
         lines.extend(",".join(_fmt(x) for x in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise FlagError("stdout" if args.out is None else "--out",
+                        f"cannot write output: {exc.strerror or exc}")
 
 
 def cmd_pattern(args) -> int:
@@ -326,8 +336,9 @@ def cmd_whichway(args) -> int:
     probe, _ = coherent_state(args.delta, args.nmax)
     plus, _ = coherent_state(args.beta, args.nmax)
     minus, _ = coherent_state(-args.beta, args.nmax)
-    sim_plus = abs(inner(probe, plus)) ** 2
-    sim_minus = abs(inner(probe, minus)) ** 2
+    # a unit overlap can round a few ulps above 1
+    sim_plus = min(abs(inner(probe, plus)) ** 2, 1.0)
+    sim_minus = min(abs(inner(probe, minus)) ** 2, 1.0)
     curve = closedform.tradeoff_curve(args.beta) if args.beta > 0 else []
     payload = {
         "meta": {"version": __version__, "beta": args.beta, "delta": args.delta,
@@ -391,4 +402,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Process entry point: exit with main's code.
+
+    The objects alive when main returns are frozen, so the interpreter's final
+    collection skips the heap numpy and atomslits loaded. The rest of shutdown
+    (atexit handlers, the stdio flush, module cleanup) runs as usual.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

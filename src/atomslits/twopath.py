@@ -307,7 +307,7 @@ def _principal_phase(z: complex) -> float:
 def visibility(m: TwoPathMixture) -> float:
     """Closed-form fringe visibility of the mixture, in [0, 1]."""
     d = _require_light(m)
-    return 2.0 * abs(coherence_sum(m)) / d
+    return min(2.0 * abs(coherence_sum(m)) / d, 1.0)  # full contrast can round above 1
 
 
 def phase_offset(m: TwoPathMixture) -> float:
@@ -352,7 +352,8 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
         np.maximum(intensities, 0.0, out=intensities)
     intensities.setflags(write=False)  # adopted with the read-only grid, unchecked
     scan = object.__new__(PatternScan)
-    scan.__dict__.update(phis=phis, intensities=intensities, visibility=2.0 * abs(c) / d,
+    scan.__dict__.update(phis=phis, intensities=intensities,
+                         visibility=min(2.0 * abs(c) / d, 1.0),
                          phase_offset=_principal_phase(c), condition=m.condition)
     return scan
 

@@ -46,3 +46,19 @@ def test_chain_cost_prints_every_stage(tmp_path):
     assert all(us > 0 for us in costs)
     assert abs(sum(costs[:-1]) - costs[-1]) < 0.5
     assert list(tmp_path.iterdir()) == []
+
+
+def test_startup_cost_splits_every_kind(tmp_path):
+    result = run_script("startup_cost.py", "--runs", "1", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "median of 1 fresh children per kind, in ms, BLAS on one thread"
+    assert lines[1].split() == ["kind", "start", "numpy", "atomslits", "main", "exit", "total"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "whichway",
+                                        "report", "reject"]
+    for row in rows:
+        parts = [float(ms) for ms in row[1:]]
+        assert all(ms > 0 for ms in parts)
+        assert abs(sum(parts[:-1]) - parts[-1]) < 0.5
+    assert list(tmp_path.iterdir()) == []
