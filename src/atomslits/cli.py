@@ -24,16 +24,11 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .errors import PhysicsDomainError, ScenarioError, SpaceMismatchError
-from .fockspace import coherent_state, inner
-from .scenarios import Config, Pulse, ScenarioSpec, Treatment, build
-from .transforms import (
-    PROJECTOR_NAMES,
-    apply_dispersive,
-    apply_eraser,
-    named_projector,
-)
-from .twopath import FreqTag, condition, pattern, visibility
+from .errors import PhysicsDomainError, ScenarioError
+from .fockspace import _check_residual, coherent_state, inner
+from .scenarios import Config, Pulse, ScenarioSpec, Treatment, _run
+from .transforms import PROJECTOR_NAMES
+from .twopath import FreqTag, pattern, visibility
 
 __all__ = ["main", "entry"]
 
@@ -110,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atomslits",
         description="Fringe visibility and which-way information for double-slit "
                     "experiments whose slits are single trapped atoms.",
@@ -168,40 +163,17 @@ def _parse_tags(text: str) -> set[FreqTag]:
 
 
 def _make_spec(args, beta=None) -> ScenarioSpec:
-    try:
-        return ScenarioSpec(
-            config=args.config,
-            pulse=args.pulse,
-            beta=args.beta if beta is None else beta,
-            alpha=args.alpha if args.alpha is not None else 0j,
-            epsilon=args.epsilon,
-            coupling_g=args.coupling if args.coupling is not None else 0.0,
-            evolve_time=args.evolve_time if args.evolve_time is not None else 0.0,
-            treatment=args.treatment,
-            nmax=args.nmax,
-        )
-    except ScenarioError as exc:
-        raise FlagError(f"--{exc.field}", str(exc))
-
-
-def _apply_transforms(mixture, args):
-    """Apply --eraser, --dispersive and --coincidence, in that order."""
-    applied: list[str] = []
-    post_selection = 1.0
-    if args.eraser:
-        mixture = apply_eraser(mixture)
-        applied.append("eraser")
-    if args.dispersive is not None:
-        mixture = apply_dispersive(mixture, args.dispersive)
-        applied.append("dispersive:" + ",".join(sorted(t.value for t in args.dispersive)))
-    if args.coincidence is not None:
-        try:
-            projector = named_projector(args.coincidence, mixture.space)
-        except SpaceMismatchError as exc:
-            raise FlagError("--coincidence", str(exc))
-        mixture, post_selection = condition(mixture, projector)
-        applied.append(f"coincidence:{args.coincidence}")
-    return mixture, applied, post_selection
+    return ScenarioSpec(
+        config=args.config,
+        pulse=args.pulse,
+        beta=args.beta if beta is None else beta,
+        alpha=args.alpha if args.alpha is not None else 0j,
+        epsilon=args.epsilon,
+        coupling_g=args.coupling if args.coupling is not None else 0.0,
+        evolve_time=args.evolve_time if args.evolve_time is not None else 0.0,
+        treatment=args.treatment,
+        nmax=args.nmax,
+    )
 
 
 def _write(args, payload, meta=None, header="", rows=()) -> None:
@@ -218,16 +190,31 @@ def _write(args, payload, meta=None, header="", rows=()) -> None:
         lines.append(header)
         lines.extend(",".join(_fmt(x) for x in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _put(text, args.out)
+
+
+def _put(text: str, out: str | None) -> None:
+    """Write text to stdout or the file out; a FlagError names where it cannot be written."""
     try:
-        if args.out is None:
+        if out is None:
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise FlagError("stdout" if args.out is None else "--out",
+        raise FlagError("stdout" if out is None else "--out",
                         f"cannot write output: {exc.strerror or exc}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help and version text goes through _put, not lost."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _put(message, None)
+        else:
+            super()._print_message(message, file)
 
 
 def cmd_pattern(args) -> int:
@@ -235,8 +222,13 @@ def cmd_pattern(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
     spec = _make_spec(args)
-    mixture, applied, post_selection = _apply_transforms(build(spec), args)
+    mixture, post_selection = _run(spec, args.eraser, args.dispersive, args.coincidence)
     scan = pattern(mixture, args.samples)
+    applied = ["eraser"] if args.eraser else []
+    if args.dispersive is not None:
+        applied.append("dispersive:" + ",".join(sorted(t.value for t in args.dispersive)))
+    if args.coincidence is not None:
+        applied.append(f"coincidence:{args.coincidence}")
     meta = {"version": __version__, "command": "pattern"}
     meta.update(spec.to_dict())
     meta["transforms"] = ";".join(applied) if applied else "none"
@@ -290,7 +282,8 @@ def _sweep_visibilities(args, beta: float) -> tuple[float, float]:
     are none; a single lane fills both columns.
     """
     spec = _make_spec(args, beta=beta)
-    lanes = [visibility(_apply_transforms(build(replace(spec, treatment=t)), args)[0])
+    lanes = [visibility(_run(replace(spec, treatment=t), args.eraser, args.dispersive,
+                             args.coincidence)[0])
              for t in spec.treatments or (spec.treatment,)]
     return lanes[0], lanes[-1]
 
@@ -333,9 +326,11 @@ def cmd_whichway(args) -> int:
     if not 0 <= args.delta < math.inf:
         raise FlagError("--delta", "must be finite and >= 0")
     ref = closedform.whichway_probabilities(args.beta, args.delta)
-    probe, _ = coherent_state(args.delta, args.nmax)
-    plus, _ = coherent_state(args.beta, args.nmax)
-    minus, _ = coherent_state(-args.beta, args.nmax)
+    probe, r_probe = coherent_state(args.delta, args.nmax)
+    plus, r_plus = coherent_state(args.beta, args.nmax)
+    minus, r_minus = coherent_state(-args.beta, args.nmax)
+    for name, residual in (("delta", r_probe), ("beta", max(r_plus, r_minus))):
+        _check_residual(name, getattr(args, name), residual, args.nmax)
     # a unit overlap can round a few ulps above 1
     sim_plus = min(abs(inner(probe, plus)) ** 2, 1.0)
     sim_minus = min(abs(inner(probe, minus)) ** 2, 1.0)
@@ -388,14 +383,17 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits itself on usage errors and --version
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits itself on usage errors, --help, --version
+            return int(exc.code or 0)
         return args.handler(args)
     except PhysicsDomainError as exc:
         print(f"atomslits: physics domain error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except ScenarioError as exc:  # a spec field or the coincidence the chain refused
+        print(f"atomslits: error: --{exc.field}: {exc}", file=sys.stderr)
+        return EXIT_FLAG
     except (FlagError, ValueError) as exc:
         print(f"atomslits: error: {exc}", file=sys.stderr)
         return EXIT_FLAG

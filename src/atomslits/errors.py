@@ -38,7 +38,8 @@ class SpaceMismatchError(ValueError):
 class ScenarioError(ValueError):
     """Unsupported combination of configuration, pulse regime and treatment.
 
-    field names the ScenarioSpec field at fault, "pulse" or "treatment".
+    field names what is at fault: the ScenarioSpec field "pulse" or "treatment",
+    or "coincidence" for a projector the chain's marker space does not take.
     """
 
     def __init__(self, field: str, message: str):

@@ -233,6 +233,16 @@ def _truncation_guard(beta: complex, nmax: int) -> None:
         )
 
 
+def _check_residual(name: str, amplitude: complex, residual: float, nmax: int) -> None:
+    """Refuse a coherent amplitude whose truncation residual is above 1e-10; the
+    caller checks only the amplitudes whose residual reaches an output."""
+    if residual > 1e-10:
+        raise TruncationError(
+            f"coherent amplitude {name} = {amplitude:.4g} loses {residual:.2g} of its state "
+            f"to the truncation at nmax {nmax}, above 1e-10; use a larger --nmax"
+        )
+
+
 @lru_cache(maxsize=32, typed=True)
 def _levels(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only levels n = 0..nmax-1 and sqrt(n!), the coherent series' fixed part."""

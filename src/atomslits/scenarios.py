@@ -26,6 +26,12 @@ contrasts come out exactly 1-|b|^2 (config B) and 1-2|b|^2 (config C).
 The scattering probability epsilon enters all component weights as an overall
 factor of epsilon^2; it cancels from every visibility but keeps absolute
 coincidence rates reportable.
+
+_run is the one chain from a spec to printed numbers: build, the eraser, the
+dispersive flip, then a coincidence cut. Exact builders keep the truncation
+residual of each coherent kick on the mixture, and _run refuses one above 1e-10
+that reaches an output with TruncationError: beta's always, D's common-mode
+alpha only under a cut, since one |alpha> on both paths cancels from V and phase.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import transforms
-from .errors import PerturbationError, ScenarioError
+from .errors import PerturbationError, ScenarioError, SpaceMismatchError
 from .fockspace import (
     FockVector,
+    _check_residual,
     _product,
     _shared_state,
     _space,
@@ -52,7 +59,7 @@ from .fockspace import (
     ground_state,
     zero_vector,
 )
-from .twopath import FreqTag, TwoPathComponent, TwoPathMixture
+from .twopath import FreqTag, TwoPathComponent, TwoPathMixture, condition
 
 __all__ = [
     "Config",
@@ -214,11 +221,15 @@ def _golden_rule_b2(beta: complex) -> float:
     return b2
 
 
-def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float]) -> TwoPathMixture:
+def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
+             **residuals: float) -> TwoPathMixture:
     """The mixture of these (psi1, psi2, tag, weight) parts. A checked spec makes
     every weight a finite float >= 0 and the total positive, so the public
-    constructors' checks are skipped."""
-    return TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components), "none")
+    constructors' checks are skipped. It keeps, by spec field, the truncation
+    residual of each coherent kick it was built from, for _run."""
+    m = TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components), "none")
+    m.__dict__["_residuals"] = residuals
+    return m
 
 
 def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
@@ -241,18 +252,18 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     contrast exactly 1-|b|^2.
     """
     b, nmax = spec.beta, spec.nmax
-    if spec.treatment is Treatment.EXACT:
-        kicked, _ = coherent_state(b, nmax)
-        still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
-        psi1 = _product((kicked, still))
-        psi2 = _product((still, kicked))
-    else:
+    if spec.treatment is not Treatment.EXACT:
         space = _space((nmax, nmax))
         i10, i01 = transforms._excitation_pair_indices(space)
         c0 = _elastic_amplitude(b)
         psi1 = _superposition(space, ((0, c0), (i10, b)))
         psi2 = _superposition(space, ((0, c0), (i01, b)))
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
+        return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
+    kicked, residual = coherent_state(b, nmax)
+    still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
+    psi1 = _product((kicked, still))
+    psi2 = _product((still, kicked))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), beta=residual)
 
 
 def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -282,13 +293,13 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     1-2|b|^2. C1 and C2 are equivalent and share this builder.
     """
     b, nmax = spec.beta, spec.nmax
-    if spec.treatment is Treatment.EXACT:
-        psi1, _ = coherent_state(b, nmax)
-        psi2, _ = coherent_state(-b, nmax)
-    else:
+    if spec.treatment is not Treatment.EXACT:
         psi1 = _first_order_kicked(nmax, b)
         psi2 = _first_order_kicked(nmax, -b)
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
+        return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
+    psi1, r1 = coherent_state(b, nmax)
+    psi2, r2 = coherent_state(-b, nmax)
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), beta=max(r1, r2))
 
 
 def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -317,16 +328,18 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     which-way information.
     """
     b, a, nmax = spec.beta, spec.alpha, spec.nmax
-    common, _ = coherent_state(a, nmax)
+    common, alpha_residual = coherent_state(a, nmax)
     if spec.treatment is Treatment.EXACT:
-        plus, _ = coherent_state(b, nmax)
-        minus, _ = coherent_state(-b, nmax)
+        plus, r1 = coherent_state(b, nmax)
+        minus, r2 = coherent_state(-b, nmax)
     else:
         plus = _first_order_kicked(nmax, b)
         minus = _first_order_kicked(nmax, -b)
+        r1 = r2 = 0.0
     psi1 = _product((common, plus))
     psi2 = _product((common, minus))
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2),
+                    beta=max(r1, r2), alpha=alpha_residual)
 
 
 def build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -393,3 +406,27 @@ def build(spec: ScenarioSpec) -> TwoPathMixture:
     """
     regime = _REGIMES[spec.config]
     return (regime.short if spec.pulse is Pulse.SHORT else regime.long)(spec)
+
+
+def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
+         coincidence: str | None = None) -> tuple[TwoPathMixture, float]:
+    """The mixture of the chain the module docstring describes, and its post-selection
+    probability (1.0 without a coincidence). A projector the marker space does not
+    take raises ScenarioError with field "coincidence". build, transforms and
+    condition are looked up when called, so a wrapper bound over those module
+    names sees every call."""
+    m = build(spec)
+    for name, residual in m.__dict__.get("_residuals", {}).items():
+        if name == "beta" or coincidence is not None:
+            _check_residual(name, getattr(spec, name), residual, spec.nmax)
+    if eraser:
+        m = transforms.apply_eraser(m)
+    if dispersive is not None:
+        m = transforms.apply_dispersive(m, dispersive)
+    if coincidence is None:
+        return m, 1.0
+    try:
+        projector = transforms.named_projector(coincidence, m.space)
+    except SpaceMismatchError as exc:
+        raise ScenarioError("coincidence", str(exc))
+    return condition(m, projector)

