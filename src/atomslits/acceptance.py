@@ -1,9 +1,11 @@
 """Programmatic acceptance suite behind `atomslits report`.
 
-Each criterion rebuilds its scenarios from scratch and compares simulated
-values against the closed-form references at fixed tolerances, reporting
-every individual check. tests/test_acceptance.py wraps the same functions, so
-the CLI report and the pytest suite cannot drift apart.
+Each criterion rebuilds its scenarios from scratch through the code the CLI
+prints from: every chain runs through scenarios._run and the which-way
+readout is scenarios._whichway. The values are compared with the references
+in closedform at fixed tolerances, and every individual check is reported.
+tests/test_acceptance.py wraps the same functions, so the CLI report and the
+pytest suite cannot drift apart.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import closedform
+from . import closedform, scenarios
 from ._version import __version__
-from .fockspace import coherent_state, displacement_operator, inner, project
-from .scenarios import Config, Pulse, ScenarioSpec, Treatment, _run, build
+from .fockspace import coherent_state, displacement_operator, project
+from .scenarios import Config, Pulse, ScenarioSpec, Treatment, _run
 from .transforms import apply_eraser, quarter_beat_time
 from .twopath import FreqTag, TwoPathMixture, pattern, phase_offset, visibility
 
@@ -67,17 +69,13 @@ def _mixture_gap(a: TwoPathMixture, b: TwoPathMixture) -> float:
 def _crit_b_short_contrast(tol: float) -> list[dict]:
     checks = []
     for b in (0.05, 0.1, 0.2, 0.3):
-        first = visibility(
-            build(ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.FIRST_ORDER))
-        )
-        exact = visibility(
-            build(ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.EXACT))
-        )
-        checks.append(_check(f"first_order_visibility(beta={b})", first, 1.0 - b * b, tol))
-        checks.append(_check(f"exact_visibility(beta={b})", exact, math.exp(-b * b), tol))
-        checks.append(
-            _check(f"treatment_gap(beta={b})", abs(exact - first), 0.0, 5.0 * b**4)
-        )
+        first, exact = (visibility(_run(ScenarioSpec(Config.B, beta=b, treatment=t))[0])
+                        for t in (Treatment.FIRST_ORDER, Treatment.EXACT))
+        checks.append(_check(f"first_order_visibility(beta={b})", first,
+                             closedform.contrast_B(b), tol))
+        checks.append(_check(f"exact_visibility(beta={b})", exact,
+                             closedform.contrast_exact(Config.B, b), tol))
+        checks.append(_check(f"treatment_gap(beta={b})", abs(exact - first), 0.0, 5.0 * b**4))
     return checks
 
 
@@ -85,7 +83,7 @@ def _crit_eraser_restores_contrast(tol: float) -> list[dict]:
     checks = []
     for b in (0.1, 0.3):
         spec = ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.FIRST_ORDER)
-        v_before = visibility(build(spec))
+        v_before = visibility(_run(spec)[0])
         erased, _ = _run(spec, eraser=True)
         on_1, _ = _run(spec, eraser=True, coincidence="atom1_excited")
         on_2, _ = _run(spec, eraser=True, coincidence="atom2_excited")
@@ -111,14 +109,12 @@ def _crit_long_pulse_b_irreversible(tol: float) -> list[dict]:
 def _crit_c_contrast_and_coincidence(tol: float) -> list[dict]:
     checks = []
     for b in (0.1, 0.3, 0.5):
-        first = visibility(
-            build(ScenarioSpec(Config.C1, Pulse.SHORT, beta=b, treatment=Treatment.FIRST_ORDER))
-        )
-        exact = visibility(
-            build(ScenarioSpec(Config.C1, Pulse.SHORT, beta=b, treatment=Treatment.EXACT))
-        )
-        checks.append(_check(f"first_order_visibility(beta={b})", first, 1.0 - 2.0 * b * b, tol))
-        checks.append(_check(f"exact_visibility(beta={b})", exact, math.exp(-2.0 * b * b), tol))
+        first, exact = (visibility(_run(ScenarioSpec(Config.C1, beta=b, treatment=t))[0])
+                        for t in (Treatment.FIRST_ORDER, Treatment.EXACT))
+        checks.append(_check(f"first_order_visibility(beta={b})", first,
+                             closedform.contrast_C(b), tol))
+        checks.append(_check(f"exact_visibility(beta={b})", exact,
+                             closedform.contrast_exact(Config.C1, b), tol))
     b = 0.3
     for treatment in (Treatment.EXACT, Treatment.FIRST_ORDER):
         spec = ScenarioSpec(Config.C1, Pulse.SHORT, beta=b, treatment=treatment)
@@ -129,7 +125,7 @@ def _crit_c_contrast_and_coincidence(tol: float) -> list[dict]:
         checks.append(_phase_check(f"conditioned_phase_level0({label})", phase_offset(on_0), 0.0, tol))
         checks.append(_check(f"conditioned_vis_level1({label})", visibility(on_1), 1.0, tol))
         checks.append(_phase_check(f"conditioned_phase_level1({label})", phase_offset(on_1), math.pi, tol))
-        gap = _mixture_gap(build(spec), build(replace(spec, config=Config.C2)))
+        gap = _mixture_gap(_run(spec)[0], _run(replace(spec, config=Config.C2))[0])
         checks.append(_check(f"c1_c2_elementwise({label})", gap, 0.0, 0.0))
     return checks
 
@@ -138,8 +134,8 @@ def _crit_c_long_dispersive(tol: float) -> list[dict]:
     checks = []
     for b in (0.3, 0.5):
         spec = ScenarioSpec(Config.C1, Pulse.LONG, beta=b)
-        checks.append(_check(f"long_pulse_visibility(beta={b})", visibility(build(spec)),
-                             1.0 - 2.0 * b * b, 1e-12))
+        checks.append(_check(f"long_pulse_visibility(beta={b})", visibility(_run(spec)[0]),
+                             closedform.contrast_C(b), 1e-12))
         restored, _ = _run(spec, dispersive={FreqTag.SHIFTED})
         checks.append(_check(f"dispersive_restores(beta={b})", visibility(restored), 1.0, tol))
     return checks
@@ -150,11 +146,7 @@ def _crit_whichway_discrimination(tol: float) -> list[dict]:
     nmax = 24
     for b in (0.2, 0.5, 1.0):
         for d in (0.2, 0.5, 1.0):
-            probe, _ = coherent_state(d, nmax)
-            plus, _ = coherent_state(b, nmax)
-            minus, _ = coherent_state(-b, nmax)
-            p_plus = abs(inner(probe, plus)) ** 2
-            p_minus = abs(inner(probe, minus)) ** 2
+            p_plus, p_minus = scenarios._whichway(b, d, nmax)
             ref = closedform.whichway_probabilities(b, d)
             checks.append(_check(f"p_plus(beta={b},delta={d})", p_plus, ref.p_plus, tol))
             checks.append(_check(f"p_minus(beta={b},delta={d})", p_minus, ref.p_minus, tol))
@@ -179,22 +171,13 @@ def _crit_d_common_mode(tol: float) -> list[dict]:
     checks = []
     b = 0.3
     nmax = 40  # the alpha = 3 coherent tail must sit far below the 1e-8 tolerance
-    reference = visibility(
-        build(ScenarioSpec(Config.D, Pulse.SHORT, beta=b, alpha=0.0, nmax=nmax))
-    )
+    reference = visibility(_run(ScenarioSpec(Config.D, beta=b, alpha=0.0, nmax=nmax))[0])
     for a in (0.0, 1.0, 3.0):
-        m = build(ScenarioSpec(Config.D, Pulse.SHORT, beta=b, alpha=a, nmax=nmax))
-        checks.append(
-            _check(f"visibility_alpha_independent(alpha={a})", visibility(m), reference, tol)
-        )
-        checks.append(
-            _check(
-                f"z_excitation_probability(alpha={a})",
-                _z_excitation_probability(m),
-                1.0 - math.exp(-a * a),
-                1e-8,
-            )
-        )
+        m, _ = _run(ScenarioSpec(Config.D, beta=b, alpha=a, nmax=nmax))
+        checks.append(_check(f"visibility_alpha_independent(alpha={a})", visibility(m),
+                             reference, tol))
+        checks.append(_check(f"z_excitation_probability(alpha={a})", _z_excitation_probability(m),
+                             1.0 - closedform.projection_probability(0, a), 1e-8))
     return checks
 
 
@@ -209,9 +192,9 @@ def _crit_e_quarter_beat_eraser(tol: float) -> list[dict]:
         vb = visibility(_run(beat, coincidence=name)[0])
         ve = visibility(_run(plain, eraser=True, coincidence=name)[0])
         checks.append(_check(f"quarter_beat_matches_eraser({name})", vb, ve, tol))
-    frozen = build(ScenarioSpec(Config.E, Pulse.SHORT, beta=b, coupling_g=g, evolve_time=0.0,
-                                treatment=Treatment.FIRST_ORDER))
-    checks.append(_check("zero_time_equals_first_order_B", _mixture_gap(frozen, build(plain)),
+    frozen, _ = _run(ScenarioSpec(Config.E, Pulse.SHORT, beta=b, coupling_g=g, evolve_time=0.0,
+                                  treatment=Treatment.FIRST_ORDER))
+    checks.append(_check("zero_time_equals_first_order_B", _mixture_gap(frozen, _run(plain)[0]),
                          0.0, 0.0))
     return checks
 
@@ -232,7 +215,7 @@ def _crit_property_suite(tol: float) -> list[dict]:
     coh, _ = coherent_state(0.5, nmax)
     checks.append(_check("coherent_state_normalized", coh.norm(), 1.0, 1e-10))
     first_b = ScenarioSpec(Config.B, Pulse.SHORT, beta=0.3, treatment=Treatment.FIRST_ORDER)
-    m = build(first_b)
+    m, _ = _run(first_b)
     checks.append(_check("first_order_path_normalized", m.components[0].psi1.norm(), 1.0, 1e-10))
 
     # visibility stays in [0, 1] across the scenario grid
@@ -252,19 +235,15 @@ def _crit_property_suite(tol: float) -> list[dict]:
     ]
     worst = 0.0
     for spec in grid:
-        vis = visibility(build(spec))
+        vis = visibility(_run(spec)[0])
         worst = max(worst, -vis, vis - 1.0)
     checks.append(_check("visibility_within_unit_interval", worst, 0.0, 1e-12))
 
     # incoherent additivity of patterns
-    mixture = build(ScenarioSpec(Config.B, Pulse.LONG, beta=0.4))
+    mixture, _ = _run(ScenarioSpec(Config.B, Pulse.LONG, beta=0.4))
     total = pattern(mixture, 128).intensities
-    parts = sum(
-        pattern(TwoPathMixture((c,)), 128).intensities for c in mixture.components
-    )
-    checks.append(
-        _check("pattern_additivity", float(np.max(np.abs(total - parts))), 0.0, 1e-12)
-    )
+    parts = sum(pattern(TwoPathMixture((c,)), 128).intensities for c in mixture.components)
+    checks.append(_check("pattern_additivity", float(np.max(np.abs(total - parts))), 0.0, 1e-12))
 
     # eraser reversibility
     roundtrip = apply_eraser(_run(first_b, eraser=True)[0], inverse=True)
@@ -287,7 +266,7 @@ def _crit_property_suite(tol: float) -> list[dict]:
         ]
         out = []
         for spec in specs:
-            mix = build(spec)
+            mix, _ = _run(spec)
             out.append((visibility(mix), phase_offset(mix)))
         return out
 

@@ -23,9 +23,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import scenarios
 from ._version import __version__
 from .errors import PhysicsDomainError, ScenarioError
-from .fockspace import _check_residual, coherent_state, inner
 from .scenarios import Config, Pulse, ScenarioSpec, Treatment, _run
 from .transforms import PROJECTOR_NAMES
 from .twopath import FreqTag, pattern, visibility
@@ -43,6 +43,9 @@ MAX_SAMPLES = 65536
 # Largest STEPS in sweep --beta-range MIN:MAX:STEPS; each step builds up to
 # two scenarios, so the bound keeps a mistyped count from running for hours.
 MAX_SWEEP_STEPS = 10000
+# The flag of each ScenarioError field whose flag is not "--" + field.
+_FIELD_FLAGS = {"coupling_g": "--coupling", "evolve_time": "--evolve-time",
+                "nsamples": "--samples"}
 
 
 class FlagError(Exception):
@@ -232,7 +235,7 @@ def cmd_pattern(args) -> int:
     meta = {"version": __version__, "command": "pattern"}
     meta.update(spec.to_dict())
     meta["transforms"] = ";".join(applied) if applied else "none"
-    meta["condition"] = scan.condition
+    meta["condition"] = args.coincidence or "none"
     meta["post_selection_probability"] = _fmt(post_selection)
     meta["visibility"] = _fmt(scan.visibility)
     meta["phase_offset"] = _fmt(scan.phase_offset)
@@ -248,7 +251,7 @@ def cmd_pattern(args) -> int:
         },
         "visibility": scan.visibility,
         "phase_offset": scan.phase_offset,
-        "condition": scan.condition,
+        "condition": meta["condition"],
         "post_selection_probability": post_selection,
     }
     _write(args, payload, meta, "phi,intensity", zip(scan.phis, scan.intensities))
@@ -268,6 +271,8 @@ def _parse_beta_range(text: str) -> np.ndarray:
         raise FlagError("--beta-range", "needs at least one step")
     if steps > MAX_SWEEP_STEPS:
         raise FlagError("--beta-range", f"STEPS must be <= {MAX_SWEEP_STEPS}, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise FlagError("--beta-range", f"MIN and MAX must be finite, got {text!r}")
     if lo < 0:
         raise FlagError("--beta-range", "MIN must be >= 0")
     if hi < lo:
@@ -326,14 +331,9 @@ def cmd_whichway(args) -> int:
     if not 0 <= args.delta < math.inf:
         raise FlagError("--delta", "must be finite and >= 0")
     ref = closedform.whichway_probabilities(args.beta, args.delta)
-    probe, r_probe = coherent_state(args.delta, args.nmax)
-    plus, r_plus = coherent_state(args.beta, args.nmax)
-    minus, r_minus = coherent_state(-args.beta, args.nmax)
-    for name, residual in (("delta", r_probe), ("beta", max(r_plus, r_minus))):
-        _check_residual(name, getattr(args, name), residual, args.nmax)
+    p_plus, p_minus = scenarios._whichway(args.beta, args.delta, args.nmax)
     # a unit overlap can round a few ulps above 1
-    sim_plus = min(abs(inner(probe, plus)) ** 2, 1.0)
-    sim_minus = min(abs(inner(probe, minus)) ** 2, 1.0)
+    sim_plus, sim_minus = min(p_plus, 1.0), min(p_minus, 1.0)
     curve = closedform.tradeoff_curve(args.beta) if args.beta > 0 else []
     payload = {
         "meta": {"version": __version__, "beta": args.beta, "delta": args.delta,
@@ -391,8 +391,9 @@ def main(argv=None) -> int:
     except PhysicsDomainError as exc:
         print(f"atomslits: physics domain error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except ScenarioError as exc:  # a spec field or the coincidence the chain refused
-        print(f"atomslits: error: --{exc.field}: {exc}", file=sys.stderr)
+    except ScenarioError as exc:  # a value or combination the library refused, by field
+        flag = _FIELD_FLAGS.get(exc.field, "--" + exc.field)
+        print(f"atomslits: error: {flag}: {exc}", file=sys.stderr)
         return EXIT_FLAG
     except (FlagError, ValueError) as exc:
         print(f"atomslits: error: {exc}", file=sys.stderr)

@@ -36,10 +36,12 @@ class SpaceMismatchError(ValueError):
 
 
 class ScenarioError(ValueError):
-    """Unsupported combination of configuration, pulse regime and treatment.
+    """A run parameter outside its domain, or a combination the model does not define.
 
-    field names what is at fault: the ScenarioSpec field "pulse" or "treatment",
-    or "coincidence" for a projector the chain's marker space does not take.
+    field names what is at fault: a ScenarioSpec field ("pulse", "treatment",
+    "beta", "alpha", "epsilon", "coupling_g", "evolve_time", "nmax"), "eraser"
+    or "coincidence" for a transform the chain's marker space does not take, or
+    pattern's "nsamples". The CLI names the flag of that field.
     """
 
     def __init__(self, field: str, message: str):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatchError, TruncationError
+from .errors import ScenarioError, SpaceMismatchError, TruncationError
 
 __all__ = [
     "FockSpace",
@@ -203,9 +203,10 @@ def zero_vector(space: FockSpace) -> FockVector:
 
 
 def check_nmax(nmax: int) -> None:
-    """Refuse a truncation outside 2 <= nmax <= MAX_NMAX; run it before allocating."""
+    """Refuse a truncation outside 2 <= nmax <= MAX_NMAX; run it before allocating.
+    Below 2 is ScenarioError with field "nmax", above is TruncationError."""
     if nmax < 2:
-        raise ValueError(f"truncation dimension must be >= 2, got {nmax}")
+        raise ScenarioError("nmax", f"truncation dimension must be >= 2, got {nmax}")
     if nmax > MAX_NMAX:
         raise TruncationError(
             f"truncation dimension {nmax} exceeds {MAX_NMAX}; levels above "

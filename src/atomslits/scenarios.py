@@ -32,6 +32,9 @@ dispersive flip, then a coincidence cut. Exact builders keep the truncation
 residual of each coherent kick on the mixture, and _run refuses one above 1e-10
 that reaches an output with TruncationError: beta's always, D's common-mode
 alpha only under a cut, since one |alpha> on both paths cancels from V and phase.
+_whichway is the one coherent-probe readout, with the same refusal for the probe
+and the marker. The CLI and the acceptance suite print and check through both,
+and look _whichway up on this module, so one rebinding of it reaches both.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .fockspace import (
     check_nmax,
     coherent_state,
     ground_state,
+    inner,
     zero_vector,
 )
 from .twopath import FreqTag, TwoPathComponent, TwoPathMixture, condition
@@ -115,7 +119,8 @@ class ScenarioSpec:
     builders ignore them). beta, alpha, coupling_g, evolve_time and their
     product must be finite; epsilon must stay in [1.49e-154, 0.1], the
     single-scattering regime in which epsilon**2 is a normal float; nmax must
-    lie in [2, 171].
+    lie in [2, 171]. A value outside its domain raises ScenarioError with its
+    field ("evolve_time" for the product), except nmax above 171: TruncationError.
 
     treatment None resolves to the config's default: first order for config
     E on either pulse, exact elsewhere. Combinations the regime table does
@@ -155,19 +160,21 @@ class ScenarioSpec:
                              evolve_time=float(self.evolve_time), nmax=int(self.nmax))
         for name in ("beta", "alpha", "coupling_g", "evolve_time"):
             if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ScenarioError(name, f"{name} must be finite, got {getattr(self, name)}")
         if not _EPSILON_MIN <= self.epsilon <= 0.1:
-            raise ValueError(
+            raise ScenarioError(
+                "epsilon",
                 f"epsilon must lie in [{_EPSILON_MIN!r}, 0.1], got {self.epsilon}; the "
                 f"model is first order in the scattering amplitude, and epsilon**2 must "
                 f"be a normal float"
             )
         if self.coupling_g < 0:
-            raise ValueError("coupling_g must be >= 0")
+            raise ScenarioError("coupling_g", "coupling_g must be >= 0")
         if self.evolve_time < 0:
-            raise ValueError("evolve_time must be >= 0")
+            raise ScenarioError("evolve_time", "evolve_time must be >= 0")
         if not math.isfinite(self.coupling_g * self.evolve_time):
-            raise ValueError(
+            raise ScenarioError(
+                "evolve_time",
                 f"coupling_g * evolve_time must be finite, got {self.coupling_g} * "
                 f"{self.evolve_time}"
             )
@@ -227,7 +234,7 @@ def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
     every weight a finite float >= 0 and the total positive, so the public
     constructors' checks are skipped. It keeps, by spec field, the truncation
     residual of each coherent kick it was built from, for _run."""
-    m = TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components), "none")
+    m = TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components))
     m.__dict__["_residuals"] = residuals
     return m
 
@@ -411,16 +418,19 @@ def build(spec: ScenarioSpec) -> TwoPathMixture:
 def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
          coincidence: str | None = None) -> tuple[TwoPathMixture, float]:
     """The mixture of the chain the module docstring describes, and its post-selection
-    probability (1.0 without a coincidence). A projector the marker space does not
-    take raises ScenarioError with field "coincidence". build, transforms and
-    condition are looked up when called, so a wrapper bound over those module
-    names sees every call."""
+    probability (1.0 without a coincidence). An eraser or a projector the marker
+    space does not take raises ScenarioError with field "eraser" or "coincidence".
+    build, transforms and condition are looked up when called, so a wrapper bound
+    over those module names sees every call."""
     m = build(spec)
     for name, residual in m.__dict__.get("_residuals", {}).items():
         if name == "beta" or coincidence is not None:
             _check_residual(name, getattr(spec, name), residual, spec.nmax)
     if eraser:
-        m = transforms.apply_eraser(m)
+        try:
+            m = transforms.apply_eraser(m)
+        except SpaceMismatchError as exc:
+            raise ScenarioError("eraser", str(exc))
     if dispersive is not None:
         m = transforms.apply_dispersive(m, dispersive)
     if coincidence is None:
@@ -430,3 +440,15 @@ def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
     except SpaceMismatchError as exc:
         raise ScenarioError("coincidence", str(exc))
     return condition(m, projector)
+
+
+def _whichway(beta: float, delta: float, nmax: int) -> tuple[float, float]:
+    """|<delta|beta>|^2 and |<delta|-beta>|^2 of the truncated coherent states,
+    unclamped. A probe delta, then a marker beta, that loses more than 1e-10 to
+    the truncation raises TruncationError. coherent_state is looked up when called."""
+    probe, r_probe = coherent_state(delta, nmax)
+    plus, r_plus = coherent_state(beta, nmax)
+    minus, r_minus = coherent_state(-beta, nmax)
+    _check_residual("delta", delta, r_probe, nmax)
+    _check_residual("beta", beta, max(r_plus, r_minus), nmax)
+    return abs(inner(probe, plus)) ** 2, abs(inner(probe, minus)) ** 2

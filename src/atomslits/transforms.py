@@ -89,7 +89,7 @@ def _rotate_pair(m: TwoPathMixture, rows: list) -> TwoPathMixture:
         psi1 = _rotated(c.psi1, i, j, rows)
         psi2 = psi1 if c.psi2 is c.psi1 else _rotated(c.psi2, i, j, rows)
         components.append(TwoPathComponent._wrap(psi1, psi2, c.tag, c.weight))
-    return TwoPathMixture._wrap(tuple(components), m.condition)
+    return TwoPathMixture._wrap(tuple(components))
 
 
 def apply_eraser(m: TwoPathMixture, inverse: bool = False) -> TwoPathMixture:
@@ -143,9 +143,7 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
         raise ValueError("apply_dispersive needs at least one frequency tag")
     return TwoPathMixture._wrap(
         tuple(TwoPathComponent._wrap(c.psi1, -c.psi2, c.tag, c.weight) if c.tag in tagset
-              else c for c in m.components),
-        m.condition,
-    )
+              else c for c in m.components))
 
 
 PROJECTOR_NAMES = (

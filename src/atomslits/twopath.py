@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyPatternError, SpaceMismatchError
+from .errors import EmptyPatternError, ScenarioError, SpaceMismatchError
 from .fockspace import FockSpace, FockVector, inner
 
 __all__ = [
@@ -106,14 +106,9 @@ class TwoPathComponent:
 
 @dataclass(frozen=True, eq=False)
 class TwoPathMixture:
-    """Weighted incoherent set of TwoPathComponents over a common space.
-
-    `condition` records any coincidence projection already applied, for
-    report headers; it does not affect the physics.
-    """
+    """Weighted incoherent set of TwoPathComponents over a common space."""
 
     components: tuple[TwoPathComponent, ...]
-    condition: str = "none"
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -128,12 +123,11 @@ class TwoPathMixture:
         object.__setattr__(self, "components", comps)
 
     @classmethod
-    def _wrap(cls, components: tuple[TwoPathComponent, ...],
-              condition: str) -> "TwoPathMixture":
+    def _wrap(cls, components: tuple[TwoPathComponent, ...]) -> "TwoPathMixture":
         """Adopt a tuple of components of one space with a positive, finite total
         weight that the package has already checked, without the constructor's checks."""
         m = object.__new__(cls)
-        m.__dict__.update(components=components, condition=condition)
+        m.__dict__["components"] = components
         return m
 
     @property
@@ -236,7 +230,6 @@ class PatternScan:
     intensities: np.ndarray
     visibility: float
     phase_offset: float
-    condition: str = "none"
 
     def __post_init__(self) -> None:
         phis = np.array(self.phis, dtype=float, copy=True)
@@ -333,10 +326,11 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     grid that contains the extrema (any multiple of 4 samples for the states
     built here) the sampled (Imax - Imin)/(Imax + Imin) reproduces them.
 
-    Raises EmptyPatternError when every path amplitude is zero.
+    Raises EmptyPatternError when every path amplitude is zero, and ScenarioError
+    with field "nsamples" for fewer than 16 samples.
     """
     if nsamples < 16:
-        raise ValueError(f"nsamples must be >= 16, got {nsamples}")
+        raise ScenarioError("nsamples", f"nsamples must be >= 16, got {nsamples}")
     d = _require_light(m)
     c = coherence_sum(m)
     phis, circle = _unit_circle(nsamples)
@@ -354,7 +348,7 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     scan = object.__new__(PatternScan)
     scan.__dict__.update(phis=phis, intensities=intensities,
                          visibility=min(2.0 * abs(c) / d, 1.0),
-                         phase_offset=_principal_phase(c), condition=m.condition)
+                         phase_offset=_principal_phase(c))
     return scan
 
 
@@ -376,5 +370,5 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
     for c in m.components:
         psi1, psi2 = projector._image(c.psi1, images), projector._image(c.psi2, images)
         components.append(TwoPathComponent._wrap(psi1, psi2, c.tag, c.weight))
-    conditioned = TwoPathMixture._wrap(tuple(components), projector.name)
+    conditioned = TwoPathMixture._wrap(tuple(components))
     return conditioned, mean_intensity(conditioned) / before

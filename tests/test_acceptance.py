@@ -2,14 +2,18 @@
 
 Each test prints one PASS/FAIL line (visible with pytest -s; pytest -v shows
 the same verdicts through the test ids) and fails with the full check table
-of the offending criterion.
+of the offending criterion. The criteria check the code the CLI prints from
+against closedform, which the last tests pin by changing one of the two.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
-from atomslits import acceptance
+from atomslits import acceptance, closedform, scenarios
+from atomslits.cli import main
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda c: c.id)
@@ -35,3 +39,44 @@ def test_tolerance_overrides_are_honored():
     assert result["passed"] is False
     assert result["tolerance"] == 1e-30
     assert by_id["c_long_dispersive"].run(1e-30)["passed"] is True
+
+
+def _checks(criterion_id):
+    by_id = {c.id: c for c in acceptance.CRITERIA}
+    return by_id[criterion_id].run()
+
+
+def _whichway_json(beta, delta):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["whichway", f"--beta={beta!r}", f"--delta={delta!r}", "--nmax", "24",
+                     "--format", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())["simulated"]
+
+
+def test_report_takes_its_contrast_from_closedform(monkeypatch):
+    real = closedform.contrast_B
+    monkeypatch.setattr(closedform, "contrast_B", lambda beta: real(beta) + 1e-6)
+    assert _checks("b_short_contrast")["passed"] is False
+
+
+def test_whichway_and_report_read_out_through_one_function(monkeypatch):
+    monkeypatch.setattr(scenarios, "_whichway", lambda beta, delta, nmax: (0.5, 0.25))
+    assert _whichway_json(0.5, 0.5) == {"p_plus": 0.5, "p_minus": 0.25, "ratio": 0.5}
+    result = _checks("whichway_discrimination")
+    assert {c["value"] for c in result["checks"]} == {0.5, 0.25}
+    assert result["passed"] is False
+
+
+def test_whichway_prints_the_report_values_to_the_bit():
+    values = {c["name"]: c["value"] for c in _checks("whichway_discrimination")["checks"]}
+    for b in (0.2, 0.5, 1.0):
+        for d in (0.2, 0.5, 1.0):
+            point = f"(beta={b},delta={d})"
+            p_plus, p_minus = values["p_plus" + point], values["p_minus" + point]
+            assert scenarios._whichway(b, d, 24) == (p_plus, p_minus)
+            simulated = _whichway_json(b, d)
+            # the CLI clamps a unit overlap that rounds above 1; the report does not
+            assert (simulated["p_plus"], simulated["p_minus"]) == (min(p_plus, 1.0),
+                                                                   min(p_minus, 1.0))

@@ -215,12 +215,56 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
         # finite factors whose product, the beat phase g t, overflows
         (["pattern", "--config", "E", "--coupling", "1e300", "--evolve-time", "1e300"],
          "coupling_g * evolve_time"),
+        # one refused value per ScenarioError field and command: the flag, then the
+        # library's message
+        (["pattern", "--config", "B", "--beta=nan"], "error: --beta: beta must be finite"),
+        (["pattern", "--config", "D", "--alpha=infj"], "error: --alpha: alpha must be finite"),
+        (["pattern", "--config", "B", "--epsilon=0.5"], "error: --epsilon: epsilon must lie"),
+        (["pattern", "--config", "E", "--coupling=-1"], "error: --coupling: coupling_g must be"),
+        (["pattern", "--config", "E", "--evolve-time=inf"],
+         "error: --evolve-time: evolve_time must be finite"),
+        (["pattern", "--config", "B", "--nmax=1"], "error: --nmax: truncation dimension must"),
+        (["pattern", "--config", "B", "--samples=8"], "error: --samples: nsamples must be >= 16"),
+        (["pattern", "--config", "C2", "--eraser"], "error: --eraser: operation needs a two-"),
+        (["sweep", "--config", "D", "--alpha=nan", "--beta-range", "0:0.3:2"],
+         "error: --alpha: alpha must be finite"),
+        (["sweep", "--config", "B", "--epsilon=1e-170", "--beta-range", "0:0.3:2"],
+         "error: --epsilon: epsilon must lie"),
+        (["sweep", "--config", "E", "--coupling=inf", "--beta-range", "0:0.3:2"],
+         "error: --coupling: coupling_g must be finite"),
+        (["sweep", "--config", "E", "--evolve-time=-1", "--beta-range", "0:0.3:2"],
+         "error: --evolve-time: evolve_time must be >= 0"),
+        (["sweep", "--config", "B", "--nmax=1", "--beta-range", "0:0.3:2"],
+         "error: --nmax: truncation dimension must"),
+        (["sweep", "--config", "C1", "--eraser", "--beta-range", "0:0.3:2"],
+         "error: --eraser: operation needs a two-"),
+        (["sweep", "--config", "B", "--beta-range", "0:inf:2"],
+         "error: --beta-range: MIN and MAX must be finite"),
+        (["sweep", "--config", "B", "--beta-range", "nan:1:2"],
+         "error: --beta-range: MIN and MAX must be finite"),
+        (["whichway", "--beta", "0.5", "--delta", "0.5", "--nmax=1"],
+         "error: --nmax: truncation dimension must"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert needle in err
+
+
+def test_benchmark_rejections_name_a_flag_or_the_domain(monkeypatch, capsys):
+    # the calls perfbench's generator sends as documented refusals
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.generate import REJECTED
+
+    for argv, expected in REJECTED:
+        code, out, err = run(list(argv), capsys)
+        assert (code, out) == (expected, ""), argv
+        flags = {arg.split("=")[0] for arg in argv if arg.startswith("--")}
+        if code == 2:
+            assert any(f"{flag}:" in err for flag in flags), (argv, err)
+        else:
+            assert "physics domain error" in err, (argv, err)
 
 
 def test_coincidence_space_mismatch_is_flag_error(capsys):

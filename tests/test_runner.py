@@ -2,8 +2,10 @@
 
 A printed number is either within 1e-9 of its closed form or the call exits 3
 because the truncation drops more than 1e-10 of a kick that reaches it;
-rotating every kick by one phase changes no output of any chain; and a tracer
-bound over the module names the runner looks up still sees every layer.
+rotating every kick by one phase changes no output of any chain; config C2
+prints what C1 prints; raising nmax by 8 moves no output by more than the
+truncation allows; and a tracer bound over the module names the runner looks
+up still sees every layer.
 """
 
 import cmath
@@ -24,6 +26,7 @@ import atomslits
 from atomslits import closedform
 from atomslits.cli import main
 from atomslits.errors import PhysicsDomainError
+from atomslits.fockspace import coherent_state
 from atomslits.scenarios import ScenarioSpec, _run
 from atomslits.transforms import PROJECTOR_NAMES
 from atomslits.twopath import FreqTag, phase_offset, visibility
@@ -154,6 +157,91 @@ def test_kick_phase_changes_no_output(drawn, theta):
     assert abs(post0 - post1) < 1e-12
     if v0 > 1e-6:
         assert abs((phase0 - phase1 + math.pi) % (2 * math.pi) - math.pi) < 1e-12
+
+
+# --- C1 = C2 and nmax convergence, through the CLI ---------------------------
+
+_small = st.floats(-0.7, 0.7)
+_small_kick = st.builds(complex, _small, _small)
+
+
+@st.composite
+def c_argv(draw):
+    """A pattern or sweep call on config C1, flags drawn from those C1 takes."""
+    command = draw(st.sampled_from(["pattern", "sweep"]))
+    argv = [command, "--config", "C1", "--pulse", draw(st.sampled_from(["short", "long"]))]
+    argv += _option("--treatment", draw(st.none() | st.sampled_from(["exact", "first"])))
+    if command == "pattern":
+        argv += [f"--beta={draw(_small_kick)!r}", "--samples", "16"]
+    else:
+        argv += ["--beta-range", draw(st.sampled_from(["0:0.4:3", "0.1:0.6:2", "0.2:0.2:1"]))]
+    argv += _option("--nmax", draw(st.none() | st.integers(2, 40)))
+    argv += ["--eraser"] if draw(st.integers(0, 4)) == 0 else []  # C1 refuses it
+    tags = draw(st.none() | st.sets(st.sampled_from(list(FreqTag)), min_size=1))
+    argv += [] if tags is None else ["--dispersive", ",".join(sorted(t.value for t in tags))]
+    argv += _option("--coincidence", draw(st.none() | st.sampled_from(ONE_MODE)))
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+def _option(flag, value):
+    return [] if value is None else [flag, str(value)]
+
+
+@settings(max_examples=150)
+@given(argv=c_argv())
+def test_c2_prints_what_c1_prints(argv):
+    # a rigid movable double slit recoils like one atom scattering into two directions
+    code, out, err = run_quiet(argv)
+    code2, out2, err2 = run_quiet([("C2" if arg == "C1" else arg) for arg in argv])
+    assert (code2, err2) == (code, err)
+    assert out2.replace("# config=C2", "# config=C1").replace(
+        '"config": "C2"', '"config": "C1"') == out
+
+
+@st.composite
+def nmax_argv(draw):
+    """A pattern call of any config and chain, the kicks it builds coherent states
+    of, and an nmax in [2, 40]."""
+    config = draw(st.sampled_from(["A", "B", "C1", "C2", "D", "E"]))
+    pulse = "short" if config == "D" else draw(st.sampled_from(["short", "long"]))
+    beta = cmath.rect(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 6.3)))
+    argv = ["pattern", "--config", config, "--pulse", pulse, f"--beta={beta!r}"]
+    treatment = None
+    if config == "E":
+        argv += ["--coupling", repr(draw(st.floats(0.0, 2.0))),
+                 "--evolve-time", repr(draw(st.floats(0.0, 2.0)))]
+    else:
+        treatment = draw(st.none() | st.sampled_from(["exact", "first"]))
+        argv += _option("--treatment", treatment)
+    exact = config in ("B", "C1", "C2", "D") and pulse == "short" and treatment != "first"
+    kicks = [beta] if exact else []
+    if config == "D":
+        kicks.append(cmath.rect(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 6.3))))
+        argv.append(f"--alpha={kicks[-1]!r}")
+    argv += ["--eraser"] if draw(st.booleans()) else []
+    if pulse == "long" and draw(st.booleans()):
+        argv += ["--dispersive", draw(st.sampled_from(["SHIFTED", "SYM", "ANTISYM,ELASTIC"]))]
+    names = ONE_MODE if config in ("C1", "C2") else TWO_MODE
+    argv += _option("--coincidence", draw(st.none() | st.sampled_from(names)))
+    return argv + ["--samples", "16"], kicks, draw(st.integers(2, 40))
+
+
+@settings(max_examples=150)
+@given(drawn=nmax_argv())
+def test_eight_more_levels_move_no_output_beyond_the_truncation(drawn):
+    argv, kicks, nmax = drawn
+    coarse, fine = (run_quiet(argv + ["--nmax", str(n)]) for n in (nmax, nmax + 8))
+    if coarse[0] != 0 or fine[0] != 0:
+        return
+    a, b = (dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+            for _, out, _ in (coarse, fine))
+    residual = max((coherent_state(k, nmax)[1] for k in kicks), default=0.0)
+    bound = 10.0 * residual + 1e-13
+    for key in ("visibility", "post_selection_probability"):
+        assert abs(float(a[key]) - float(b[key])) <= bound, (key, a[key], b[key], residual)
+    if float(a["visibility"]) > 1e-6:
+        gap = float(a["phase_offset"]) - float(b["phase_offset"])
+        assert abs((gap + math.pi) % (2 * math.pi) - math.pi) <= bound, (a, b, residual)
 
 
 # --- layer names -----------------------------------------------------------

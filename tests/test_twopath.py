@@ -129,7 +129,6 @@ def test_condition_with_identity_is_noop():
     cm, prob = condition(m, ident)
     assert prob == pytest.approx(1.0)
     assert np.array_equal(cm.components[0].psi1.amplitudes, m.components[0].psi1.amplitudes)
-    assert cm.condition == "identity"
 
 
 def test_condition_never_gains_intensity_and_rank_one_binary():
