@@ -8,7 +8,8 @@ reported as its median:
 
   start      interpreter start, up to the first line of the child's code
   numpy      `import numpy`
-  atomslits  `import atomslits.cli`
+  library    `import atomslits`, the import an in-process caller pays
+  cli        `import atomslits.cli` on top of it: argparse and the CLI module
   main       `cli.main`: flag parsing, compute and output
   exit       process teardown: the child's wall time after `main` returns
 
@@ -34,7 +35,7 @@ import subprocess
 import sys
 import time
 
-PARTS = ("start", "numpy", "atomslits", "main", "exit")
+PARTS = ("start", "numpy", "library", "cli", "main", "exit")
 # kind: (argv, exit code)
 KINDS = {
     "pattern_csv": (["pattern", "--config", "B", "--beta", "0.3", "--eraser",
@@ -52,6 +53,8 @@ CHILD = f"""\
 import os, time
 stamps = [time.clock_gettime(time.CLOCK_MONOTONIC)]
 import numpy
+stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
+import atomslits
 stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
 from atomslits import cli
 stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))

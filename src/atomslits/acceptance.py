@@ -11,7 +11,7 @@ pytest suite cannot drift apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -125,7 +125,7 @@ def _crit_c_contrast_and_coincidence(tol: float) -> list[dict]:
         checks.append(_phase_check(f"conditioned_phase_level0({label})", phase_offset(on_0), 0.0, tol))
         checks.append(_check(f"conditioned_vis_level1({label})", visibility(on_1), 1.0, tol))
         checks.append(_phase_check(f"conditioned_phase_level1({label})", phase_offset(on_1), math.pi, tol))
-        gap = _mixture_gap(_run(spec)[0], _run(replace(spec, config=Config.C2))[0])
+        gap = _mixture_gap(_run(spec)[0], _run(spec._replace(config=Config.C2))[0])
         checks.append(_check(f"c1_c2_elementwise({label})", gap, 0.0, 0.0))
     return checks
 

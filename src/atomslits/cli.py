@@ -19,7 +19,6 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--treatment", choices=[t.value for t in Treatment], default=None,
                           help="exact coherent-state markers or first-order amplitudes "
                                "(default: first for config E, exact elsewhere)")
-    scenario.add_argument("--beta", type=_complex_arg, default=0j,
+    scenario.add_argument("--beta", type=_complex_arg, default=None,
                           help="recoil kick amplitude, complex accepted (default: 0)")
     scenario.add_argument("--alpha", type=_complex_arg, default=None,
                           help="longitudinal common-mode kick, config D only")
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="condition on a named projector: " + ", ".join(PROJECTOR_NAMES))
 
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--samples", type=int, default=256,
+    output.add_argument("--samples", type=int, default=None,
                         help=f"number of detector phases sampled, at most {MAX_SAMPLES} "
                              "(default: 256)")
     output.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -165,11 +164,11 @@ def _parse_tags(text: str) -> set[FreqTag]:
     return tags
 
 
-def _make_spec(args, beta=None) -> ScenarioSpec:
+def _make_spec(args, beta: complex) -> ScenarioSpec:
     return ScenarioSpec(
         config=args.config,
         pulse=args.pulse,
-        beta=args.beta if beta is None else beta,
+        beta=beta,
         alpha=args.alpha if args.alpha is not None else 0j,
         epsilon=args.epsilon,
         coupling_g=args.coupling if args.coupling is not None else 0.0,
@@ -222,11 +221,12 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_pattern(args) -> int:
     _validate_scenario_flags(args)
-    if args.samples > MAX_SAMPLES:
-        raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
-    spec = _make_spec(args)
+    samples = 256 if args.samples is None else args.samples
+    if samples > MAX_SAMPLES:
+        raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {samples}")
+    spec = _make_spec(args, 0j if args.beta is None else args.beta)
     mixture, post_selection = _run(spec, args.eraser, args.dispersive, args.coincidence)
-    scan = pattern(mixture, args.samples)
+    scan = pattern(mixture, samples)
     applied = ["eraser"] if args.eraser else []
     if args.dispersive is not None:
         applied.append("dispersive:" + ",".join(sorted(t.value for t in args.dispersive)))
@@ -286,8 +286,8 @@ def _sweep_visibilities(args, beta: float) -> tuple[float, float]:
     The lanes are the regime's treatments, or the spec's own treatment if there
     are none; a single lane fills both columns.
     """
-    spec = _make_spec(args, beta=beta)
-    lanes = [visibility(_run(replace(spec, treatment=t), args.eraser, args.dispersive,
+    spec = _make_spec(args, beta)
+    lanes = [visibility(_run(spec._replace(treatment=t), args.eraser, args.dispersive,
                              args.coincidence)[0])
              for t in spec.treatments or (spec.treatment,)]
     return lanes[0], lanes[-1]
@@ -297,6 +297,10 @@ def cmd_sweep(args) -> int:
     from . import closedform
 
     _validate_scenario_flags(args)
+    if args.beta is not None:
+        raise FlagError("--beta", "sweep takes its betas from --beta-range")
+    if args.samples is not None:
+        raise FlagError("--samples", "sweep samples no pattern; it prints one row per beta")
     betas = _parse_beta_range(args.beta_range)
     rows = []
     for b in betas:
@@ -311,7 +315,7 @@ def cmd_sweep(args) -> int:
                 "deviation": abs(v_exact - reference),
             }
         )
-    spec_echo = _make_spec(args, beta=0j).to_dict()
+    spec_echo = _make_spec(args, 0j).to_dict()
     spec_echo["beta"] = args.beta_range
     meta = {"version": __version__, "command": "sweep"}
     meta.update(spec_echo)

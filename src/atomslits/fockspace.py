@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -43,19 +42,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FockSpace:
+class _Frozen:
+    """Read-only attributes (constructors write __dict__) and a repr of the _fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FockSpace(_Frozen):
     """Composite truncated oscillator space; dimensions are fixed for life."""
 
-    mode_dims: tuple[int, ...]
+    _fields = ("mode_dims",)
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.mode_dims)
+    def __init__(self, mode_dims: tuple[int, ...]) -> None:
+        dims = tuple(int(d) for d in mode_dims)
         if len(dims) == 0:
             raise ValueError("a FockSpace needs at least one mode")
         if any(d < 2 for d in dims):
             raise ValueError(f"every mode dimension must be >= 2, got {dims}")
-        object.__setattr__(self, "mode_dims", dims)
+        self.__dict__["mode_dims"] = dims
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.mode_dims == other.mode_dims if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mode_dims,))
 
     @cached_property
     def dim(self) -> int:
@@ -87,8 +106,7 @@ def _space(mode_dims: tuple[int, ...]) -> FockSpace:
     return FockSpace(mode_dims)
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
+class FockVector(_Frozen):
     """Complex amplitude vector over a FockSpace.
 
     Amplitudes are copied in and frozen, and must be finite with a finite
@@ -96,18 +114,17 @@ class FockVector:
     the amplitudes never change.
     """
 
-    space: FockSpace
-    amplitudes: np.ndarray
+    _fields = ("space", "amplitudes")
 
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
-        if amps.shape != (self.space.dim,):
+    def __init__(self, space: FockSpace, amplitudes: np.ndarray) -> None:
+        amps = np.array(amplitudes, dtype=np.complex128, copy=True).reshape(-1)
+        if amps.shape != (space.dim,):
             raise ValueError(
                 f"amplitude length {amps.shape[0]} does not match "
-                f"space dimension {self.space.dim}"
+                f"space dimension {space.dim}"
             )
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__.update(space=space, amplitudes=amps)
         # a NaN or inf amplitude, or huge ones, give a norm that is not finite
         with np.errstate(over="ignore"):
             if not math.isfinite(self.norm()):

@@ -39,17 +39,16 @@ and look _whichway up on this module, so one rebinding of it reaches both.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import transforms
 from .errors import PerturbationError, ScenarioError, SpaceMismatchError
 from .fockspace import (
     FockVector,
+    _Frozen,
     _check_residual,
     _product,
     _shared_state,
@@ -109,8 +108,7 @@ class Treatment(str, Enum):
 _CONFIGS, _PULSES, _TREATMENTS = ({m.value: m for m in e} for e in (Config, Pulse, Treatment))
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Frozen):
     """Declarative description of one scenario run.
 
     beta is the dimensionless recoil kick beta = i Q x0 / sqrt(2) for photon
@@ -128,39 +126,35 @@ class ScenarioSpec:
     pulse on config E) raise ScenarioError here, before any other check.
     """
 
-    config: Config
-    pulse: Pulse = Pulse.SHORT
-    beta: complex = 0j
-    alpha: complex = 0j
-    epsilon: float = 0.01
-    coupling_g: float = 0.0
-    evolve_time: float = 0.0
-    treatment: Treatment | None = None
-    nmax: int = 16
+    _fields = ("config", "pulse", "beta", "alpha", "epsilon", "coupling_g", "evolve_time",
+               "treatment", "nmax")
 
-    def __post_init__(self) -> None:
+    def __init__(self, config: Config, pulse: Pulse = Pulse.SHORT, beta: complex = 0j,
+                 alpha: complex = 0j, epsilon: float = 0.01, coupling_g: float = 0.0,
+                 evolve_time: float = 0.0, treatment: Treatment | None = None, nmax: int = 16):
         try:
-            config, pulse = _CONFIGS[self.config], _PULSES[self.pulse]
-            treatment = None if self.treatment is None else _TREATMENTS[self.treatment]
+            config, pulse = _CONFIGS[config], _PULSES[pulse]
+            treatment = None if treatment is None else _TREATMENTS[treatment]
         except (KeyError, TypeError):  # not a value of its enum: the enum call says so
-            config, pulse = Config(self.config), Pulse(self.pulse)
-            treatment = None if self.treatment is None else Treatment(self.treatment)
+            config, pulse = Config(config), Pulse(pulse)
+            treatment = None if treatment is None else Treatment(treatment)
         regime = _REGIMES[config]
         if treatment is None:
             treatment = (regime.treatments or (Treatment.EXACT,))[0]
-        self.__dict__.update(config=config, pulse=pulse, treatment=treatment)
         if pulse is Pulse.LONG and regime.long is None:
             raise ScenarioError("pulse", f"config {config.value} supports short pulses only")
         if pulse is Pulse.SHORT and regime.treatments and treatment not in regime.treatments:
             allowed = "/".join(t.value for t in regime.treatments)
             raise ScenarioError("treatment", f"config {config.value} short pulses are "
                                              f"implemented for treatment {allowed} only")
-        self.__dict__.update(beta=complex(self.beta), alpha=complex(self.alpha),
-                             epsilon=float(self.epsilon), coupling_g=float(self.coupling_g),
-                             evolve_time=float(self.evolve_time), nmax=int(self.nmax))
+        self.__dict__.update(config=config, pulse=pulse, beta=complex(beta),
+                             alpha=complex(alpha), epsilon=float(epsilon),
+                             coupling_g=float(coupling_g), evolve_time=float(evolve_time),
+                             treatment=treatment, nmax=int(nmax))
         for name in ("beta", "alpha", "coupling_g", "evolve_time"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ScenarioError(name, f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ScenarioError(name, f"{name} must be finite, got {value}")
         if not _EPSILON_MIN <= self.epsilon <= 0.1:
             raise ScenarioError(
                 "epsilon",
@@ -179,6 +173,20 @@ class ScenarioSpec:
                 f"{self.evolve_time}"
             )
         check_nmax(self.nmax)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._astuple() == other._astuple() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def _replace(self, **changes) -> "ScenarioSpec":
+        """A new spec with these fields changed, checked as a fresh one."""
+        return ScenarioSpec(**dict(zip(self._fields, self._astuple()), **changes))
 
     @property
     def treatments(self) -> tuple[Treatment, ...]:
@@ -382,16 +390,15 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     )
 
 
-class _Regime(NamedTuple):
-    short: Callable[[ScenarioSpec], TwoPathMixture]
-    treatments: tuple[Treatment, ...]  # the first is the default; () if it does not enter
-    long: Callable[[ScenarioSpec], TwoPathMixture] | None  # None: undefined
+class _Regime:
+    def __init__(self, short: Callable, treatments: tuple[Treatment, ...], long: Callable | None):
+        self.short, self.treatments, self.long = short, treatments, long
 
 
 _BOTH = (Treatment.EXACT, Treatment.FIRST_ORDER)
 
-# The catalogue: which (config, pulse, treatment) combinations exist, each
-# config's default treatment, and the builder that runs each regime.
+# The catalogue of regimes, (short builder, treatments, long builder) per config: the
+# first treatment is the default, () where it does not enter; a None builder is undefined.
 _REGIMES = {
     Config.A: _Regime(build_A, (), build_A),
     Config.B: _Regime(build_B_short, _BOTH, build_B_long),

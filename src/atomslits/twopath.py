@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyPatternError, ScenarioError, SpaceMismatchError
-from .fockspace import FockSpace, FockVector, inner
+from .fockspace import FockSpace, FockVector, _Frozen, inner
 
 __all__ = [
     "FreqTag",
@@ -68,27 +68,23 @@ class FreqTag(str, Enum):
     ANTISYM = "ANTISYM"
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPathComponent:
+class TwoPathComponent(_Frozen):
     """One incoherent component: marker states for path 1 and path 2.
 
     weight is a nonnegative probability-like factor; either path may carry
     the zero vector when the photon definitely took the other path.
     """
 
-    psi1: FockVector
-    psi2: FockVector
-    tag: FreqTag = FreqTag.ELASTIC
-    weight: float = 1.0
+    _fields = ("psi1", "psi2", "tag", "weight")
 
-    def __post_init__(self) -> None:
-        if self.psi1.space != self.psi2.space:
+    def __init__(self, psi1: FockVector, psi2: FockVector, tag: FreqTag = FreqTag.ELASTIC,
+                 weight: float = 1.0) -> None:
+        if psi1.space != psi2.space:
             raise SpaceMismatchError("psi1 and psi2 must live in the same FockSpace")
-        w = float(self.weight)
+        w = float(weight)
         if w < 0 or not math.isfinite(w):
             raise ValueError(f"component weight must be finite and >= 0, got {w}")
-        object.__setattr__(self, "tag", FreqTag(self.tag))
-        object.__setattr__(self, "weight", w)
+        self.__dict__.update(psi1=psi1, psi2=psi2, tag=FreqTag(tag), weight=w)
 
     @classmethod
     def _wrap(cls, psi1: FockVector, psi2: FockVector, tag: FreqTag,
@@ -104,14 +100,13 @@ class TwoPathComponent:
         return self.psi1.space
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPathMixture:
+class TwoPathMixture(_Frozen):
     """Weighted incoherent set of TwoPathComponents over a common space."""
 
-    components: tuple[TwoPathComponent, ...]
+    _fields = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components: tuple[TwoPathComponent, ...]) -> None:
+        comps = tuple(components)
         if not comps:
             raise ValueError("a TwoPathMixture needs at least one component")
         space = comps[0].space
@@ -120,7 +115,7 @@ class TwoPathMixture:
                 raise SpaceMismatchError("all components must share one FockSpace")
         if not 0 < sum(c.weight for c in comps) < math.inf:
             raise ValueError("total mixture weight must be positive and finite")
-        object.__setattr__(self, "components", comps)
+        self.__dict__["components"] = comps
 
     @classmethod
     def _wrap(cls, components: tuple[TwoPathComponent, ...]) -> "TwoPathMixture":
@@ -139,8 +134,7 @@ class TwoPathMixture:
         return sum(c.weight for c in self.components)
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
+class Projector(_Frozen):
     """The projector U U^dag on the marker space, applied pathwise by condition().
 
     columns is U, a dim x k block of orthonormal columns spanning the kept
@@ -151,45 +145,43 @@ class Projector:
     projector.
     """
 
-    space: FockSpace
-    columns: np.ndarray
-    name: str = "custom"
+    _fields = ("space", "columns", "name")
 
-    def __post_init__(self) -> None:
-        u = np.array(self.columns, dtype=np.complex128, copy=True)
-        if u.ndim != 2 or u.shape[0] != self.space.dim:
+    def __init__(self, space: FockSpace, columns: np.ndarray, name: str = "custom") -> None:
+        u = np.array(columns, dtype=np.complex128, copy=True)
+        if u.ndim != 2 or u.shape[0] != space.dim:
             raise SpaceMismatchError(
                 f"projector columns of shape {u.shape} do not match "
-                f"space dimension {self.space.dim}"
+                f"space dimension {space.dim}"
             )
         if not np.isfinite(u).all():
-            raise ValueError(f"projector '{self.name}' columns must be finite")
+            raise ValueError(f"projector '{name}' columns must be finite")
         # huge finite columns overflow the Gram matrix to inf or nan; both are refused
         with np.errstate(over="ignore", invalid="ignore"):
             gram = u.conj().T @ u
             gap = np.abs(gram @ gram - gram).max(initial=0.0)
         if not gap <= 1e-12:
             raise ValueError(
-                f"projector '{self.name}' columns do not span an orthogonal projector: "
+                f"projector '{name}' columns do not span an orthogonal projector: "
                 f"U^dag U is not idempotent within 1e-12"
             )
-        self._adopt(u)
+        self._adopt(space, u, name)
 
-    def _adopt(self, u: np.ndarray) -> None:
+    def _adopt(self, space: FockSpace, u: np.ndarray, name: str) -> None:
         adjoint = u.conj().T
         u.setflags(write=False)
         adjoint.setflags(write=False)
         # one column whose only nonzero entry is exactly 1, as for a number state
         single = u.shape[1] == 1 and int(np.count_nonzero(u)) == 1 and bool((u == 1).any())
-        self.__dict__.update(columns=u, _adjoint=adjoint, _single=single)
+        self.__dict__.update(space=space, columns=u, name=name, _adjoint=adjoint,
+                             _single=single)
 
     @classmethod
     def _wrap(cls, space: FockSpace, columns: np.ndarray, name: str) -> "Projector":
         """Adopt a dim x k complex128 block of orthonormal columns the package has
         just allocated, without a copy or the constructor's checks."""
         p = object.__new__(cls)
-        p.__dict__.update(space=space, name=name)
-        p._adopt(columns)
+        p._adopt(space, columns, name)
         return p
 
     def _image(self, v: FockVector, images: dict) -> FockVector:

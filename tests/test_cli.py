@@ -244,6 +244,11 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
          "error: --beta-range: MIN and MAX must be finite"),
         (["whichway", "--beta", "0.5", "--delta", "0.5", "--nmax=1"],
          "error: --nmax: truncation dimension must"),
+        # sweep refuses the shared flags it would ignore, valid values too
+        (["sweep", "--config", "B", "--beta", "0.3", "--beta-range", "0:0.3:2"],
+         "error: --beta: sweep takes its betas from --beta-range"),
+        (["sweep", "--config", "B", "--samples", "256", "--beta-range", "0:0.3:2"],
+         "error: --samples: sweep samples no pattern"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
@@ -384,12 +389,12 @@ def test_cli_runs_without_scipy():
         "lazy = 'atomslits.acceptance' not in sys.modules\n"
         "no_json = 'json' not in sys.modules\n"
         "codes.append(cli.main(['report', '--out', os.devnull]))\n"
-        "print(codes, 'scipy' in sys.modules, lazy, no_json)\n"
+        "print(codes, 'scipy' in sys.modules, lazy, no_json, 'cmath' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=child_env(), timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0] False True True\n"
+    assert result.stdout == "[0, 0] False True True False\n"
 
 
 def test_in_process_main_freezes_nothing(capsys):

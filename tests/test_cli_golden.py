@@ -117,6 +117,8 @@ REJECTED = [
     ["pattern", "--config", "A", "--coincidence", "atom1_excited"],
     ["pattern", "--config", "C1", "--nmax", "172"],
     ["whichway", "--beta", "1e200", "--delta", "0.1"],
+    ["sweep", "--config", "B", "--beta", "nan", "--beta-range", "0:0.3:2"],
+    ["sweep", "--config", "B", "--samples", "3", "--beta-range", "0:0.3:2"],
 ]
 
 ARGVS = README + list(_regimes()) + CHAINS + SWEEPS + WHICHWAYS + HELP + REJECTED

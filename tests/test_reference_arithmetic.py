@@ -208,9 +208,9 @@ def test_builds_share_spaces_and_the_empty_path(monkeypatch):
              ScenarioSpec(Config.C1, beta=0.2, nmax=24)]
     warm = [build(spec) for spec in specs]
     constructed = []
-    original = FockSpace.__post_init__
-    monkeypatch.setattr(FockSpace, "__post_init__",
-                        lambda self: constructed.append(self) or original(self))
+    original = FockSpace.__init__
+    monkeypatch.setattr(FockSpace, "__init__",
+                        lambda self, dims: constructed.append(self) or original(self, dims))
     again = [build(spec) for spec in specs]
     assert constructed == []
     assert again[0].space is again[1].space is warm[0].space

@@ -53,7 +53,8 @@ def test_startup_cost_splits_every_kind(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "median of 1 fresh children per kind, in ms, BLAS on one thread"
-    assert lines[1].split() == ["kind", "start", "numpy", "atomslits", "main", "exit", "total"]
+    assert lines[1].split() == ["kind", "start", "numpy", "library", "cli", "main", "exit",
+                                 "total"]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "whichway",
                                         "report", "reject"]
