@@ -2,16 +2,19 @@
 """Print where the wall time of one fresh atomslits process goes, in ms.
 
 For each kind of CLI call (pattern as CSV and as JSON, sweep, whichway,
-report and a rejected flag), --runs fresh children run the call the way the
-`atomslits` entry point does, and each part of a child's wall time is
-reported as its median:
+report, a rejected flag, --help and --version), --runs fresh children run the
+call the way `python -m atomslits` does, and each part of a child's wall
+time is reported as its median:
 
   start      interpreter start, up to the first line of the child's code
-  numpy      `import numpy`
-  library    `import atomslits`, the import an in-process caller pays
-  cli        `import atomslits.cli` on top of it: argparse and the CLI module
-  main       `cli.main`: flag parsing, compute and output
+  package    `import atomslits`, which is lazy and loads no numpy
+  front      `import atomslits.front`: argparse and the numpy-free front
+  main       `front.main`: flag parsing and checks, and for a call that
+             computes, the import of numpy and the compute modules, the
+             compute and the output
   exit       process teardown: the child's wall time after `main` returns
+
+A last column says whether numpy was loaded when `main` returned.
 
 The child stamps CLOCK_MONOTONIC, which all processes share, after each part
 and writes the stamps to stderr when `main` returns; the parent stamps the
@@ -35,7 +38,7 @@ import subprocess
 import sys
 import time
 
-PARTS = ("start", "numpy", "library", "cli", "main", "exit")
+PARTS = ("start", "package", "front", "main", "exit")
 # kind: (argv, exit code)
 KINDS = {
     "pattern_csv": (["pattern", "--config", "B", "--beta", "0.3", "--eraser",
@@ -46,35 +49,36 @@ KINDS = {
     "whichway": (["whichway", "--beta", "0.5", "--delta", "1"], 0),
     "report": (["report"], 0),
     "reject": (["pattern", "--config", "Z"], 2),
+    "help": (["--help"], 0),
+    "version": (["--version"], 0),
 }
 STAMPS = "startup_cost stamps:"
 
 CHILD = f"""\
-import os, time
+import os, sys, time
 stamps = [time.clock_gettime(time.CLOCK_MONOTONIC)]
-import numpy
-stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
 import atomslits
 stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
-from atomslits import cli
+from atomslits import front
 stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
-main = cli.main
+main = front.main
 
 
 def stamped_main(argv=None):
     code = main(argv)
     stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
-    os.write(2, ("\\n{STAMPS} " + " ".join(map(repr, stamps)) + "\\n").encode())
+    numpy = "yes" if "numpy" in sys.modules else "no"
+    os.write(2, ("\\n{STAMPS} " + " ".join(map(repr, stamps)) + " " + numpy + "\\n").encode())
     return code
 
 
-cli.main = stamped_main
-cli.entry()
+front.main = stamped_main
+front.entry()
 """
 
 
 def split_one(argv, expected):
-    """The ms of each of PARTS in one fresh child running argv."""
+    """The ms of each of PARTS in one fresh child running argv, and whether it loaded numpy."""
     launched = time.clock_gettime(time.CLOCK_MONOTONIC)
     child = subprocess.run([sys.executable, "-c", CHILD, *argv], stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, text=True, timeout=600)
@@ -83,8 +87,9 @@ def split_one(argv, expected):
     if child.returncode != expected or not found:
         sys.exit(f"startup_cost: {' '.join(argv)} exited {child.returncode}, "
                  f"expected {expected}:\n{child.stderr}")
-    stamps = [launched, *map(float, line.split()), reaped]
-    return [(b - a) * 1e3 for a, b in zip(stamps, stamps[1:])]
+    *stamped, numpy = line.split()
+    stamps = [launched, *map(float, stamped), reaped]
+    return [(b - a) * 1e3 for a, b in zip(stamps, stamps[1:])], numpy
 
 
 def main(argv=None):
@@ -94,15 +99,18 @@ def main(argv=None):
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     splits = {kind: [] for kind in KINDS}
+    numpy = {}
     for _ in range(args.runs):
         for kind, (call, expected) in KINDS.items():
-            splits[kind].append(split_one(call, expected))
+            parts, numpy[kind] = split_one(call, expected)
+            splits[kind].append(parts)
     print(f"median of {args.runs} fresh children per kind, in ms, BLAS on one thread")
-    print(f"{'kind':<14}" + "".join(f"{name:>11}" for name in PARTS + ("total",)))
+    print(f"{'kind':<14}" + "".join(f"{name:>11}" for name in PARTS + ("total", "numpy")))
     for kind, runs in splits.items():
         medians = [statistics.median(part) for part in zip(*runs)]
         total = statistics.median(sum(run) for run in runs)
-        print(f"{kind:<14}" + "".join(f"{ms:>11.1f}" for ms in medians + [total]))
+        print(f"{kind:<14}" + "".join(f"{ms:>11.1f}" for ms in medians + [total])
+              + f"{numpy[kind]:>11}")
 
 
 if __name__ == "__main__":

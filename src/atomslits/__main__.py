@@ -1,4 +1,4 @@
-from .cli import entry
+from .front import entry
 
 if __name__ == "__main__":
     entry()

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ScenarioError, SpaceMismatchError, TruncationError
+from .errors import SpaceMismatchError, TruncationError
+from .spec import MAX_NMAX, _Frozen, check_nmax
 
 __all__ = [
     "FockSpace",
@@ -40,20 +41,6 @@ __all__ = [
     "tensor",
     "zero_vector",
 ]
-
-
-class _Frozen:
-    """Read-only attributes (constructors write __dict__) and a repr of the _fields."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class FockSpace(_Frozen):
@@ -160,10 +147,6 @@ class FockVector(_Frozen):
         return out
 
 
-# 170! is the largest factorial a float64 holds, so the coherent series
-# beta^n / sqrt(n!) is defined on levels n <= 170 only.
-MAX_NMAX = 171
-
 # The fixed-state and projector tables hold vectors of at most two modes of
 # MAX_NMAX levels, the largest marker space: 467,856 bytes each. A larger
 # space gets new arrays on every call, so no table can pin more.
@@ -217,18 +200,6 @@ def ground_state(space: FockSpace) -> FockVector:
 def zero_vector(space: FockSpace) -> FockVector:
     """The null vector, read only and shared; used for a path carrying no amplitude."""
     return _shared_state(space, ())
-
-
-def check_nmax(nmax: int) -> None:
-    """Refuse a truncation outside 2 <= nmax <= MAX_NMAX; run it before allocating.
-    Below 2 is ScenarioError with field "nmax", above is TruncationError."""
-    if nmax < 2:
-        raise ScenarioError("nmax", f"truncation dimension must be >= 2, got {nmax}")
-    if nmax > MAX_NMAX:
-        raise TruncationError(
-            f"truncation dimension {nmax} exceeds {MAX_NMAX}; levels above "
-            f"{MAX_NMAX - 1} overflow the float64 factorial"
-        )
 
 
 def _squared_abs(z: complex) -> float:

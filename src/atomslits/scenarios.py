@@ -40,15 +40,11 @@ and look _whichway up on this module, so one rebinding of it reaches both.
 from __future__ import annotations
 
 import math
-import sys
-from enum import Enum
-from typing import Callable
 
 from . import transforms
-from .errors import PerturbationError, ScenarioError, SpaceMismatchError
+from .errors import PerturbationError
 from .fockspace import (
     FockVector,
-    _Frozen,
     _check_residual,
     _product,
     _shared_state,
@@ -56,13 +52,13 @@ from .fockspace import (
     _squared_abs,
     _superposition,
     basis_state,
-    check_nmax,
     coherent_state,
     ground_state,
     inner,
     zero_vector,
 )
-from .twopath import FreqTag, TwoPathComponent, TwoPathMixture, condition
+from .spec import Config, FreqTag, Pulse, ScenarioSpec, Treatment, check_chain
+from .twopath import TwoPathComponent, TwoPathMixture, condition
 
 __all__ = [
     "Config",
@@ -79,137 +75,6 @@ __all__ = [
     "build_E_long",
     "build_E_short",
 ]
-
-
-# The smallest epsilon whose square, a factor on every weight, is a normal float.
-_EPSILON_MIN = math.sqrt(sys.float_info.min)
-
-
-class Config(str, Enum):
-    A = "A"
-    B = "B"
-    C1 = "C1"
-    C2 = "C2"
-    D = "D"
-    E = "E"
-
-
-class Pulse(str, Enum):
-    SHORT = "short"
-    LONG = "long"
-
-
-class Treatment(str, Enum):
-    EXACT = "exact"
-    FIRST_ORDER = "first"
-
-
-# value -> member of each enum, without the enum call; a member hashes and compares as its value
-_CONFIGS, _PULSES, _TREATMENTS = ({m.value: m for m in e} for e in (Config, Pulse, Treatment))
-
-
-class ScenarioSpec(_Frozen):
-    """Declarative description of one scenario run.
-
-    beta is the dimensionless recoil kick beta = i Q x0 / sqrt(2) for photon
-    momentum transfer Q and trap oscillator length x0. alpha applies to
-    config D only; coupling_g and evolve_time apply to config E only (other
-    builders ignore them). beta, alpha, coupling_g, evolve_time and their
-    product must be finite; epsilon must stay in [1.49e-154, 0.1], the
-    single-scattering regime in which epsilon**2 is a normal float; nmax must
-    lie in [2, 171]. A value outside its domain raises ScenarioError with its
-    field ("evolve_time" for the product), except nmax above 171: TruncationError.
-
-    treatment None resolves to the config's default: first order for config
-    E on either pulse, exact elsewhere. Combinations the regime table does
-    not define (a long pulse for config D, the exact treatment for a short
-    pulse on config E) raise ScenarioError here, before any other check.
-    """
-
-    _fields = ("config", "pulse", "beta", "alpha", "epsilon", "coupling_g", "evolve_time",
-               "treatment", "nmax")
-
-    def __init__(self, config: Config, pulse: Pulse = Pulse.SHORT, beta: complex = 0j,
-                 alpha: complex = 0j, epsilon: float = 0.01, coupling_g: float = 0.0,
-                 evolve_time: float = 0.0, treatment: Treatment | None = None, nmax: int = 16):
-        try:
-            config, pulse = _CONFIGS[config], _PULSES[pulse]
-            treatment = None if treatment is None else _TREATMENTS[treatment]
-        except (KeyError, TypeError):  # not a value of its enum: the enum call says so
-            config, pulse = Config(config), Pulse(pulse)
-            treatment = None if treatment is None else Treatment(treatment)
-        regime = _REGIMES[config]
-        if treatment is None:
-            treatment = (regime.treatments or (Treatment.EXACT,))[0]
-        if pulse is Pulse.LONG and regime.long is None:
-            raise ScenarioError("pulse", f"config {config.value} supports short pulses only")
-        if pulse is Pulse.SHORT and regime.treatments and treatment not in regime.treatments:
-            allowed = "/".join(t.value for t in regime.treatments)
-            raise ScenarioError("treatment", f"config {config.value} short pulses are "
-                                             f"implemented for treatment {allowed} only")
-        self.__dict__.update(config=config, pulse=pulse, beta=complex(beta),
-                             alpha=complex(alpha), epsilon=float(epsilon),
-                             coupling_g=float(coupling_g), evolve_time=float(evolve_time),
-                             treatment=treatment, nmax=int(nmax))
-        for name in ("beta", "alpha", "coupling_g", "evolve_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ScenarioError(name, f"{name} must be finite, got {value}")
-        if not _EPSILON_MIN <= self.epsilon <= 0.1:
-            raise ScenarioError(
-                "epsilon",
-                f"epsilon must lie in [{_EPSILON_MIN!r}, 0.1], got {self.epsilon}; the "
-                f"model is first order in the scattering amplitude, and epsilon**2 must "
-                f"be a normal float"
-            )
-        if self.coupling_g < 0:
-            raise ScenarioError("coupling_g", "coupling_g must be >= 0")
-        if self.evolve_time < 0:
-            raise ScenarioError("evolve_time", "evolve_time must be >= 0")
-        if not math.isfinite(self.coupling_g * self.evolve_time):
-            raise ScenarioError(
-                "evolve_time",
-                f"coupling_g * evolve_time must be finite, got {self.coupling_g} * "
-                f"{self.evolve_time}"
-            )
-        check_nmax(self.nmax)
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._astuple() == other._astuple() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def _replace(self, **changes) -> "ScenarioSpec":
-        """A new spec with these fields changed, checked as a fresh one."""
-        return ScenarioSpec(**dict(zip(self._fields, self._astuple()), **changes))
-
-    @property
-    def treatments(self) -> tuple[Treatment, ...]:
-        """The treatments this config and pulse tell apart; () where the treatment does not enter."""
-        return _REGIMES[self.config].treatments if self.pulse is Pulse.SHORT else ()
-
-    def to_dict(self) -> dict:
-        """Flat key-value form echoed in CLI output headers."""
-        return {
-            "config": self.config.value,
-            "pulse": self.pulse.value,
-            "beta": _complex_str(self.beta),
-            "alpha": _complex_str(self.alpha),
-            "epsilon": self.epsilon,
-            "coupling_g": self.coupling_g,
-            "evolve_time": self.evolve_time,
-            "treatment": self.treatment.value,
-            "nmax": self.nmax,
-        }
-
-
-def _complex_str(z: complex) -> str:
-    return str(complex(z)).strip("()")
 
 
 def _elastic_amplitude(beta: complex) -> float:
@@ -390,23 +255,12 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     )
 
 
-class _Regime:
-    def __init__(self, short: Callable, treatments: tuple[Treatment, ...], long: Callable | None):
-        self.short, self.treatments, self.long = short, treatments, long
-
-
-_BOTH = (Treatment.EXACT, Treatment.FIRST_ORDER)
-
-# The catalogue of regimes, (short builder, treatments, long builder) per config: the
-# first treatment is the default, () where it does not enter; a None builder is undefined.
-_REGIMES = {
-    Config.A: _Regime(build_A, (), build_A),
-    Config.B: _Regime(build_B_short, _BOTH, build_B_long),
-    Config.C1: _Regime(build_C_short, _BOTH, build_C_long),
-    Config.C2: _Regime(build_C_short, _BOTH, build_C_long),
-    Config.D: _Regime(build_D_short, _BOTH, None),
-    Config.E: _Regime(build_E_short, (Treatment.FIRST_ORDER,), build_E_long),
-}
+# The builders of each config's short and long pulse; ScenarioSpec has refused
+# the regimes that spec._REGIMES does not define.
+_SHORT = {Config.A: build_A, Config.B: build_B_short, Config.C1: build_C_short,
+          Config.C2: build_C_short, Config.D: build_D_short, Config.E: build_E_short}
+_LONG = {Config.A: build_A, Config.B: build_B_long, Config.C1: build_C_long,
+         Config.C2: build_C_long, Config.E: build_E_long}
 
 
 def build(spec: ScenarioSpec) -> TwoPathMixture:
@@ -418,35 +272,28 @@ def build(spec: ScenarioSpec) -> TwoPathMixture:
     |beta| < 1 for first-order B and E, |beta|^2 < 0.5 for every long pulse
     and first-order C/D.
     """
-    regime = _REGIMES[spec.config]
-    return (regime.short if spec.pulse is Pulse.SHORT else regime.long)(spec)
+    return (_SHORT if spec.pulse is Pulse.SHORT else _LONG)[spec.config](spec)
 
 
 def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
          coincidence: str | None = None) -> tuple[TwoPathMixture, float]:
     """The mixture of the chain the module docstring describes, and its post-selection
     probability (1.0 without a coincidence). An eraser or a projector the marker
-    space does not take raises ScenarioError with field "eraser" or "coincidence".
-    build, transforms and condition are looked up when called, so a wrapper bound
-    over those module names sees every call."""
+    space does not take raises ScenarioError with field "eraser" or "coincidence",
+    before the build. build, transforms and condition are looked up when called, so
+    a wrapper bound over those module names sees every call."""
+    check_chain(spec, eraser, coincidence)
     m = build(spec)
     for name, residual in m.__dict__.get("_residuals", {}).items():
         if name == "beta" or coincidence is not None:
             _check_residual(name, getattr(spec, name), residual, spec.nmax)
     if eraser:
-        try:
-            m = transforms.apply_eraser(m)
-        except SpaceMismatchError as exc:
-            raise ScenarioError("eraser", str(exc))
+        m = transforms.apply_eraser(m)
     if dispersive is not None:
         m = transforms.apply_dispersive(m, dispersive)
     if coincidence is None:
         return m, 1.0
-    try:
-        projector = transforms.named_projector(coincidence, m.space)
-    except SpaceMismatchError as exc:
-        raise ScenarioError("coincidence", str(exc))
-    return condition(m, projector)
+    return condition(m, transforms.named_projector(coincidence, m.space))
 
 
 def _whichway(beta: float, delta: float, nmax: int) -> tuple[float, float]:

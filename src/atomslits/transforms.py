@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SpaceMismatchError
 from .fockspace import (
     FockSpace,
     FockVector,
@@ -29,7 +28,8 @@ from .fockspace import (
     basis_state,
     ground_state,
 )
-from .twopath import FreqTag, Projector, TwoPathComponent, TwoPathMixture
+from .spec import PROJECTOR_NAMES, FreqTag, check_modes
+from .twopath import Projector, TwoPathComponent, TwoPathMixture
 
 __all__ = [
     "PROJECTOR_NAMES",
@@ -50,10 +50,7 @@ _ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
     """Flat indices of |1,0> and |0,1> in a two-mode space of dims (d0, d1): d1 and 1."""
-    if len(space.mode_dims) != 2:
-        raise SpaceMismatchError(
-            f"operation needs a two-oscillator marker space, got {space.nmodes} mode(s)"
-        )
+    check_modes(space.nmodes)
     return space.mode_dims[1], 1
 
 
@@ -146,17 +143,6 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
               else c for c in m.components))
 
 
-PROJECTOR_NAMES = (
-    "ground",
-    "atom1_excited",
-    "atom2_excited",
-    "single_atom_0",
-    "single_atom_1",
-    "sym",
-    "antisym",
-)
-
-
 def named_projector(name: str, space: FockSpace) -> Projector:
     """The named coincidence projector on the given marker space, read only and shared.
 
@@ -177,14 +163,11 @@ def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     """The projector named_projector shares. Marker traffic uses 5 on each of 3
     spaces; each of the 16 entries holds its U^dag and keeps its column alive,
     at most 16 x 2 x 467,856 = 14,971,392 bytes at nmax 171."""
+    check_modes(len(mode_dims), name)
     space = _space(mode_dims)
     if name == "ground":
         column = ground_state(space)
     elif name in ("single_atom_0", "single_atom_1"):
-        if space.nmodes != 1:
-            raise SpaceMismatchError(
-                f"projector {name!r} needs a single-oscillator space"
-            )
         column = basis_state(space, (int(name[-1]),))
     elif name in ("atom1_excited", "atom2_excited"):
         i10, i01 = _excitation_pair_indices(space)

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyPatternError, ScenarioError, SpaceMismatchError
-from .fockspace import FockSpace, FockVector, _Frozen, inner
+from .errors import EmptyPatternError, SpaceMismatchError
+from .fockspace import FockSpace, FockVector, inner
+from .spec import FreqTag, _Frozen, check_nsamples
 
 __all__ = [
     "FreqTag",
@@ -52,20 +52,6 @@ __all__ = [
 # A mixture whose mean intensity falls below this fraction of its total weight
 # has been conditioned into an empty sector.
 _INTENSITY_FLOOR = 1e-24
-
-
-class FreqTag(str, Enum):
-    """Symbolic frequency label of a scattered-light component.
-
-    ELASTIC is unshifted light; SHIFTED is offset by the trap frequency; SYM
-    and ANTISYM are offset by the two normal-mode frequencies of coupled
-    slits. Tags are the vocabulary of the dispersive element.
-    """
-
-    ELASTIC = "ELASTIC"
-    SHIFTED = "SHIFTED"
-    SYM = "SYM"
-    ANTISYM = "ANTISYM"
 
 
 class TwoPathComponent(_Frozen):
@@ -321,8 +307,7 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     Raises EmptyPatternError when every path amplitude is zero, and ScenarioError
     with field "nsamples" for fewer than 16 samples.
     """
-    if nsamples < 16:
-        raise ScenarioError("nsamples", f"nsamples must be >= 16, got {nsamples}")
+    check_nsamples(nsamples)
     d = _require_light(m)
     c = coherence_sum(m)
     phis, circle = _unit_circle(nsamples)

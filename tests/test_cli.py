@@ -15,13 +15,26 @@ from hypothesis import strategies as st
 
 import atomslits
 from atomslits import acceptance
-from atomslits.cli import MAX_SWEEP_STEPS, main
+from atomslits.cli import main
+from atomslits.front import MAX_SWEEP_STEPS
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def benchmark_rejections():
+    """perfbench's documented refusals as (argv, exit code), imported with the
+    repository root on the path for the import only."""
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    try:
+        from perfbench.generate import REJECTED
+    finally:
+        sys.path.remove(root)
+    return [(list(argv), code) for argv, code in REJECTED]
 
 
 def csv_sections(text):
@@ -244,11 +257,12 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
          "error: --beta-range: MIN and MAX must be finite"),
         (["whichway", "--beta", "0.5", "--delta", "0.5", "--nmax=1"],
          "error: --nmax: truncation dimension must"),
-        # sweep refuses the shared flags it would ignore, valid values too
+        # sweep has no --beta or --samples flag, so argparse refuses valid values too;
+        # --beta is not taken as an abbreviation of --beta-range
         (["sweep", "--config", "B", "--beta", "0.3", "--beta-range", "0:0.3:2"],
-         "error: --beta: sweep takes its betas from --beta-range"),
+         "error: unrecognized arguments: --beta 0.3"),
         (["sweep", "--config", "B", "--samples", "256", "--beta-range", "0:0.3:2"],
-         "error: --samples: sweep samples no pattern"),
+         "error: unrecognized arguments: --samples 256"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
@@ -257,13 +271,10 @@ def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
     assert needle in err
 
 
-def test_benchmark_rejections_name_a_flag_or_the_domain(monkeypatch, capsys):
+def test_benchmark_rejections_name_a_flag_or_the_domain(capsys):
     # the calls perfbench's generator sends as documented refusals
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
-    from perfbench.generate import REJECTED
-
-    for argv, expected in REJECTED:
-        code, out, err = run(list(argv), capsys)
+    for argv, expected in benchmark_rejections():
+        code, out, err = run(argv, capsys)
         assert (code, out) == (expected, ""), argv
         flags = {arg.split("=")[0] for arg in argv if arg.startswith("--")}
         if code == 2:
@@ -418,22 +429,48 @@ def test_module_entry_freezes_the_heap_before_shutdown(tmp_path):
     assert int(result.stderr.split()[1]) > 0
 
 
-@pytest.mark.parametrize(
-    "argv,expected",
-    [
-        (["pattern", "--config", "B", "--beta", "0.25", "--eraser", "--samples", "16"], 0),
-        (["whichway", "--beta", "0.5", "--delta", "1", "--format", "json"], 0),
-        (["pattern", "--config", "B", "--alpha", "0.5"], 2),
-        (["pattern", "--config", "Z"], 2),
-        (["pattern", "--config", "B", "--beta", "5"], 3),
-    ],
-)
-def test_module_entry_matches_in_process_main(argv, expected, capsys):
-    code, out, _ = run(argv, capsys)
+HELP_ARGVS = [["--help"], ["--version"]] + [[command, "--help"] for command in
+                                            ("pattern", "sweep", "whichway", "report")]
+ENTRY_CASES = [
+    (["pattern", "--config", "B", "--beta", "0.25", "--eraser", "--samples", "16"], 0),
+    (["whichway", "--beta", "0.5", "--delta", "1", "--format", "json"], 0),
+    (["pattern", "--config", "B", "--alpha", "0.5"], 2),
+    (["pattern", "--config", "Z"], 2),
+    (["pattern", "--config", "B", "--beta", "5"], 3),
+]
+ENTRY_CASES += [case for case in benchmark_rejections() + [(argv, 0) for argv in HELP_ARGVS]
+                if case not in ENTRY_CASES]
+
+
+# the process enters through atomslits.front and in-process callers through cli.main;
+# both must parse, check and dispatch alike
+@pytest.mark.parametrize("argv,expected", ENTRY_CASES)
+def test_module_entry_matches_in_process_main(argv, expected, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse lays help out to this width in both
+    code, out, err = run(argv, capsys)
     result = subprocess.run([sys.executable, "-m", "atomslits", *argv], capture_output=True,
                             env=child_env(), timeout=120)
     assert code == expected
-    assert (result.returncode, result.stdout) == (code, out.encode())
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(),
+                                                                 err.encode())
+
+
+@pytest.mark.parametrize(
+    "argv,loads_numpy",
+    [(argv, False) for argv in HELP_ARGVS]
+    + [(argv, False) for argv, code in benchmark_rejections() if code == 2]
+    + [(["whichway", "--beta", "0.5", "--delta", "1"], True)],
+)
+def test_only_a_call_that_computes_loads_numpy(argv, loads_numpy, tmp_path):
+    # sitecustomize runs before `-m atomslits`, so its atexit hook sees the modules
+    # the process loaded
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'numpy {\"numpy\" in sys.modules}\\n'))\n")
+    result = subprocess.run([sys.executable, "-m", "atomslits", *argv], capture_output=True,
+                            text=True, env=child_env(tmp_path), cwd=tmp_path, timeout=120)
+    assert result.returncode == (0 if loads_numpy or argv in HELP_ARGVS else 2), result.stderr
+    assert result.stderr.endswith(f"numpy {loads_numpy}\n"), result.stderr
 
 
 def test_unwritable_out_is_one_error_line(tmp_path, capsys):

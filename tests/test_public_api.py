@@ -1,14 +1,19 @@
 import cmath
 import importlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import atomslits
 from atomslits import (
     PROJECTOR_NAMES,
     FockSpace,
@@ -34,8 +39,9 @@ from atomslits import (
     visibility,
 )
 
+SRC = str(Path(atomslits.__file__).resolve().parents[1])
 MODULES = ("acceptance", "cli", "closedform", "errors", "fockspace", "scenarios",
-           "transforms", "twopath")
+           "transforms", "twopath", "spec")
 
 
 @pytest.mark.parametrize("module", ("atomslits",) + tuple(f"atomslits.{m}" for m in MODULES))
@@ -44,6 +50,49 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+# --- the lazy package -------------------------------------------------------
+
+
+def test_package_names_are_the_objects_of_their_modules():
+    exporters = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"atomslits.{module}")
+        for name in mod.__all__:
+            exporters.setdefault(name, []).append(mod)
+    for name in (n for n in atomslits.__all__ if n != "__version__"):
+        value = getattr(atomslits, name)
+        assert exporters[name], name
+        assert all(getattr(mod, name) is value for mod in exporters[name]), name
+        home = getattr(value, "__module__", None)  # the defining module of a class or function
+        if home is not None:
+            assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_package_lists_every_public_name():
+    assert set(atomslits.__all__) <= set(dir(atomslits))
+    namespace = {}
+    exec("from atomslits import *", namespace)
+    assert set(atomslits.__all__) <= set(namespace)
+
+
+def test_package_unknown_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'atomslits' has no attribute 'nope'$"):
+        atomslits.nope
+
+
+def test_package_import_loads_no_numpy_and_binds_a_name_on_first_use():
+    script = ("import sys, atomslits\n"
+              "numpy, before = 'numpy' in sys.modules, 'build' in vars(atomslits)\n"
+              "atomslits.build\n"
+              "print(numpy, before, 'build' in vars(atomslits))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                p for p in (SRC, os.environ.get("PYTHONPATH")) if p)),
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False False True\n"
 
 
 SPACE = FockSpace((4,))

@@ -19,6 +19,7 @@ from atomslits.scenarios import (
     build_C_short,
     build_E_long,
 )
+from atomslits.spec import _REGIMES
 from atomslits.transforms import apply_dispersive, apply_eraser, named_projector
 from atomslits.twopath import FreqTag, condition, pattern, phase_offset, visibility
 
@@ -365,7 +366,10 @@ def test_regime_table_walk(config, pulse, treatment):
     s = ScenarioSpec(config, pulse, beta=0.3, treatment=treatment)
     default = Treatment.FIRST_ORDER if config is Config.E else Treatment.EXACT
     assert s.treatment is (treatment or default)
-    assert 0.0 <= visibility(build(s)) <= 1.0
+    m = build(s)
+    assert 0.0 <= visibility(m) <= 1.0
+    # the front refuses an eraser or a projector by this count, before any build
+    assert m.space.nmodes == _REGIMES[config].modes
 
 
 def test_spec_flat_serialization_round_trip():

@@ -53,13 +53,15 @@ def test_startup_cost_splits_every_kind(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "median of 1 fresh children per kind, in ms, BLAS on one thread"
-    assert lines[1].split() == ["kind", "start", "numpy", "library", "cli", "main", "exit",
-                                 "total"]
+    assert lines[1].split() == ["kind", "start", "package", "front", "main", "exit", "total",
+                                 "numpy"]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "whichway",
-                                        "report", "reject"]
+                                        "report", "reject", "help", "version"]
     for row in rows:
-        parts = [float(ms) for ms in row[1:]]
+        parts = [float(ms) for ms in row[1:-1]]
         assert all(ms > 0 for ms in parts)
         assert abs(sum(parts[:-1]) - parts[-1]) < 0.5
+    # only the calls that compute load numpy
+    assert [row[-1] for row in rows] == ["yes"] * 5 + ["no"] * 3
     assert list(tmp_path.iterdir()) == []
