@@ -2,9 +2,9 @@
 """Print where the wall time of one fresh atomslits process goes, in ms.
 
 For each kind of CLI call (pattern as CSV and as JSON, sweep, whichway,
-report, a rejected flag, --help and --version), --runs fresh children run the
-call the way `python -m atomslits` does, and each part of a child's wall
-time is reported as its median:
+report, a rejected flag, a physics-domain refusal, --help and --version),
+--runs fresh children run the call the way `python -m atomslits` does, and
+each part of a child's wall time is reported as its median:
 
   start      interpreter start, up to the first line of the child's code
   package    `import atomslits`, which is lazy and loads no numpy
@@ -12,7 +12,8 @@ time is reported as its median:
   main       `front.main`: flag parsing and checks, and for a call that
              computes, the import of numpy and the compute modules, the
              compute and the output
-  exit       process teardown: the child's wall time after `main` returns
+  exit       the child's wall time after `main` returns: the atexit handlers,
+             the stdio flush and `os._exit`, which skips module cleanup
 
 A last column says whether numpy was loaded when `main` returned.
 
@@ -49,6 +50,7 @@ KINDS = {
     "whichway": (["whichway", "--beta", "0.5", "--delta", "1"], 0),
     "report": (["report"], 0),
     "reject": (["pattern", "--config", "Z"], 2),
+    "reject3": (["pattern", "--config", "B", "--beta", "5"], 3),
     "help": (["--help"], 0),
     "version": (["--version"], 0),
 }

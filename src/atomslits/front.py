@@ -14,8 +14,12 @@ perturbative domain), 4 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import atexit
+import errno
+import functools
 import gc
 import math
+import os
 import sys
 
 from ._version import __version__
@@ -81,7 +85,7 @@ def _fmt(x: float) -> str:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, pattern: bool) -> None:
-    """The scenario and output flags; --beta and --samples for pattern only."""
+    """The scenario and output flags; pattern adds --beta and --samples, sweep --beta-range."""
     parser.add_argument("--config", required=True, choices=[c.value for c in Config],
                         help="slit configuration")
     parser.add_argument("--pulse", choices=[p.value for p in Pulse], default="short",
@@ -119,6 +123,18 @@ def _add_run_flags(parser: argparse.ArgumentParser, pattern: bool) -> None:
                         help="output format (default: csv)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
+    if not pattern:
+        parser.add_argument("--beta-range", required=True, metavar="MIN:MAX:STEPS",
+                            dest="beta_range",
+                            help=f"real sweep range, MIN >= 0, STEPS at most {MAX_SWEEP_STEPS}")
+
+
+def _whichway_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--beta", type=float, required=True, help="marker kick, real >= 0")
+    parser.add_argument("--delta", type=float, required=True, help="probe amplitude, real >= 0")
+    parser.add_argument("--nmax", type=int, default=16)
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--out", default=None, metavar="PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,34 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pattern", help="emit the interference pattern of one scenario")
-    _add_run_flags(p, pattern=True)
-    p.set_defaults(settle=_settle_pattern)
-
+    sub.add_parser("pattern", flags=functools.partial(_add_run_flags, pattern=True),
+                   help="emit the interference pattern of one scenario",
+                   ).set_defaults(settle=_settle_pattern)
     # no abbreviations, so that a --beta is refused, not read as --beta-range
-    s = sub.add_parser("sweep", allow_abbrev=False,
-                       help="sweep beta and tabulate visibilities against the "
-                            "closed-form reference")
-    _add_run_flags(s, pattern=False)
-    s.add_argument("--beta-range", required=True, metavar="MIN:MAX:STEPS",
-                   dest="beta_range",
-                   help=f"real sweep range, MIN >= 0, STEPS at most {MAX_SWEEP_STEPS}")
-    s.set_defaults(settle=_settle_sweep)
-
-    w = sub.add_parser("whichway",
-                       help="coherent-probe path discrimination probabilities")
-    w.add_argument("--beta", type=float, required=True, help="marker kick, real >= 0")
-    w.add_argument("--delta", type=float, required=True, help="probe amplitude, real >= 0")
-    w.add_argument("--nmax", type=int, default=16)
-    w.add_argument("--format", choices=["csv", "json"], default="csv")
-    w.add_argument("--out", default=None, metavar="PATH")
-    w.set_defaults(settle=_settle_whichway)
-
-    r = sub.add_parser("report", help="run the acceptance suite, emit a JSON summary")
-    r.add_argument("--out", default=None, metavar="PATH")
-    r.set_defaults(settle=lambda args: None, format="json")
-
+    sub.add_parser("sweep", flags=functools.partial(_add_run_flags, pattern=False),
+                   allow_abbrev=False,
+                   help="sweep beta and tabulate visibilities against the "
+                        "closed-form reference",
+                   ).set_defaults(settle=_settle_sweep)
+    sub.add_parser("whichway", flags=_whichway_flags,
+                   help="coherent-probe path discrimination probabilities",
+                   ).set_defaults(settle=_settle_whichway)
+    sub.add_parser("report", flags=lambda r: r.add_argument("--out", metavar="PATH"),
+                   help="run the acceptance suite, emit a JSON summary",
+                   ).set_defaults(settle=lambda args: None, format="json")
     return parser
 
 
@@ -249,6 +252,8 @@ def _put(text: str, out: str | None) -> None:
     """Write text to stdout or the file out; a FlagError names where it cannot be written."""
     try:
         if out is None:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
@@ -260,7 +265,18 @@ def _put(text: str, out: str | None) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that help and version text goes through _put, not lost."""
+    """argparse's parser, except that help and version text goes through _put, not lost,
+    and that flags(parser) adds the flags at the first parse: a call builds only its own."""
+
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._flags is not None:
+            flags, self._flags = self._flags, None
+            flags(self)
+        return super().parse_known_args(args, namespace)
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
@@ -300,10 +316,15 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Process entry point: exit with main's code.
 
-    The objects alive when main returns are frozen, so the interpreter's final
-    collection skips the heap numpy and atomslits loaded. The rest of shutdown
-    (atexit handlers, the stdio flush, module cleanup) runs as usual.
+    The cyclic collector stays off for the whole process, so loading numpy and
+    atomslits runs no collection. When main returns, the atexit handlers run and
+    stdout and stderr are flushed, as at a normal exit; the process then ends at
+    os._exit, which skips module cleanup and the final collection.
     """
+    gc.disable()
     code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and not stream.closed:
+            stream.flush()
+    os._exit(code)

@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import errno
 import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import atomslits
 from atomslits import acceptance
 from atomslits.cli import main
-from atomslits.front import MAX_SWEEP_STEPS
+from atomslits.front import MAX_SWEEP_STEPS, build_parser
 
 
 def run(argv, capsys):
@@ -408,25 +410,42 @@ def test_cli_runs_without_scipy():
     assert result.stdout == "[0, 0] False True True False\n"
 
 
-def test_in_process_main_freezes_nothing(capsys):
+def test_in_process_main_leaves_the_collector_on(capsys):
     code, _, _ = run(["whichway", "--beta", "0.5", "--delta", "1"], capsys)
     assert code == 0
-    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
 
 
-def test_module_entry_freezes_the_heap_before_shutdown(tmp_path):
-    # sitecustomize runs before `-m atomslits`, so its atexit hook sees the
-    # process as it shuts down
-    (tmp_path / "sitecustomize.py").write_text(
-        "import atexit, gc, sys\n"
-        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n")
-    result = subprocess.run([sys.executable, "-m", "atomslits", "--version"],
-                            capture_output=True, text=True, env=child_env(tmp_path),
-                            cwd=tmp_path, timeout=120)
+# sitecustomize runs before `-m atomslits`, so its atexit hook sees the process as
+# it shuts down, and the object it hangs on sys is released only by module cleanup
+SITE_PROBES = (
+    "import atexit, gc, os, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'collector on: {gc.isenabled()}\\n'))\n"
+    "class Finalized:\n"
+    "    def __del__(self, write=os.write):\n"
+    "        write(2, b'finalized\\n')\n"
+    "sys.finalize_probe = Finalized()\n"
+)
+PROBED_ARGVS = [["whichway", "--beta", "0.5", "--delta", "1"], ["--version"]]
+
+
+@pytest.mark.parametrize("argv", PROBED_ARGVS, ids=["whichway", "version"])
+def test_module_entry_runs_atexit_with_the_collector_off(argv, tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(SITE_PROBES)
+    result = subprocess.run([sys.executable, "-m", "atomslits", *argv], capture_output=True,
+                            text=True, env=child_env(tmp_path), cwd=tmp_path, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == f"atomslits {atomslits.__version__}\n"
-    assert result.stderr.startswith("frozen ")
-    assert int(result.stderr.split()[1]) > 0
+    assert result.stdout
+    assert result.stderr.startswith("collector on: False\n"), result.stderr
+
+
+@pytest.mark.parametrize("argv", PROBED_ARGVS, ids=["whichway", "version"])
+def test_module_entry_skips_module_finalization(argv, tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(SITE_PROBES)
+    result = subprocess.run([sys.executable, "-m", "atomslits", *argv], capture_output=True,
+                            text=True, env=child_env(tmp_path), cwd=tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "finalized" not in result.stderr
 
 
 HELP_ARGVS = [["--help"], ["--version"]] + [[command, "--help"] for command in
@@ -506,6 +525,61 @@ def test_help_to_a_full_stdout_is_one_error_line(argv):
     assert result.returncode == 2
     assert result.stderr == ("atomslits: error: stdout: cannot write output: "
                              "No space left on device\n")
+
+
+CLOSED_STDOUT = ("atomslits: error: stdout: cannot write output: "
+                 f"{os.strerror(errno.EBADF)}\n")
+
+
+# a process started with fd 1 closed has sys.stdout None
+@pytest.mark.parametrize("argv", [["pattern", "--config", "B"], ["--help"], ["--version"]])
+def test_closed_stdout_is_one_error_line(argv):
+    script = ("import os, sys\n"
+              "os.close(1)\n"
+              "os.execv(sys.executable, [sys.executable, '-m', 'atomslits', *sys.argv[1:]])\n")
+    result = subprocess.run([sys.executable, "-c", script, *argv], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, env=child_env(), timeout=120)
+    assert (result.returncode, result.stderr) == (2, CLOSED_STDOUT)
+
+
+@pytest.mark.parametrize("argv", [["pattern", "--config", "B"], ["report", "--help"]])
+def test_closed_stdout_in_process_is_one_error_line(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, CLOSED_STDOUT)
+
+
+# the flags of each subcommand, which its parser adds when it first parses
+SUBCOMMAND_FLAGS = {
+    "pattern": ["--config", "--pulse", "--treatment", "--beta", "--alpha", "--epsilon",
+                "--coupling", "--evolve-time", "--nmax", "--eraser", "--dispersive",
+                "--coincidence", "--samples", "--format", "--out"],
+    "sweep": ["--config", "--pulse", "--treatment", "--alpha", "--epsilon", "--coupling",
+              "--evolve-time", "--nmax", "--eraser", "--dispersive", "--coincidence",
+              "--format", "--out", "--beta-range"],
+    "whichway": ["--beta", "--delta", "--nmax", "--format", "--out"],
+    "report": ["--out"],
+}
+
+
+def test_one_parser_parses_every_subcommand_in_turn():
+    parser = build_parser()
+    for argv in (["pattern", "--config", "B", "--beta", "0.3", "--samples", "32"],
+                 ["sweep", "--config", "C1", "--beta-range", "0:0.3:4"],
+                 ["whichway", "--beta", "0.5", "--delta", "1"],
+                 ["report", "--out", "r.json"],
+                 ["pattern", "--config", "D", "--alpha", "0.4", "--format", "json"]):
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+        assert {"--" + key.replace("_", "-") for key in vars(args)} >= set(argv[1::2])
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_subcommand_help_lists_every_flag(command, capsys):
+    code, out, _ = run([command, "--help"], capsys)
+    assert code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == {"--help",
+                                                                 *SUBCOMMAND_FLAGS[command]}
 
 
 # Calls whose truncation drops more than 1e-10 of a kick that reaches a printed

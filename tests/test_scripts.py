@@ -57,11 +57,11 @@ def test_startup_cost_splits_every_kind(tmp_path):
                                  "numpy"]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "whichway",
-                                        "report", "reject", "help", "version"]
+                                        "report", "reject", "reject3", "help", "version"]
     for row in rows:
         parts = [float(ms) for ms in row[1:-1]]
         assert all(ms > 0 for ms in parts)
         assert abs(sum(parts[:-1]) - parts[-1]) < 0.5
-    # only the calls that compute load numpy
-    assert [row[-1] for row in rows] == ["yes"] * 5 + ["no"] * 3
+    # only the calls that compute, or that exit 3 after building, load numpy
+    assert [row[-1] for row in rows] == ["yes"] * 5 + ["no", "yes", "no", "no"]
     assert list(tmp_path.iterdir()) == []
