@@ -20,7 +20,8 @@ class PhysicsDomainError(ValueError):
 
 
 class TruncationError(PhysicsDomainError):
-    """Displacement amplitude too large for the requested Fock truncation."""
+    """A coherent amplitude too large for the Fock truncation: |beta|^2 above nmax, or
+    a kick whose truncation residual, above 1e-10, reaches an output."""
 
 
 class PerturbationError(PhysicsDomainError):

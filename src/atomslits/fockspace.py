@@ -38,7 +38,6 @@ __all__ = [
     "ground_state",
     "inner",
     "project",
-    "tensor",
     "zero_vector",
 ]
 
@@ -223,8 +222,9 @@ def _truncation_guard(beta: complex, nmax: int) -> None:
 
 
 def _check_residual(name: str, amplitude: complex, residual: float, nmax: int) -> None:
-    """Refuse a coherent amplitude whose truncation residual is above 1e-10; the
-    caller checks only the amplitudes whose residual reaches an output."""
+    """Refuse a coherent amplitude whose truncation residual is above 1e-10: beta's
+    kick in the exact builders, D's common-mode kick in condition, and the
+    scenarios._whichway probe and marker."""
     if residual > 1e-10:
         raise TruncationError(
             f"coherent amplitude {name} = {amplitude:.4g} loses {residual:.2g} of its state "
@@ -287,25 +287,9 @@ def inner(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def tensor(vectors: Sequence[FockVector]) -> FockVector:
-    """Kronecker composition in listed order (first factor slowest), as np.kron.
-
-    Raises ValueError where the product's norm would overflow a float.
-    """
-    if len(vectors) == 0:
-        raise ValueError("tensor of an empty list is undefined")
-    # the norm of each partial product is the product of its factors' norms; its
-    # square, with a factor 2 for rounding, must stay finite or norm() overflows
-    norm = 1.0
-    for v in vectors:
-        norm *= v.norm()
-        if not math.isfinite(2.0 * norm * norm):
-            raise ValueError("the norm of the tensor product overflows a float")
-    return _product(vectors)
-
-
 def _product(vectors: Sequence[FockVector]) -> FockVector:
-    """tensor without its checks, for factors whose norms are known to be small."""
+    """Kronecker composition in listed order (first factor slowest), as np.kron, for
+    factors whose norms are known to be small."""
     amps, dims = vectors[0].amplitudes, vectors[0].space.mode_dims
     for v in vectors[1:]:
         amps = np.multiply.outer(amps, v.amplitudes).ravel()

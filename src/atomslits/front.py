@@ -266,7 +266,8 @@ def _put(text: str, out: str | None) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that help and version text goes through _put, not lost,
-    and that flags(parser) adds the flags at the first parse: a call builds only its own."""
+    a usage error's usage never goes to stdout, and flags(parser) adds the flags at the
+    first parse: a call builds only its own."""
 
     def __init__(self, *args, flags=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -284,6 +285,10 @@ class _Parser(argparse.ArgumentParser):
         else:
             super()._print_message(message, file)
 
+    def error(self, message):  # argparse's prints the usage to stdout where stderr is None
+        self._print_message(self.format_usage(), sys.stderr)
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
 
 def run(parser: argparse.ArgumentParser, argv=None) -> int:
     """Parse argv with parser, settle its flags, then import atomslits.cli and run
@@ -298,15 +303,16 @@ def run(parser: argparse.ArgumentParser, argv=None) -> int:
 
         return getattr(cli, "cmd_" + args.command)(args)
     except PhysicsDomainError as exc:
-        print(f"atomslits: physics domain error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
+        code, message = EXIT_PHYSICS, f"physics domain error: {exc}"
     except ScenarioError as exc:  # a value or combination the library refused, by field
-        flag = _FIELD_FLAGS.get(exc.field, "--" + exc.field)
-        print(f"atomslits: error: {flag}: {exc}", file=sys.stderr)
-        return EXIT_FLAG
+        code, message = EXIT_FLAG, f"error: {_FIELD_FLAGS.get(exc.field, '--' + exc.field)}: {exc}"
     except (FlagError, ValueError) as exc:
-        print(f"atomslits: error: {exc}", file=sys.stderr)
-        return EXIT_FLAG
+        code, message = EXIT_FLAG, f"error: {exc}"
+    try:  # as argparse's own, a stderr missing or on a closed descriptor loses the line
+        sys.stderr.write(f"atomslits: {message}\n")
+    except (AttributeError, OSError):
+        pass
+    return code
 
 
 def main(argv=None) -> int:
@@ -318,13 +324,16 @@ def entry() -> None:
 
     The cyclic collector stays off for the whole process, so loading numpy and
     atomslits runs no collection. When main returns, the atexit handlers run and
-    stdout and stderr are flushed, as at a normal exit; the process then ends at
-    os._exit, which skips module cleanup and the final collection.
+    stdout and stderr are flushed, as at a normal exit, except a stream that is
+    missing, closed or on a closed descriptor; the process then ends at os._exit,
+    which skips module cleanup and the final collection.
     """
     gc.disable()
     code = main()
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None and not stream.closed:
+        try:
             stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
     os._exit(code)

@@ -28,13 +28,14 @@ factor of epsilon^2; it cancels from every visibility but keeps absolute
 coincidence rates reportable.
 
 _run is the one chain from a spec to printed numbers: build, the eraser, the
-dispersive flip, then a coincidence cut. Exact builders keep the truncation
-residual of each coherent kick on the mixture, and _run refuses one above 1e-10
-that reaches an output with TruncationError: beta's always, D's common-mode
-alpha only under a cut, since one |alpha> on both paths cancels from V and phase.
-_whichway is the one coherent-probe readout, with the same refusal for the probe
-and the marker. The CLI and the acceptance suite print and check through both,
-and look _whichway up on this module, so one rebinding of it reaches both.
+dispersive flip, then a coincidence cut. A kick that loses more than 1e-10 to the
+truncation is refused with TruncationError by the function that owns its state:
+the exact builders refuse beta's, which reaches every output, and condition
+refuses D's common-mode alpha, which the mixture carries as common_kick, since
+one |alpha> on both paths cancels from V and the phase. _whichway is the one
+coherent-probe readout, with the same refusal for the probe and the marker. The
+CLI and the acceptance suite print and check through both, and look _whichway up
+on this module, so one rebinding of it reaches both.
 """
 
 from __future__ import annotations
@@ -102,14 +103,12 @@ def _golden_rule_b2(beta: complex) -> float:
 
 
 def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
-             **residuals: float) -> TwoPathMixture:
+             common_kick: tuple[complex, float] | None = None) -> TwoPathMixture:
     """The mixture of these (psi1, psi2, tag, weight) parts. A checked spec makes
     every weight a finite float >= 0 and the total positive, so the public
-    constructors' checks are skipped. It keeps, by spec field, the truncation
-    residual of each coherent kick it was built from, for _run."""
-    m = TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components))
-    m.__dict__["_residuals"] = residuals
-    return m
+    constructors' checks are skipped."""
+    return TwoPathMixture._wrap(tuple(TwoPathComponent._wrap(*c) for c in components),
+                                common_kick)
 
 
 def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
@@ -140,10 +139,11 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
         psi2 = _superposition(space, ((0, c0), (i01, b)))
         return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
     kicked, residual = coherent_state(b, nmax)
+    _check_residual("beta", b, residual, nmax)
     still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
     psi1 = _product((kicked, still))
     psi2 = _product((still, kicked))
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), beta=residual)
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -179,7 +179,8 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
         return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
     psi1, r1 = coherent_state(b, nmax)
     psi2, r2 = coherent_state(-b, nmax)
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), beta=max(r1, r2))
+    _check_residual("beta", b, max(r1, r2), nmax)
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -212,14 +213,14 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     if spec.treatment is Treatment.EXACT:
         plus, r1 = coherent_state(b, nmax)
         minus, r2 = coherent_state(-b, nmax)
+        _check_residual("beta", b, max(r1, r2), nmax)
     else:
         plus = _first_order_kicked(nmax, b)
         minus = _first_order_kicked(nmax, -b)
-        r1 = r2 = 0.0
     psi1 = _product((common, plus))
     psi2 = _product((common, minus))
     return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2),
-                    beta=max(r1, r2), alpha=alpha_residual)
+                    common_kick=(a, alpha_residual))
 
 
 def build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -270,7 +271,8 @@ def build(spec: ScenarioSpec) -> TwoPathMixture:
     config E, exact elsewhere) and refused undefined combinations with
     ScenarioError. Raises PerturbationError outside the perturbative domain:
     |beta| < 1 for first-order B and E, |beta|^2 < 0.5 for every long pulse
-    and first-order C/D.
+    and first-order C/D. Raises TruncationError for an exact beta kick that
+    loses more than 1e-10 to the truncation; D's alpha is refused by condition.
     """
     return (_SHORT if spec.pulse is Pulse.SHORT else _LONG)[spec.config](spec)
 
@@ -280,13 +282,11 @@ def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
     """The mixture of the chain the module docstring describes, and its post-selection
     probability (1.0 without a coincidence). An eraser or a projector the marker
     space does not take raises ScenarioError with field "eraser" or "coincidence",
-    before the build. build, transforms and condition are looked up when called, so
-    a wrapper bound over those module names sees every call."""
+    before the build; build and condition refuse a truncated kick themselves. build,
+    transforms and condition are looked up when called, so a wrapper bound over
+    those module names sees every call."""
     check_chain(spec, eraser, coincidence)
     m = build(spec)
-    for name, residual in m.__dict__.get("_residuals", {}).items():
-        if name == "beta" or coincidence is not None:
-            _check_residual(name, getattr(spec, name), residual, spec.nmax)
     if eraser:
         m = transforms.apply_eraser(m)
     if dispersive is not None:

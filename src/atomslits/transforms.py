@@ -3,7 +3,8 @@
 Covers the which-way eraser (a pi/2 rotation of the degenerate excitation
 pair), beat evolution of weakly coupled slits, the frequency-selective pi
 phase flip of a dispersive optical element, and the named coincidence
-projectors exposed on the command line.
+projectors exposed on the command line. Each transform returns a mixture that
+carries the common kick of the one it was given.
 
 Each named projector is built once per (name, space) and shared read-only,
 its column a view of the shared fixed state of fockspace and its U^dag the one
@@ -86,7 +87,7 @@ def _rotate_pair(m: TwoPathMixture, rows: list) -> TwoPathMixture:
         psi1 = _rotated(c.psi1, i, j, rows)
         psi2 = psi1 if c.psi2 is c.psi1 else _rotated(c.psi2, i, j, rows)
         components.append(TwoPathComponent._wrap(psi1, psi2, c.tag, c.weight))
-    return TwoPathMixture._wrap(tuple(components))
+    return TwoPathMixture._wrap(tuple(components), m.common_kick)
 
 
 def apply_eraser(m: TwoPathMixture, inverse: bool = False) -> TwoPathMixture:
@@ -140,7 +141,7 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
         raise ValueError("apply_dispersive needs at least one frequency tag")
     return TwoPathMixture._wrap(
         tuple(TwoPathComponent._wrap(c.psi1, -c.psi2, c.tag, c.weight) if c.tag in tagset
-              else c for c in m.components))
+              else c for c in m.components), m.common_kick)
 
 
 def named_projector(name: str, space: FockSpace) -> Projector:

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyPatternError, SpaceMismatchError
-from .fockspace import FockSpace, FockVector, inner
+from .fockspace import FockSpace, FockVector, _check_residual, inner
 from .spec import FreqTag, _Frozen, check_nsamples
 
 __all__ = [
@@ -87,9 +87,15 @@ class TwoPathComponent(_Frozen):
 
 
 class TwoPathMixture(_Frozen):
-    """Weighted incoherent set of TwoPathComponents over a common space."""
+    """Weighted incoherent set of TwoPathComponents over a common space.
+
+    common_kick is (alpha, truncation residual) of config D's common-mode kick, which
+    cancels from V and the phase: the transforms carry it, and condition refuses its
+    residual above 1e-10. None on every other mixture and on a constructed one.
+    """
 
     _fields = ("components",)
+    common_kick: tuple[complex, float] | None = None
 
     def __init__(self, components: tuple[TwoPathComponent, ...]) -> None:
         comps = tuple(components)
@@ -104,11 +110,12 @@ class TwoPathMixture(_Frozen):
         self.__dict__["components"] = comps
 
     @classmethod
-    def _wrap(cls, components: tuple[TwoPathComponent, ...]) -> "TwoPathMixture":
+    def _wrap(cls, components: tuple[TwoPathComponent, ...],
+              common_kick: tuple[complex, float] | None = None) -> "TwoPathMixture":
         """Adopt a tuple of components of one space with a positive, finite total
         weight that the package has already checked, without the constructor's checks."""
         m = object.__new__(cls)
-        m.__dict__["components"] = components
+        m.__dict__.update(components=components, common_kick=common_kick)
         return m
 
     @property
@@ -222,12 +229,6 @@ class PatternScan:
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "intensities", ints)
 
-    def sampled_visibility(self) -> float:
-        """(Imax - Imin)/(Imax + Imin) recomputed from the stored samples."""
-        hi = float(self.intensities.max())
-        lo = float(self.intensities.min())
-        return (hi - lo) / (hi + lo)
-
 
 def coherence_sum(m: TwoPathMixture) -> complex:
     """The cross term sum_k w_k <psi1_k|psi2_k> whose magnitude sets the contrast."""
@@ -330,16 +331,19 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
 
 
 def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, float]:
-    """Project every path state; weights stay untouched.
+    """Project every path state; weights and the common kick stay untouched.
 
     The norm lost to the projection is the coincidence post-selection cost.
     Returns the conditioned mixture and the post-selection probability, i.e.
-    the surviving fraction of the mean intensity.
+    the surviving fraction of the mean intensity. A common kick that loses more
+    than 1e-10 to the truncation raises TruncationError: a projection reads it.
     """
     if projector.space is not m.space and projector.space != m.space:
         raise SpaceMismatchError(
             f"projector '{projector.name}' does not act on the mixture's space"
         )
+    if m.common_kick is not None:  # its mode is the first, cut at nmax like the other
+        _check_residual("alpha", *m.common_kick, m.space.mode_dims[0])
     before = _require_light(m)
     # a path met twice is projected once; equal U^dag v bytes share one image
     images: dict = {}
@@ -347,5 +351,5 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
     for c in m.components:
         psi1, psi2 = projector._image(c.psi1, images), projector._image(c.psi2, images)
         components.append(TwoPathComponent._wrap(psi1, psi2, c.tag, c.weight))
-    conditioned = TwoPathMixture._wrap(tuple(components))
+    conditioned = TwoPathMixture._wrap(tuple(components), m.common_kick)
     return conditioned, mean_intensity(conditioned) / before

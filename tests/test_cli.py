@@ -549,6 +549,35 @@ def test_closed_stdout_in_process_is_one_error_line(argv, monkeypatch, capsys):
     assert (code, capsys.readouterr().err) == (2, CLOSED_STDOUT)
 
 
+CLOSED_STDERR_CALLS = [(["pattern", "--config", "B", "--alpha", "0.5"], 2),
+                       (["pattern", "--config", "B", "--beta", "5"], 3),
+                       (["pattern", "--config", "Q"], 2)]
+
+
+# a process started with fd 2 closed has a sys.stderr whose writes fail
+@pytest.mark.parametrize("argv,code", CLOSED_STDERR_CALLS)
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    script = ("import os, sys\n"
+              "os.close(2)\n"
+              "os.execv(sys.executable, [sys.executable, '-m', 'atomslits', *sys.argv[1:]])\n")
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                            text=True, env=child_env(), timeout=120)
+    assert (result.returncode, result.stdout) == (code, "")
+
+
+class _DeadStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize("stderr", [None, _DeadStream()], ids=["missing", "dead"])
+@pytest.mark.parametrize("argv,code", CLOSED_STDERR_CALLS)
+def test_closed_stderr_in_process_keeps_the_exit_code(argv, code, stderr, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+
+
 # the flags of each subcommand, which its parser adds when it first parses
 SUBCOMMAND_FLAGS = {
     "pattern": ["--config", "--pulse", "--treatment", "--beta", "--alpha", "--epsilon",

@@ -9,13 +9,13 @@ from atomslits.errors import SpaceMismatchError, TruncationError
 from atomslits.fockspace import (
     FockSpace,
     FockVector,
+    _product,
     basis_state,
     coherent_state,
     displacement_operator,
     ground_state,
     inner,
     project,
-    tensor,
 )
 
 
@@ -138,22 +138,6 @@ def test_displacement_composition_inverts():
     assert np.max(np.abs(d - np.eye(16))) < 1e-8
 
 
-def test_tensor_ground_states():
-    v = tensor([ground_state(FockSpace((3,))), ground_state(FockSpace((4,)))])
-    assert v.space.mode_dims == (3, 4)
-    assert v.amplitudes[0] == 1.0
-    assert np.all(v.amplitudes[1:] == 0.0)
-
-
-def test_tensor_respects_index_order():
-    a = basis_state(FockSpace((2,)), (1,))
-    b = basis_state(FockSpace((3,)), (0,))
-    v = tensor([a, b])
-    assert v.amplitudes[v.space.index((1, 0))] == 1.0
-    with pytest.raises(ValueError):
-        tensor([])
-
-
 def test_inner_is_sesquilinear_and_positive():
     space = FockSpace((4,))
     v = FockVector(space, [0.6, 0.0, 0.3 + 0.4j, 0.0])
@@ -244,7 +228,7 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
         ground_state(space),
         -b,
         coherent_state(0.4 + 0.1j, 9)[0],
-        tensor([coherent_state(0.2, 3)[0], basis_state(FockSpace((4,)), (1,))]),
+        _product([coherent_state(0.2, 3)[0], basis_state(FockSpace((4,)), (1,))]),
         picked,
     ]
     for v in results:
@@ -302,16 +286,3 @@ def test_truncation_guard_names_a_nan_amplitude(beta):
             make(beta, 8)
         assert type(info.value) is ValueError
         assert "nan" in str(info.value)
-
-
-def test_tensor_refuses_a_product_whose_norm_overflows():
-    one = FockSpace((2,))
-    big = FockVector(one, [1e100, 0.0])
-    tiny = FockVector(one, [1e-250, 0.0])
-    # the product's norm 1e200 squares past the float range; so does 1e200 on the
-    # way to the finite 1e-50 of big x big x tiny
-    for factors in ([big, big], [big, big, tiny]):
-        with pytest.raises(ValueError, match="overflows"):
-            tensor(factors)
-    fine = tensor([FockVector(one, [1e70, 0.0]), FockVector(one, [1e70, 0.0])])
-    assert math.isclose(fine.norm(), 1e140)

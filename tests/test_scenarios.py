@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atomslits.errors import PerturbationError, ScenarioError, TruncationError
-from atomslits.fockspace import project
+from atomslits.fockspace import coherent_state, project
 from atomslits.scenarios import (
     Config,
     Pulse,
@@ -17,11 +17,19 @@ from atomslits.scenarios import (
     build_B_short,
     build_C_long,
     build_C_short,
+    build_D_short,
     build_E_long,
 )
 from atomslits.spec import _REGIMES
-from atomslits.transforms import apply_dispersive, apply_eraser, named_projector
-from atomslits.twopath import FreqTag, condition, pattern, phase_offset, visibility
+from atomslits.transforms import apply_dispersive, apply_eraser, evolve_beat, named_projector
+from atomslits.twopath import (
+    FreqTag,
+    TwoPathMixture,
+    condition,
+    pattern,
+    phase_offset,
+    visibility,
+)
 
 
 def spec(config, pulse=Pulse.SHORT, treatment=Treatment.EXACT, **kw):
@@ -403,3 +411,52 @@ def test_treatments_a_regime_tells_apart():
     assert ScenarioSpec(Config.A).treatments == ()
     assert ScenarioSpec(Config.B, Pulse.LONG).treatments == ()
     assert ScenarioSpec(Config.E, Pulse.LONG, treatment=Treatment.EXACT).treatments == ()
+
+
+# --- truncation: the function that owns the state refuses it -----------------
+
+
+@pytest.mark.parametrize("builder", [build, build_B_short, build_C_short, build_D_short],
+                         ids=lambda f: f.__name__)
+def test_exact_builders_refuse_a_truncated_beta(builder):
+    # |3>'s tail past level 15 holds 2.2% of its norm
+    config = {build_C_short: Config.C1, build_D_short: Config.D}.get(builder, Config.B)
+    with pytest.raises(TruncationError, match=r"beta = 3\+0j loses 0\.022 .* at nmax 16"):
+        builder(spec(config, beta=3.0))
+
+
+def d_chain(nmax):
+    """D at alpha 3.9, then the eraser, the inverse eraser, the beat and the flip."""
+    stages = [build(spec(Config.D, beta=0.3, alpha=3.9, nmax=nmax))]
+    for step in (apply_eraser, lambda m: apply_eraser(m, inverse=True),
+                 lambda m: evolve_beat(m, 0.8, 0.7),
+                 lambda m: apply_dispersive(m, [FreqTag.ELASTIC])):
+        stages.append(step(stages[-1]))
+    return stages
+
+
+def test_d_common_kick_rides_every_transform_and_condition_refuses_it():
+    # nmax 16 drops 45% of |3.9>, which cancels from V and the phase
+    cut, fine = d_chain(16), d_chain(80)
+    assert cut[0].common_kick == (3.9, coherent_state(3.9, 16)[1])
+    assert cut[0].common_kick[1] > 0.4
+    for m, reference in zip(cut, fine):
+        assert m.common_kick is cut[0].common_kick
+        assert visibility(m) == pytest.approx(visibility(reference), abs=1e-15)
+        # the flip leaves the coherence on the negative real axis, at +-pi
+        gap = phase_offset(m) - phase_offset(reference)
+        assert abs((gap + math.pi) % (2 * math.pi) - math.pi) <= 1e-15
+    with pytest.raises(TruncationError, match="alpha = 3.9"):
+        condition(cut[-1], named_projector("ground", cut[-1].space))
+    conditioned, _ = condition(fine[-1], named_projector("ground", fine[-1].space))
+    assert conditioned.common_kick is fine[0].common_kick
+    with pytest.raises(AttributeError, match="cannot assign"):
+        cut[0].common_kick = None
+
+
+def test_only_d_carries_a_common_kick():
+    for config in (Config.A, Config.B, Config.C1, Config.E):
+        assert build(ScenarioSpec(config, beta=0.3)).common_kick is None
+    m = build(spec(Config.D, treatment=Treatment.FIRST_ORDER, beta=0.3, alpha=0.5j))
+    assert m.common_kick == (0.5j, coherent_state(0.5j, 16)[1])
+    assert TwoPathMixture(m.components).common_kick is None

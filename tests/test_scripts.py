@@ -33,11 +33,11 @@ def test_contrast_sweep_writes_one_csv_per_case(tmp_path):
 
 
 def test_chain_cost_prints_every_stage(tmp_path):
-    result = run_script("chain_cost.py", "--nmax", "4", "--seed", "2", "--rounds", "1",
+    result = run_script("chain_cost.py", "--nmax", "16", "--seed", "2", "--rounds", "1",
                         cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "nmax 4, seed 2: best of 1 rounds of 24 chains, BLAS on one thread"
+    assert lines[0] == "nmax 16, seed 2: best of 1 rounds of 24 chains, BLAS on one thread"
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["spec", "build", "eraser/beat", "dispersive",
                                         "visibility", "projector", "condition", "pattern",
@@ -46,6 +46,16 @@ def test_chain_cost_prints_every_stage(tmp_path):
     assert all(us > 0 for us in costs)
     assert abs(sum(costs[:-1]) - costs[-1]) < 0.5
     assert list(tmp_path.iterdir()) == []
+
+
+def test_chain_cost_refuses_a_truncated_kick(tmp_path):
+    # four levels drop more than 1e-10 of every drawn exact kick, and build refuses it
+    result = run_script("chain_cost.py", "--nmax", "4", "--seed", "2", "--rounds", "1",
+                        cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("chain_cost.py: error: ") and "truncation" in errors[0]
 
 
 def test_startup_cost_splits_every_kind(tmp_path):
