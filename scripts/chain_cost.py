@@ -9,6 +9,11 @@ figure is its best round, divided by the number of chains, so a stage a chain
 skips counts as 0 for it. BLAS is pinned to one thread and no allocation
 tracing runs, so the figures are the chain's own cost.
 
+The E chains apply evolve_beat as a stage of their own, to exercise the public
+transform; on E short it runs on top of the beat build_E_short has already
+applied. No CLI call runs a beat after build, so scenarios._run, the runner
+behind every printed number, has no beat stage.
+
 Usage:
     python scripts/chain_cost.py --nmax 64 --seed 1 --rounds 20
 """

@@ -19,7 +19,7 @@ _HOMES = {
     "errors": ("EmptyPatternError", "PerturbationError", "PhysicsDomainError",
                "ScenarioError", "SpaceMismatchError", "TruncationError"),
     "fockspace": ("FockSpace", "FockVector", "basis_state", "coherent_state",
-                  "displacement_operator", "ground_state", "inner", "project", "zero_vector"),
+                  "displacement_operator", "ground_state", "inner", "zero_vector"),
     "spec": ("Config", "FreqTag", "PROJECTOR_NAMES", "Pulse", "ScenarioSpec", "Treatment"),
     "scenarios": ("build",),
     "transforms": ("apply_dispersive", "apply_eraser", "evolve_beat", "named_projector",

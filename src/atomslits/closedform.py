@@ -36,7 +36,10 @@ __all__ = [
 
 
 def _abs2(z: complex) -> float:
+    """|z|^2 of a finite z; every formula here would carry a NaN or inf to its result."""
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"closed forms need finite inputs, got {z!r}")
     return z.real * z.real + z.imag * z.imag
 
 
@@ -79,12 +82,13 @@ def contrast_C(beta: complex) -> float:
 def contrast_exact(config, beta: complex) -> float:
     """Coherent-state overlap contrast: exp(-|b|^2) for B, exp(-2|b|^2) for C/D."""
     name = _norm_config(config)
+    b2 = _abs2(beta)
     if name == "A":
         return 1.0
     if name == "B":
-        return math.exp(-_abs2(beta))
+        return math.exp(-b2)
     if name in ("C", "D"):
-        return math.exp(-2.0 * _abs2(beta))
+        return math.exp(-2.0 * b2)
     raise ValueError("config E has no exact coherent-state treatment")
 
 
@@ -97,6 +101,7 @@ def first_order_contrast(config, beta: complex) -> float:
     """
     name = _norm_config(config)
     if name == "A":
+        _abs2(beta)  # refuses a non-finite beta, as every other config does
         return 1.0
     if name in ("B", "E"):
         return contrast_B(beta)
@@ -147,11 +152,12 @@ def whichway_probabilities(beta: float, delta: float) -> WhichwayProbabilities:
     beta = float(beta)
     delta = float(delta)
     if beta < 0 or delta < 0:
-        raise ValueError("whichway_probabilities needs real beta, delta >= 0")
+        raise ValueError("whichway_probabilities needs finite real beta, delta >= 0")
     return WhichwayProbabilities(
         p_plus=projection_probability(delta, beta),
         p_minus=projection_probability(delta, -beta),
-        fractional_error=math.exp(-4.0 * beta * delta),
+        # beta * delta first: 4 * 1e308 overflows, and inf * 0 is NaN
+        fractional_error=math.exp(-4.0 * (beta * delta)),
         detect_prob=_gaussian(delta),
     )
 
@@ -163,12 +169,17 @@ class TradeoffPoint(NamedTuple):
 
 
 def required_probe(beta: float, fractional_error: float) -> float:
-    """Probe amplitude delta = -ln(e)/(4 beta) that reaches a target error e."""
+    """Probe amplitude delta = -ln(e)/(4 beta) that reaches a target error e, which
+    must be finite: a tiny beta whose delta overflows raises PhysicsDomainError."""
     if not 0 < fractional_error < 1:
         raise ValueError("fractional_error must lie in (0, 1)")
-    if beta <= 0:
-        raise ValueError("required_probe needs beta > 0")
-    return -math.log(fractional_error) / (4.0 * beta)
+    if not 0 < beta < math.inf:
+        raise ValueError("required_probe needs a finite beta > 0")
+    delta = -math.log(fractional_error) / (4.0 * beta)
+    if delta == math.inf:
+        raise PhysicsDomainError(f"the probe for fractional error {fractional_error:.4g} at "
+                                 f"beta = {beta:.4g} overflows a float")
+    return delta
 
 
 def tradeoff_curve(

@@ -37,7 +37,6 @@ __all__ = [
     "displacement_operator",
     "ground_state",
     "inner",
-    "project",
     "zero_vector",
 ]
 
@@ -296,26 +295,3 @@ def _product(vectors: Sequence[FockVector]) -> FockVector:
         dims += v.space.mode_dims
     return FockVector._wrap(_space(dims), amps)
 
-
-def project(v: FockVector, mode_index: int, fock_level: int) -> tuple[FockVector, float]:
-    """Unnormalized component of v with one mode pinned to a Fock level.
-
-    Returns the projected vector and its squared norm, i.e. the probability
-    of finding that mode at the given level (relative to ||v||^2 = 1).
-    """
-    space = v.space
-    if not 0 <= mode_index < space.nmodes:
-        raise ValueError(
-            f"mode_index {mode_index} out of range for {space.nmodes} modes"
-        )
-    if not 0 <= fock_level < space.mode_dims[mode_index]:
-        raise ValueError(
-            f"fock_level {fock_level} out of range for "
-            f"mode dimension {space.mode_dims[mode_index]}"
-        )
-    out = np.zeros(space.dim, dtype=np.complex128)
-    sel: list = [slice(None)] * space.nmodes
-    sel[mode_index] = fock_level
-    out.reshape(space.mode_dims)[tuple(sel)] = v.amplitudes.reshape(space.mode_dims)[tuple(sel)]
-    projected = FockVector._wrap(space, out)
-    return projected, projected.norm() ** 2

@@ -121,10 +121,12 @@ def evolve_beat(m: TwoPathMixture, g: float, t: float) -> TwoPathMixture:
 
 
 def quarter_beat_time(g: float) -> float:
-    """A quarter of the beat period pi/g for coupling g > 0."""
-    if g <= 0:
-        raise ValueError("quarter beat time needs a positive coupling")
-    return math.pi / (4.0 * g)
+    """A quarter of the beat period pi/g, for a finite g > 0 whose period is finite.
+    (pi/4)/g has the bits of pi/(4 g), and does not overflow at 4 g."""
+    t = (math.pi / 4.0) / g if 0 < g < math.inf else math.inf
+    if t == math.inf:
+        raise ValueError(f"quarter beat time needs a finite positive coupling, got g = {g!r}")
+    return t
 
 
 def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:

@@ -10,9 +10,11 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from atomslits import acceptance, closedform, scenarios
+from atomslits import (Projector, ScenarioSpec, TruncationError, acceptance, build, closedform,
+                       scenarios)
 from atomslits.cli import main
 
 
@@ -80,3 +82,12 @@ def test_whichway_prints_the_report_values_to_the_bit():
             # the CLI clamps a unit overlap that rounds above 1; the report does not
             assert (simulated["p_plus"], simulated["p_minus"]) == (min(p_plus, 1.0),
                                                                    min(p_minus, 1.0))
+
+
+def test_z_excitation_readout_refuses_a_truncated_common_kick():
+    # at nmax 16 the alpha = 3.9 kick loses 0.45 of its state to the cutoff; read without
+    # the refusal, P(n_z >= 1) came out 0.9999995464 against 1 - exp(-3.9**2) = 0.9999997520
+    m = build(ScenarioSpec("D", beta=0.3, alpha=3.9, nmax=16))
+    z_ground = Projector(m.space, np.eye(16 * 16, 16))
+    with pytest.raises(TruncationError, match=r"alpha = 3\.9"):
+        acceptance._z_excitation_probability(m, z_ground)

@@ -385,6 +385,17 @@ def test_truncation_error_names_the_refused_amplitude(argv, capsys):
     assert "1e+200" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("beta", ["1e-310", "5e-324"])
+def test_whichway_refuses_a_tradeoff_whose_probe_overflows(beta, fmt, capsys):
+    # the curve's first probe -ln(1e-6) / (4 beta) is above the largest float, which
+    # printed as inf in CSV and as Infinity, not JSON, in JSON
+    code, out, err = run(["whichway", "--beta", beta, "--delta", "0.5", "--format", fmt], capsys)
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"atomslits: physics domain error: [^\n]* overflows a float\n", err)
+
+
 def child_env(*paths):
     """This environment, with atomslits' sources and then `paths` first on PYTHONPATH."""
     src = str(Path(atomslits.__file__).resolve().parents[1])

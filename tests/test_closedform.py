@@ -127,6 +127,11 @@ def test_required_probe_and_tradeoff_curve():
         closedform.required_probe(0.0, 0.01)
     with pytest.raises(ValueError):
         closedform.required_probe(0.5, 1.5)
+    # -ln(1e-6) / (4 beta) is above the largest float for beta below about 1.9e-308
+    for beta in (1e-310, 5e-324):
+        with pytest.raises(PhysicsDomainError, match="overflows"):
+            closedform.tradeoff_curve(beta)
+    assert math.isfinite(closedform.required_probe(1e-300, 1e-6))
 
 
 def test_default_tradeoff_grid_is_monotone():
@@ -135,3 +140,26 @@ def test_default_tradeoff_grid_is_monotone():
     errs = [p.fractional_error for p in curve]
     assert all(a < b for a, b in zip(errs, errs[1:]))
     assert errs[0] == pytest.approx(1e-6)
+
+
+_CLOSED_FORMS = {
+    "contrast_B": closedform.contrast_B,
+    "contrast_C": closedform.contrast_C,
+    "contrast_exact": lambda x: closedform.contrast_exact("A", x),
+    "first_order_contrast": lambda x: closedform.first_order_contrast("A", x),
+    "longpulse_weights": lambda x: closedform.longpulse_weights("B", x),
+    "projection_probability": lambda x: closedform.projection_probability(0.3, x),
+    "whichway_probabilities": lambda x: closedform.whichway_probabilities(0.3, x),
+    "required_probe": lambda x: closedform.required_probe(x, 0.01),
+    "tradeoff_curve": closedform.tradeoff_curve,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_every_closed_form_refuses_a_non_finite_input(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        _CLOSED_FORMS[name](value)
+    if name not in ("whichway_probabilities", "required_probe", "tradeoff_curve"):
+        with pytest.raises(ValueError, match="finite"):  # a complex kick with one bad part
+            _CLOSED_FORMS[name](complex(0.1, value))

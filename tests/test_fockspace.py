@@ -15,8 +15,8 @@ from atomslits.fockspace import (
     displacement_operator,
     ground_state,
     inner,
-    project,
 )
+from atomslits.twopath import Projector, TwoPathComponent, TwoPathMixture, condition
 
 
 def test_space_dim_and_index_convention():
@@ -150,27 +150,6 @@ def test_inner_is_sesquilinear_and_positive():
         inner(v, ground_state(FockSpace((5,))))
 
 
-def test_project_picks_single_level():
-    space = FockSpace((3, 3))
-    beta = 0.3
-    amps = np.zeros(space.dim)
-    amps[space.index((0, 0))] = 1.0
-    amps[space.index((1, 0))] = beta
-    v = FockVector(space, amps)
-    picked, prob = project(v, 0, 1)
-    assert abs(prob - beta**2) < 1e-14
-    assert picked.amplitudes[space.index((1, 0))] == beta
-    assert picked.norm() ** 2 == pytest.approx(beta**2)
-
-
-def test_project_range_errors():
-    v = ground_state(FockSpace((3, 3)))
-    with pytest.raises(ValueError):
-        project(v, 2, 0)
-    with pytest.raises(ValueError):
-        project(v, 0, 3)
-
-
 def test_truncation_convergence():
     for beta in (0.2, 0.5):
         lo, _ = coherent_state(beta, 16)
@@ -222,7 +201,9 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
     space = FockSpace((3, 4))
     a = basis_state(space, (1, 2))
     b = FockVector(space, np.arange(12) * (0.5 + 0.25j))
-    picked, prob = project(b, 1, 2)
+    # the image condition() gives of b on the levels with the second mode at 2
+    level_2 = Projector(space, np.eye(12)[:, [2, 6, 10]])
+    picked = condition(TwoPathMixture((TwoPathComponent(b, b),)), level_2)[0].components[0].psi1
     results = [
         a,
         ground_state(space),
@@ -236,7 +217,6 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
         assert v.amplitudes.dtype == np.complex128
         assert v.amplitudes.shape == (v.space.dim,)
         assert v.norm() == float(np.linalg.norm(v.amplitudes))
-    assert prob == float(np.linalg.norm(picked.amplitudes)) ** 2
 
 
 def test_vectors_refuse_scaling_and_addition():

@@ -6,8 +6,11 @@ every projector of its space. The sha256 of the repr of the unconditioned
 visibility and phase, of each post-selection, conditioned visibility and
 phase, of the pattern bytes and of the conditioned path amplitudes is pinned
 in tests/golden_marker.json. The CLI golden runs at nmax 16 only; this one
-covers the sizes where the dense arithmetic dominates. A change that is meant
-to alter an output regenerates the file and says so:
+covers the sizes where the dense arithmetic dominates. The E chains apply
+evolve_beat as a stage of their own, to exercise the public transform; on E
+short it runs on top of the beat build_E_short has already applied. No CLI
+call runs a beat after build, so the runner scenarios._run has no beat stage.
+A change that is meant to alter an output regenerates the file and says so:
 
     PYTHONPATH=src python tests/test_marker_golden.py
 """

@@ -27,6 +27,7 @@ from atomslits import (
     apply_dispersive,
     apply_eraser,
     build,
+    closedform,
     coherent_state,
     condition,
     errors,
@@ -35,6 +36,7 @@ from atomslits import (
     named_projector,
     pattern,
     phase_offset,
+    quarter_beat_time,
     visibility,
 )
 
@@ -99,11 +101,12 @@ E0 = FockVector(SPACE, [1.0, 0.0, 0.0, 0.0])
 E1 = FockVector(SPACE, [0.0, 1.0, 0.0, 0.0])
 
 # non-finite and overflow-sized values next to ordinary ones, 1e100 whose
-# square is finite but whose fourth power is not, and the exact 0 and +-1 that
-# let a unit vector through as a projector column
+# square is finite but whose fourth power is not, subnormals whose reciprocal
+# overflows, and the exact 0 and +-1 that let a unit vector through as a
+# projector column
 _value = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, 1e100, 0.0, 1.0,
-                     -1.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, 1e100, 5e-324,
+                     1e-310, 0.0, 1.0, -1.0]),
     st.floats(-2.0, 2.0),
 )
 
@@ -145,8 +148,10 @@ def _finite(x) -> bool:
         return bool(np.isfinite(x).all())
     if isinstance(x, (int, float, complex)):
         return cmath.isfinite(x)
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return all(_finite(item) for item in x)
+    if isinstance(x, dict):
+        return all(_finite(item) for item in x.values())
     if isinstance(x, (Enum, FockSpace, str)) or x is None:
         return True
     return all(_finite(item) for item in vars(x).values())
@@ -231,10 +236,33 @@ FUNCTIONS = {
     "evolve_beat": lambda v: evolve_beat(_pair_mixture(v), v[8], v[9]),
     "apply_dispersive": lambda v: apply_dispersive(_pair_mixture(v), [FreqTag.SHIFTED]),
     **{f"named_projector[{name}]": _conditioned(name) for name in PROJECTOR_NAMES},
+    "quarter_beat_time": lambda v: quarter_beat_time(v[0]),
+    "contrast_B": lambda v: closedform.contrast_B(complex(v[0], v[1])),
+    "contrast_C": lambda v: closedform.contrast_C(complex(v[0], v[1])),
+    **{f"{name}[{config}]": lambda v, f=getattr(closedform, name), config=config: f(
+        config, complex(v[0], v[1]))
+       for name, configs in (("contrast_exact", "ABCD"), ("first_order_contrast", "ABCDE"),
+                             ("longpulse_weights", "BCE")) for config in configs},
+    "projection_probability": lambda v: closedform.projection_probability(
+        complex(v[0], v[1]), complex(v[2], v[3])),
+    "whichway_probabilities": lambda v: closedform.whichway_probabilities(v[0], v[1]),
+    "required_probe": lambda v: closedform.required_probe(v[0], v[1]),
+    "tradeoff_curve": lambda v: closedform.tradeoff_curve(v[0], None if v[1] < 0 else v[1:3]),
 }
 
 
 @settings(max_examples=400)
+# pinned refusals: a probe, and a default trade-off curve, whose delta overflows at a
+# subnormal beta; NaN and infinite closed-form inputs; an error exp(-4 beta delta)
+# whose 4 beta overflows at delta = 0; a NaN coupling and one whose quarter beat
+# period overflows
+@example(kind="required_probe", values=[1e-310, 0.5] + [0.0] * 8)
+@example(kind="tradeoff_curve", values=[5e-324, -1.0] + [0.0] * 8)
+@example(kind="contrast_B", values=[math.nan] + [0.0] * 9)
+@example(kind="whichway_probabilities", values=[0.0, math.inf] + [0.0] * 8)
+@example(kind="whichway_probabilities", values=[1e308, 0.0] + [0.0] * 8)
+@example(kind="quarter_beat_time", values=[math.nan] + [0.0] * 9)
+@example(kind="quarter_beat_time", values=[1e-310] + [0.0] * 9)
 @given(kind=st.sampled_from(sorted(FUNCTIONS)), values=st.lists(_value, min_size=10, max_size=10))
 def test_public_functions_refuse_or_return_only_finite_numbers(kind, values):
     with warnings.catch_warnings():

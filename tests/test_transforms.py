@@ -117,6 +117,14 @@ def test_beat_rejects_negative_coupling():
     with pytest.raises(ValueError):
         quarter_beat_time(0.0)
     assert quarter_beat_time(2.0) == pytest.approx(math.pi / 8)
+    # a coupling whose quarter period is not a finite float
+    for g in (math.nan, math.inf, 1e-310, 5e-324):
+        with pytest.raises(ValueError, match="finite positive coupling"):
+            quarter_beat_time(g)
+    for g in (0.8, 1e-300, 3e-308):
+        assert quarter_beat_time(g) == math.pi / (4.0 * g)
+    # 4 g overflows here, but the quarter period is a finite subnormal
+    assert quarter_beat_time(1e308) == pytest.approx(7.853981633974483e-309, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("g,t", [(1e300, 1e300), (math.nan, 1.0), (1.0, math.inf)])
