@@ -10,7 +10,7 @@ skips counts as 0 for it. BLAS is pinned to one thread and no allocation
 tracing runs, so the figures are the chain's own cost.
 
 The E chains apply evolve_beat as a stage of their own, to exercise the public
-transform; on E short it runs on top of the beat build_E_short has already
+transform; on E short it runs on top of the beat that build has already
 applied. No CLI call runs a beat after build, so scenarios._run, the runner
 behind every printed number, has no beat stage.
 

@@ -20,8 +20,8 @@ class PhysicsDomainError(ValueError):
 
 
 class TruncationError(PhysicsDomainError):
-    """A coherent amplitude too large for the Fock truncation: |beta|^2 above nmax, or
-    a kick whose truncation residual, above 1e-10, reaches an output."""
+    """A coherent amplitude too large for the Fock truncation: |beta|^2 above nmax, or a
+    kick whose truncation residual, above 1e-10, reaches an output (atomslits.spec)."""
 
 
 class PerturbationError(PhysicsDomainError):

@@ -20,19 +20,19 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatchError, TruncationError
-from .spec import MAX_NMAX, _Frozen, check_nmax
+from .errors import SpaceMismatchError
+from .spec import MAX_NMAX, _Frozen, check_amplitude
 
 __all__ = [
     "FockSpace",
     "FockVector",
     "basis_state",
-    "check_nmax",
     "coherent_state",
     "displacement_operator",
     "ground_state",
@@ -85,10 +85,13 @@ class FockSpace(_Frozen):
         return flat
 
 
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=32)
 def _space(mode_dims: tuple[int, ...]) -> FockSpace:
-    """The package's one shared FockSpace for these dims."""
-    return FockSpace(mode_dims)
+    """The package's one shared FockSpace for these dims, for as long as anything holds it."""
+    return _INTERNED.setdefault(mode_dims, FockSpace(mode_dims))
 
 
 class FockVector(_Frozen):
@@ -200,37 +203,6 @@ def zero_vector(space: FockSpace) -> FockVector:
     return _shared_state(space, ())
 
 
-def _squared_abs(z: complex) -> float:
-    """abs(z) ** 2, or inf where that square overflows a float."""
-    try:
-        return abs(z) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _truncation_guard(beta: complex, nmax: int) -> None:
-    check_nmax(nmax)
-    b2 = _squared_abs(beta)
-    if math.isnan(b2):
-        raise ValueError(f"coherent amplitude {beta:.4g} is not a number")
-    if b2 > nmax:
-        raise TruncationError(
-            f"coherent amplitude {beta:.4g} has squared modulus {b2:.4g} above the "
-            f"truncation dimension {nmax}; the cutoff would drop most of the state"
-        )
-
-
-def _check_residual(name: str, amplitude: complex, residual: float, nmax: int) -> None:
-    """Refuse a coherent amplitude whose truncation residual is above 1e-10: beta's
-    kick in the exact builders, D's common-mode kick in condition, and the
-    scenarios._whichway probe and marker."""
-    if residual > 1e-10:
-        raise TruncationError(
-            f"coherent amplitude {name} = {amplitude:.4g} loses {residual:.2g} of its state "
-            f"to the truncation at nmax {nmax}, above 1e-10; use a larger --nmax"
-        )
-
-
 @lru_cache(maxsize=32, typed=True)
 def _levels(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only levels n = 0..nmax-1 and sqrt(n!), the coherent series' fixed part."""
@@ -247,12 +219,12 @@ def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
     Amplitudes follow the analytic series c_n = exp(-|beta|^2/2) beta^n / sqrt(n!)
     for n < nmax. Returns the renormalized state together with the truncation
     residual 1 - sum |c_n|^2, the tail mass lost to the cutoff before
-    renormalization.
+    renormalization. spec.check_amplitude refuses beta first.
     """
-    _truncation_guard(beta, nmax)
+    b2 = check_amplitude(beta, nmax)
     b = complex(beta)
     n, root_factorial = _levels(nmax)
-    amps = math.exp(-abs(b) ** 2 / 2.0) * b**n / root_factorial
+    amps = math.exp(-b2 / 2.0) * b**n / root_factorial
     captured = float(np.vdot(amps, amps).real)
     residual = max(0.0, 1.0 - captured)
     amps /= math.sqrt(captured)
@@ -269,7 +241,7 @@ def displacement_operator(beta: complex, nmax: int) -> np.ndarray:
     up to the truncation residual, which is the module's own cross-check.
     Unitary to high accuracy whenever |beta|^2 is small against nmax.
     """
-    _truncation_guard(beta, nmax)
+    check_amplitude(beta, nmax)
     b = complex(beta)
     # the annihilation operator a in the truncated number basis
     a = np.diag(np.sqrt(np.arange(1, nmax, dtype=float)), k=1).astype(np.complex128)

@@ -1,10 +1,10 @@
 """The front of the command line, which parses and checks every call without numpy.
 
 `python -m atomslits` and the `atomslits` script enter through entry. The
-flags, their ranges and the ScenarioSpec are settled first; atomslits.cli,
-which loads numpy and the compute modules, is imported only for a call that
-computes, so --help, --version and every flag error exit before numpy loads.
-cli.main runs the same run function with cli's build_parser.
+flags, the ScenarioSpec and its physics domain are settled first; atomslits.cli,
+which loads numpy, is imported only for a call that computes, so --help,
+--version, every flag error and every truncation or perturbative refusal exit
+before numpy loads. cli.main runs the same run function with cli's build_parser.
 
 Exit codes: 0 success, 2 flag or combination error or output that cannot be
 written, 3 physics-domain error (truncation guard, empty post-selection,
@@ -32,8 +32,9 @@ from .spec import (
     ScenarioSpec,
     Treatment,
     check_chain,
-    check_nmax,
+    check_domain,
     check_nsamples,
+    check_whichway,
 )
 
 EXIT_OK = 0
@@ -192,6 +193,7 @@ def _settle_pattern(args) -> None:
         raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
     _settle_spec(args, args.beta)
     check_nsamples(args.samples)
+    check_domain(args.spec, args.coincidence)
 
 
 def _parse_beta_range(text: str) -> tuple[float, float, int]:
@@ -228,7 +230,7 @@ def _settle_whichway(args) -> None:
         raise FlagError("--beta", "must be finite and >= 0")
     if not 0 <= args.delta < math.inf:
         raise FlagError("--delta", "must be finite and >= 0")
-    check_nmax(args.nmax)
+    check_whichway(args.beta, args.delta, args.nmax)
 
 
 def _write(args, payload, meta=None, header="", rows=()) -> None:

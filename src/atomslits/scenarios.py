@@ -28,14 +28,10 @@ factor of epsilon^2; it cancels from every visibility but keeps absolute
 coincidence rates reportable.
 
 _run is the one chain from a spec to printed numbers: build, the eraser, the
-dispersive flip, then a coincidence cut. A kick that loses more than 1e-10 to the
-truncation is refused with TruncationError by the function that owns its state:
-the exact builders refuse beta's, which reaches every output, and condition
-refuses D's common-mode alpha, which the mixture carries as common_kick, since
-one |alpha> on both paths cancels from V and the phase. _whichway is the one
-coherent-probe readout, with the same refusal for the probe and the marker. The
-CLI and the acceptance suite print and check through both, and look _whichway up
-on this module, so one rebinding of it reaches both.
+dispersive flip, then a coincidence cut; _whichway is the one coherent-probe
+readout. Both refuse by the domain rule of atomslits.spec. The CLI and the
+acceptance suite print and check through both, and look _whichway up on this
+module, so one rebinding of it reaches both.
 """
 
 from __future__ import annotations
@@ -43,14 +39,11 @@ from __future__ import annotations
 import math
 
 from . import transforms
-from .errors import PerturbationError
 from .fockspace import (
     FockVector,
-    _check_residual,
     _product,
     _shared_state,
     _space,
-    _squared_abs,
     _superposition,
     basis_state,
     coherent_state,
@@ -58,7 +51,8 @@ from .fockspace import (
     inner,
     zero_vector,
 )
-from .spec import Config, FreqTag, Pulse, ScenarioSpec, Treatment, check_chain
+from .spec import (Config, FreqTag, Pulse, ScenarioSpec, Treatment, check_chain, check_domain,
+                   check_whichway)
 from .twopath import TwoPathComponent, TwoPathMixture, condition
 
 __all__ = [
@@ -67,43 +61,11 @@ __all__ = [
     "ScenarioSpec",
     "Treatment",
     "build",
-    "build_A",
-    "build_B_long",
-    "build_B_short",
-    "build_C_long",
-    "build_C_short",
-    "build_D_short",
-    "build_E_long",
-    "build_E_short",
 ]
 
 
-def _elastic_amplitude(beta: complex) -> float:
-    b2 = _squared_abs(beta)
-    if b2 >= 1.0:
-        raise PerturbationError(
-            f"first-order treatment requires |beta| < 1, got |beta|^2 = {b2:.4g}"
-        )
-    return math.sqrt(1.0 - b2)
-
-
-def _golden_rule_b2(beta: complex) -> float:
-    """|b|^2 inside |b|^2 < 0.5, the golden-rule and first-order C/D domain.
-
-    Long-pulse weights and the first-order C/D contrast 1-2|b|^2 are
-    perturbative results that closedform refuses beyond this bound too.
-    """
-    b2 = _squared_abs(beta)
-    if b2 >= 0.5:
-        raise PerturbationError(
-            f"long pulses and first-order config C/D need |beta|^2 < 0.5, "
-            f"got |beta|^2 = {b2:.4g}"
-        )
-    return b2
-
-
 def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
-             common_kick: tuple[complex, float] | None = None) -> TwoPathMixture:
+             common_kick: complex | None = None) -> TwoPathMixture:
     """The mixture of these (psi1, psi2, tag, weight) parts. A checked spec makes
     every weight a finite float >= 0 and the total positive, so the public
     constructors' checks are skipped."""
@@ -113,17 +75,17 @@ def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
 
 def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
     """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker of C/D."""
-    c0 = math.sqrt(1.0 - _golden_rule_b2(beta))
+    c0 = math.sqrt(1.0 - abs(beta) ** 2)
     return _superposition(_space((nmax,)), ((0, c0), (1, beta)))
 
 
-def build_A(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_A(spec: ScenarioSpec) -> TwoPathMixture:
     """Rigid slits: both paths carry the untouched ground marker, full contrast."""
     g = ground_state(_space((spec.nmax, spec.nmax)))
     return _mixture((g, g, FreqTag.ELASTIC, spec.epsilon**2))
 
 
-def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     """Independent slits, short pulse: the kicked slit records the path.
 
     EXACT: psi1 = |b>|0>, psi2 = |0>|b>, one coherent component with contrast
@@ -134,26 +96,25 @@ def build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     if spec.treatment is not Treatment.EXACT:
         space = _space((nmax, nmax))
         i10, i01 = transforms._excitation_pair_indices(space)
-        c0 = _elastic_amplitude(b)
+        c0 = math.sqrt(1.0 - abs(b) ** 2)
         psi1 = _superposition(space, ((0, c0), (i10, b)))
         psi2 = _superposition(space, ((0, c0), (i01, b)))
         return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
-    kicked, residual = coherent_state(b, nmax)
-    _check_residual("beta", b, residual, nmax)
+    kicked = coherent_state(b, nmax)[0]
     still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
     psi1 = _product((kicked, still))
     psi2 = _product((still, kicked))
     return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
-def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     """Independent slits, long pulse: which-way outcomes become an incoherent mixture.
 
     Elastic light keeps both paths; each frequency-shifted outcome pins the
     photon to one slit and kills the fringe. Outcome fractions are 1-|b|^2 and
     |b|^2/2 per slit, so the one-path components enter with weight |b|^2.
     """
-    b2 = _golden_rule_b2(spec.beta)
+    b2 = abs(spec.beta) ** 2
     space = _space((spec.nmax, spec.nmax))
     g = ground_state(space)
     empty = zero_vector(space)
@@ -165,7 +126,7 @@ def build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     )
 
 
-def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     """Single recoiling slit, short pulse: opposite kicks tag the two paths.
 
     EXACT: psi1 = |b>, psi2 = |-b>, contrast exp(-2|b|^2). FIRST_ORDER: the
@@ -177,20 +138,18 @@ def build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
         psi1 = _first_order_kicked(nmax, b)
         psi2 = _first_order_kicked(nmax, -b)
         return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
-    psi1, r1 = coherent_state(b, nmax)
-    psi2, r2 = coherent_state(-b, nmax)
-    _check_residual("beta", b, max(r1, r2), nmax)
+    psi1, psi2 = coherent_state(b, nmax)[0], coherent_state(-b, nmax)[0]
     return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
-def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
     """Single recoiling slit, long pulse: elastic and trap-shifted lines.
 
     The shifted line leaves the atom in |1> with a path-antisymmetric sign,
     i.e. a pi-shifted fringe of full contrast, weight |b|^2. Without frequency
     selection the two lines add to contrast 1-2|b|^2.
     """
-    b2 = _golden_rule_b2(spec.beta)
+    b2 = abs(spec.beta) ** 2
     space = _space((spec.nmax,))
     g = ground_state(space)
     e1 = basis_state(space, (1,))
@@ -201,7 +160,7 @@ def build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
     )
 
 
-def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     """Config C with 2D motion: common-mode kick alpha along z, +/- beta along y.
 
     The z displacement is identical on both paths, so it factors out of the
@@ -209,21 +168,18 @@ def build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     which-way information.
     """
     b, a, nmax = spec.beta, spec.alpha, spec.nmax
-    common, alpha_residual = coherent_state(a, nmax)
+    common = coherent_state(a, nmax)[0]
     if spec.treatment is Treatment.EXACT:
-        plus, r1 = coherent_state(b, nmax)
-        minus, r2 = coherent_state(-b, nmax)
-        _check_residual("beta", b, max(r1, r2), nmax)
+        plus, minus = coherent_state(b, nmax)[0], coherent_state(-b, nmax)[0]
     else:
         plus = _first_order_kicked(nmax, b)
         minus = _first_order_kicked(nmax, -b)
     psi1 = _product((common, plus))
     psi2 = _product((common, minus))
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2),
-                    common_kick=(a, alpha_residual))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), common_kick=a)
 
 
-def build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
     """Coupled slits, short pulse: independent-slit state evolved under the beat.
 
     Starts elementwise identical to first-order config B, then evolves the
@@ -231,18 +187,18 @@ def build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
     the beat period the evolution acts as a quantum eraser. The regime table
     defines it at first order only.
     """
-    base = build_B_short(spec)
+    base = _build_B_short(spec)
     return transforms.evolve_beat(base, spec.coupling_g, spec.evolve_time)
 
 
-def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
+def _build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     """Coupled slits, long pulse: the normal modes are the recorded eigenstates.
 
     The symmetric mode fringes in phase with the elastic line, the
     antisymmetric mode pi-shifted; neither marks a path. Weights are |b|^2/2
     per mode, elastic 1-|b|^2.
     """
-    b2 = _golden_rule_b2(spec.beta)
+    b2 = abs(spec.beta) ** 2
     space = _space((spec.nmax, spec.nmax))
     g = ground_state(space)
     sym = transforms._normal_mode(space, 1.0)
@@ -258,22 +214,20 @@ def build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
 
 # The builders of each config's short and long pulse; ScenarioSpec has refused
 # the regimes that spec._REGIMES does not define.
-_SHORT = {Config.A: build_A, Config.B: build_B_short, Config.C1: build_C_short,
-          Config.C2: build_C_short, Config.D: build_D_short, Config.E: build_E_short}
-_LONG = {Config.A: build_A, Config.B: build_B_long, Config.C1: build_C_long,
-         Config.C2: build_C_long, Config.E: build_E_long}
+_SHORT = {Config.A: _build_A, Config.B: _build_B_short, Config.C1: _build_C_short,
+          Config.C2: _build_C_short, Config.D: _build_D_short, Config.E: _build_E_short}
+_LONG = {Config.A: _build_A, Config.B: _build_B_long, Config.C1: _build_C_long,
+         Config.C2: _build_C_long, Config.E: _build_E_long}
 
 
 def build(spec: ScenarioSpec) -> TwoPathMixture:
-    """Run a ScenarioSpec through its regime's builder.
+    """Run a ScenarioSpec through its regime's builder, after spec.check_domain.
 
     ScenarioSpec has already resolved the default treatment (first order for
     config E, exact elsewhere) and refused undefined combinations with
-    ScenarioError. Raises PerturbationError outside the perturbative domain:
-    |beta| < 1 for first-order B and E, |beta|^2 < 0.5 for every long pulse
-    and first-order C/D. Raises TruncationError for an exact beta kick that
-    loses more than 1e-10 to the truncation; D's alpha is refused by condition.
+    ScenarioError.
     """
+    check_domain(spec)
     return (_SHORT if spec.pulse is Pulse.SHORT else _LONG)[spec.config](spec)
 
 
@@ -282,9 +236,8 @@ def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
     """The mixture of the chain the module docstring describes, and its post-selection
     probability (1.0 without a coincidence). An eraser or a projector the marker
     space does not take raises ScenarioError with field "eraser" or "coincidence",
-    before the build; build and condition refuse a truncated kick themselves. build,
-    transforms and condition are looked up when called, so a wrapper bound over
-    those module names sees every call."""
+    before the build. build, transforms and condition are looked up when called, so a
+    wrapper bound over those module names sees every call."""
     check_chain(spec, eraser, coincidence)
     m = build(spec)
     if eraser:
@@ -298,11 +251,7 @@ def _run(spec: ScenarioSpec, eraser: bool = False, dispersive=None,
 
 def _whichway(beta: float, delta: float, nmax: int) -> tuple[float, float]:
     """|<delta|beta>|^2 and |<delta|-beta>|^2 of the truncated coherent states,
-    unclamped. A probe delta, then a marker beta, that loses more than 1e-10 to
-    the truncation raises TruncationError. coherent_state is looked up when called."""
-    probe, r_probe = coherent_state(delta, nmax)
-    plus, r_plus = coherent_state(beta, nmax)
-    minus, r_minus = coherent_state(-beta, nmax)
-    _check_residual("delta", delta, r_probe, nmax)
-    _check_residual("beta", beta, max(r_plus, r_minus), nmax)
+    unclamped, after spec.check_whichway. coherent_state is looked up when called."""
+    check_whichway(beta, delta, nmax)
+    probe, plus, minus = (coherent_state(b, nmax)[0] for b in (delta, beta, -beta))
     return abs(inner(probe, plus)) ** 2, abs(inner(probe, minus)) ** 2

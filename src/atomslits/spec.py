@@ -1,9 +1,11 @@
 """The scenario vocabulary and the rules a run is checked by, without numpy.
 
 Config, Pulse, Treatment, FreqTag, ScenarioSpec, what each config defines,
-the truncation and sample bounds, and the marker modes each transform needs:
-the command line settles every flag by them before it imports numpy, and the
-compute modules import them from here and re-export their names.
+the truncation and sample bounds, the marker modes each transform needs, and
+the physics domain (check_domain, check_whichway): the command line settles
+every flag and domain rule by them before it imports numpy, the builders and
+condition refuse by the same rules, and the compute modules import the
+vocabulary from here and re-export its names.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import sys
 from enum import Enum
 
-from .errors import ScenarioError, SpaceMismatchError, TruncationError
+from .errors import PerturbationError, ScenarioError, SpaceMismatchError, TruncationError
 
 __all__ = ["Config", "FreqTag", "PROJECTOR_NAMES", "Pulse", "ScenarioSpec", "Treatment",
            "check_nmax"]
@@ -112,6 +114,77 @@ def check_nmax(nmax: int) -> None:
             f"truncation dimension {nmax} exceeds {MAX_NMAX}; levels above "
             f"{MAX_NMAX - 1} overflow the float64 factorial"
         )
+
+
+def _squared_abs(z: complex) -> float:
+    """abs(z) ** 2, or inf where that square overflows a float."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def check_amplitude(amplitude: complex, nmax: int) -> float:
+    """|amplitude|^2 of a coherent state cut at nmax levels, after check_nmax. A NaN
+    raises ValueError, and |amplitude|^2 above nmax TruncationError."""
+    check_nmax(nmax)
+    b2 = _squared_abs(amplitude)
+    if math.isnan(b2):
+        raise ValueError(f"coherent amplitude {amplitude:.4g} is not a number")
+    if b2 > nmax:
+        raise TruncationError(
+            f"coherent amplitude {amplitude:.4g} has squared modulus {b2:.4g} above the "
+            f"truncation dimension {nmax}; the cutoff would drop most of the state")
+    return b2
+
+
+def _poisson_tail(x: float, nmax: int) -> float:
+    """Q = e^-x sum_{n >= nmax} x^n / n!, the share of |b> with |b|^2 = x <= nmax that a
+    cutoff at nmax levels drops, summed upward from the first dropped term."""
+    term = math.exp(nmax * math.log(x) - x - math.lgamma(nmax + 1)) if x else 0.0
+    total, n = 0.0, nmax
+    while total + term != total:
+        total += term
+        n += 1
+        term *= x / n
+    return total
+
+
+def check_kick(name: str, amplitude: complex, nmax: int) -> None:
+    """After check_amplitude, refuse a kick whose truncation residual is above 1e-10."""
+    residual = _poisson_tail(check_amplitude(amplitude, nmax), nmax)
+    if residual > 1e-10:
+        raise TruncationError(
+            f"coherent amplitude {name} = {amplitude:.4g} loses {residual:.2g} of its state "
+            f"to the truncation at nmax {nmax}, above 1e-10; use a larger --nmax")
+
+
+def check_domain(spec: ScenarioSpec, coincidence: str | None = None) -> None:
+    """Refuse a spec, and a coincidence cut of its chain, outside the physics domain, in
+    the order build and condition reach the rules: D's alpha guard; beta's truncation
+    tail (exact short pulses) or perturbative bound (|beta| < 1 for first-order B and E
+    short pulses, |beta|^2 < 0.5 elsewhere); D's alpha tail, under a coincidence only."""
+    config, nmax, short = spec.config, spec.nmax, spec.pulse is Pulse.SHORT
+    if config is Config.D:
+        check_amplitude(spec.alpha, nmax)
+    if config is not Config.A and short and spec.treatment is Treatment.EXACT:
+        check_kick("beta", spec.beta, nmax)
+    elif config is not Config.A:
+        b2, unit_bound = _squared_abs(spec.beta), short and config in (Config.B, Config.E)
+        if b2 >= (1.0 if unit_bound else 0.5):
+            bound = ("first-order treatment requires |beta| < 1" if unit_bound else
+                     "long pulses and first-order config C/D need |beta|^2 < 0.5")
+            raise PerturbationError(f"{bound}, got |beta|^2 = {b2:.4g}")
+    if coincidence is not None and config is Config.D:
+        check_kick("alpha", spec.alpha, nmax)
+
+
+def check_whichway(beta: float, delta: float, nmax: int) -> None:
+    """check_kick of the probe delta and the marker beta, both guards before either tail."""
+    check_amplitude(delta, nmax)
+    check_amplitude(beta, nmax)
+    check_kick("delta", delta, nmax)
+    check_kick("beta", beta, nmax)
 
 
 def check_nsamples(nsamples: int) -> None:

@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyPatternError, SpaceMismatchError
-from .fockspace import FockSpace, FockVector, _check_residual, inner
-from .spec import FreqTag, _Frozen, check_nsamples
+from .fockspace import FockSpace, FockVector, inner
+from .spec import FreqTag, _Frozen, check_kick, check_nsamples
 
 __all__ = [
     "FreqTag",
@@ -89,13 +89,13 @@ class TwoPathComponent(_Frozen):
 class TwoPathMixture(_Frozen):
     """Weighted incoherent set of TwoPathComponents over a common space.
 
-    common_kick is (alpha, truncation residual) of config D's common-mode kick, which
-    cancels from V and the phase: the transforms carry it, and condition refuses its
-    residual above 1e-10. None on every other mixture and on a constructed one.
+    common_kick is alpha of config D's common-mode kick, which cancels from V and the
+    phase: the transforms carry it, and condition refuses its truncation residual by
+    spec.check_kick. None on every other mixture and on a constructed one.
     """
 
     _fields = ("components",)
-    common_kick: tuple[complex, float] | None = None
+    common_kick: complex | None = None
 
     def __init__(self, components: tuple[TwoPathComponent, ...]) -> None:
         comps = tuple(components)
@@ -111,7 +111,7 @@ class TwoPathMixture(_Frozen):
 
     @classmethod
     def _wrap(cls, components: tuple[TwoPathComponent, ...],
-              common_kick: tuple[complex, float] | None = None) -> "TwoPathMixture":
+              common_kick: complex | None = None) -> "TwoPathMixture":
         """Adopt a tuple of components of one space with a positive, finite total
         weight that the package has already checked, without the constructor's checks."""
         m = object.__new__(cls)
@@ -135,7 +135,7 @@ class Projector(_Frozen):
     dim x dim matrix is never formed. U^dag is formed once, at construction.
     The columns are copied in and must be finite, with a Gram matrix U^dag U
     idempotent within 1e-12, which is exactly when U U^dag is an orthogonal
-    projector.
+    projector, and each column must be exactly zero or of unit norm within 1e-12.
     """
 
     _fields = ("space", "columns", "name")
@@ -149,14 +149,18 @@ class Projector(_Frozen):
             )
         if not np.isfinite(u).all():
             raise ValueError(f"projector '{name}' columns must be finite")
-        # huge finite columns overflow the Gram matrix to inf or nan; both are refused
+        # huge columns overflow the Gram matrix to inf or nan, and tiny ones pass its absolute
+        # test; each column's norm is scaled by its largest entry (1 if zero) not to underflow
         with np.errstate(over="ignore", invalid="ignore"):
             gram = u.conj().T @ u
             gap = np.abs(gram @ gram - gram).max(initial=0.0)
-        if not gap <= 1e-12:
+            size = np.abs(u)
+            scale = size.max(axis=0, initial=0.0) + ~u.any(axis=0)
+            norms = scale * np.sqrt(((size / scale) ** 2).sum(axis=0))
+        if not (gap <= 1e-12 and ((abs(norms - 1.0) <= 1e-12) | (norms == 0.0)).all()):
             raise ValueError(
                 f"projector '{name}' columns do not span an orthogonal projector: "
-                f"U^dag U is not idempotent within 1e-12"
+                f"U^dag U is not idempotent within 1e-12, or a column's norm is not 0 or 1"
             )
         self._adopt(space, u, name)
 
@@ -335,15 +339,15 @@ def condition(m: TwoPathMixture, projector: Projector) -> tuple[TwoPathMixture, 
 
     The norm lost to the projection is the coincidence post-selection cost.
     Returns the conditioned mixture and the post-selection probability, i.e.
-    the surviving fraction of the mean intensity. A common kick that loses more
-    than 1e-10 to the truncation raises TruncationError: a projection reads it.
+    the surviving fraction of the mean intensity. A projection reads the common
+    kick, so spec.check_kick refuses it first.
     """
     if projector.space is not m.space and projector.space != m.space:
         raise SpaceMismatchError(
             f"projector '{projector.name}' does not act on the mixture's space"
         )
     if m.common_kick is not None:  # its mode is the first, cut at nmax like the other
-        _check_residual("alpha", *m.common_kick, m.space.mode_dims[0])
+        check_kick("alpha", m.common_kick, m.space.mode_dims[0])
     before = _require_light(m)
     # a path met twice is projected once; equal U^dag v bytes share one image
     images: dict = {}

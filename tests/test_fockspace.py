@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from atomslits.fockspace import (
     ground_state,
     inner,
 )
+from atomslits.spec import _poisson_tail
 from atomslits.twopath import Projector, TwoPathComponent, TwoPathMixture, condition
 
 
@@ -83,6 +85,27 @@ def test_coherent_truncation_residual_reported():
     assert 0.01 < residual < 0.1
     _, tiny = coherent_state(0.3, 16)
     assert tiny < 1e-20
+
+
+@settings(max_examples=300)
+@given(nmax=st.integers(2, 171), share=st.floats(0.0, 0.999), theta=st.floats(0.0, 6.3))
+def test_poisson_tail_is_the_residual_of_the_coherent_series(nmax, share, theta):
+    # the scalar tail that spec refuses by, against the residual of the built state
+    beta = cmath.rect(math.sqrt(share * nmax), theta)
+    assert abs(coherent_state(beta, nmax)[1] - _poisson_tail(abs(beta) ** 2, nmax)) <= 1e-12
+
+
+def test_poisson_tail_matches_the_regularized_gamma_function():
+    # P(N >= nmax) of a Poisson N of mean x is the regularized lower gamma P(nmax, x)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for nmax in (2, 5, 16, 40, 100, 170, 171):
+            for share in (1e-3, 0.05, 0.2, 0.35, 0.5, 0.8, 1.0):
+                x = share * nmax
+                exact = float(mpmath.gammainc(nmax, 0, x, regularized=True))
+                if exact > 1e-290:
+                    assert abs(_poisson_tail(x, nmax) - exact) <= 1e-12 * exact, (nmax, x)
+    assert _poisson_tail(0.0, 16) == 0.0
 
 
 def test_truncation_guards():

@@ -8,7 +8,7 @@ phase, of the pattern bytes and of the conditioned path amplitudes is pinned
 in tests/golden_marker.json. The CLI golden runs at nmax 16 only; this one
 covers the sizes where the dense arithmetic dominates. The E chains apply
 evolve_beat as a stage of their own, to exercise the public transform; on E
-short it runs on top of the beat build_E_short has already applied. No CLI
+short it runs on top of the beat that build has already applied. No CLI
 call runs a beat after build, so the runner scenarios._run has no beat stage.
 A change that is meant to alter an output regenerates the file and says so:
 

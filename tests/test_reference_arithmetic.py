@@ -202,6 +202,14 @@ def test_tables_are_bounded():
         assert 0 < table.cache_info().maxsize <= 32, table
 
 
+def test_a_space_a_table_still_holds_stays_the_shared_one():
+    # the fixed-state table can hold a space after the 32-entry space table let it go
+    held = ground_state(_space((16, 16))).space
+    for nmax in range(2, 60):
+        _space((nmax,))
+    assert held is _space((16, 16)) is ground_state(FockSpace((16, 16))).space
+
+
 def test_builds_share_spaces_and_the_empty_path(monkeypatch):
     specs = [ScenarioSpec(Config.B, beta=0.3, nmax=24),
              ScenarioSpec(Config.B, beta=0.1, treatment=Treatment.FIRST_ORDER, nmax=24),

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 import atomslits
 from atomslits import closedform
 from atomslits.cli import main
-from atomslits.errors import PhysicsDomainError
+from atomslits.errors import EmptyPatternError, PhysicsDomainError
 from atomslits.fockspace import coherent_state
 from atomslits.scenarios import ScenarioSpec, _run
+from atomslits.spec import check_domain
 from atomslits.transforms import PROJECTOR_NAMES
 from atomslits.twopath import FreqTag, phase_offset, visibility
 
@@ -56,6 +57,8 @@ def meta_or_refusal(argv):
 _part = st.floats(-14.0, 14.0) | st.floats(-3.0, 3.0)
 _kick = st.builds(complex, _part, _part)
 _nmax = st.integers(2, 171)
+TWO_MODE = tuple(n for n in PROJECTOR_NAMES if not n.startswith("single_atom"))
+ONE_MODE = ("ground", "single_atom_0", "single_atom_1")
 
 
 @settings(max_examples=150)
@@ -101,10 +104,49 @@ def test_common_mode_truncation_is_refused_only_under_a_coincidence():
         _run(spec, coincidence="ground")
 
 
-# --- kick phase ------------------------------------------------------------
+# --- the physics-domain rule, settled before the chain ------------------------
 
-TWO_MODE = tuple(n for n in PROJECTOR_NAMES if not n.startswith("single_atom"))
-ONE_MODE = ("ground", "single_atom_0", "single_atom_1")
+
+@st.composite
+def domain_chains(draw):
+    """A spec of any regime at any nmax, with kicks from deep inside the domain to past
+    the |b|^2 <= nmax guard, and a chain its marker space takes."""
+    config = draw(st.sampled_from(["A", "B", "C1", "C2", "D", "E"]))
+    pulse = "short" if config == "D" else draw(st.sampled_from(["short", "long"]))
+    treatment = draw(st.sampled_from(["exact", "first"]))
+    if config == "E" and pulse == "short":
+        treatment = "first"
+    nmax = draw(_nmax)
+    sizes = st.floats(0.0, 1.1) | st.floats(0.0, 1.1).map(lambda u: math.sqrt(u * nmax))
+    kicks = st.builds(cmath.rect, sizes, st.floats(0.0, 6.3))
+    spec = ScenarioSpec(config, pulse, beta=draw(kicks), treatment=treatment, nmax=nmax,
+                        alpha=draw(kicks) if config == "D" else 0j)
+    two_mode = config not in ("C1", "C2")
+    tags = st.sets(st.sampled_from(list(FreqTag)), min_size=1)
+    return spec, dict(eraser=two_mode and draw(st.booleans()),
+                      dispersive=draw(st.none() | tags),
+                      coincidence=draw(st.none() | st.sampled_from(TWO_MODE if two_mode
+                                                                   else ONE_MODE)))
+
+
+@settings(max_examples=300)
+@given(drawn=domain_chains())
+def test_the_domain_rule_refuses_what_the_chain_refuses(drawn):
+    # the front settles a pattern call by check_domain before numpy loads; the chain
+    # must then refuse the same, or fail only where a cut leaves no light
+    spec, chain = drawn
+    try:
+        check_domain(spec, chain["coincidence"])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            _run(spec, **chain)
+        assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+        return
+    with contextlib.suppress(EmptyPatternError):
+        visibility(_run(spec, **chain)[0])
+
+
+# --- kick phase ------------------------------------------------------------
 
 
 @st.composite

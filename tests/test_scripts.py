@@ -1,6 +1,7 @@
 """Smoke runs of the scripts the README documents."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,23 @@ def test_startup_cost_splits_every_kind(tmp_path):
         parts = [float(ms) for ms in row[1:-1]]
         assert all(ms > 0 for ms in parts)
         assert abs(sum(parts[:-1]) - parts[-1]) < 0.5
-    # only the calls that compute, or that exit 3 after building, load numpy
-    assert [row[-1] for row in rows] == ["yes"] * 5 + ["no", "yes", "no", "no"]
+    # only the calls that compute load numpy; the truncation refusal is settled before
+    assert [row[-1] for row in rows] == ["yes"] * 5 + ["no"] * 4
     assert list(tmp_path.iterdir()) == []
+
+
+def test_identity_reports_each_call_that_differs(tmp_path):
+    result = run_script("identity.py", SRC, SRC, "--limit", "10", cwd=tmp_path)
+    assert (result.returncode, result.stdout.splitlines()) == (0, [
+        "10 calls: 10 same, 0 differ; at the parent 10 exit 0",
+        "no call differs in exit code, stdout or stderr"]), result.stderr
+    # a copy whose whichway CSV header differs in one byte; the first ten calls hold one
+    copy = tmp_path / "src"
+    shutil.copytree(Path(SRC) / "atomslits", copy / "atomslits",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "atomslits" / "cli.py"
+    cli.write_text(cli.read_text().replace('"command": "whichway"', '"command": "whichwaY"'))
+    result = run_script("identity.py", SRC, str(copy), "--limit", "10", cwd=tmp_path)
+    assert (result.returncode, result.stdout.splitlines()) == (1, [
+        "10 calls: 9 same, 1 differ; at the parent 10 exit 0",
+        "  whichway --beta 0.5 --delta 1.0: stdout (exit 0 -> 0)"]), result.stderr

@@ -239,3 +239,57 @@ def test_projector_refuses_columns_that_are_no_orthogonal_projector():
     for columns in (np.eye(16), np.diag([1.0] + [0.0] * 15), np.zeros((16, 0)),
                     np.linalg.qr(rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3)))[0]):
         Projector(space, columns)
+
+
+def test_projector_refuses_tiny_columns():
+    # a Gram matrix of 1e-14 is idempotent within 1e-12, and one of 1e-340 underflows
+    # to 0; conditioned on such a column, |0> paths kept a post-selection of 1e-28
+    for size in (1e-7, 1e-170, 1e-310, 5e-324):
+        with pytest.raises(ValueError, match="norm is not 0 or 1"):
+            Projector(SPACE, [[size], [0.0], [0.0], [0.0]])
+        with pytest.raises(ValueError, match="norm is not 0 or 1"):
+            Projector(SPACE, np.diag([1.0, size, 0.0, 0.0]))
+    assert condition(single(B0, B0), Projector(SPACE, [[1.0], [0], [0], [0]]))[1] == 1.0
+
+
+@st.composite
+def column_blocks(draw):
+    """Up to three columns on a 6-level space: orthonormal ones, scaled by sizes near
+    and far from 1, exactly zero ones, and raw random ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, 3))
+    block = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0][:, :k]
+    for j in range(k):
+        block[:, j] *= draw(st.sampled_from([1.0, 1.0, 1 + 1e-13, 1 - 1e-11, 0.0, 1e-7,
+                                             1e-170, 1e-310, 3.0]))
+    if draw(st.integers(0, 4)) == 0:
+        block = block + draw(st.sampled_from([1e-14, 1e-6, 1.0])) * rng.normal(size=block.shape)
+    return block
+
+
+@settings(max_examples=300)
+@given(columns=column_blocks(), seed=st.integers(0, 2**32 - 1))
+def test_every_accepted_projector_is_idempotent_with_a_post_selection_in_0_1(columns, seed):
+    space = FockSpace((6,))
+    try:
+        projector = Projector(space, columns)
+    except ValueError:
+        return
+    # P keeps each direction it was given: a tiny column would be shrunk towards 0
+    for u in columns.T:
+        if u.any():
+            unit = u / np.abs(u).max()
+            unit = FockVector(space, unit / np.linalg.norm(unit))
+            assert np.max(np.abs(projector.apply(unit).amplitudes - unit.amplitudes)) <= 1e-12
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        v = FockVector(space, rng.normal(size=6) + 1j * rng.normal(size=6))
+        w = FockVector(space, rng.normal(size=6) + 1j * rng.normal(size=6))
+        once = projector.apply(v)
+        twice = projector.apply(once)
+        assert np.max(np.abs(twice.amplitudes - once.amplitudes)) <= 1e-12 * v.norm()
+        # paths inside the kept subspace lose nothing, within the constructor's 1e-12
+        for paths in ((v, w), (once, projector.apply(w))):
+            if paths[0].norm() + paths[1].norm() > 0:
+                _, kept = condition(single(*paths), projector)
+                assert 0.0 <= kept <= 1.0 + 1e-12
