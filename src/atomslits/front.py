@@ -25,6 +25,7 @@ import sys
 from ._version import __version__
 from .errors import PhysicsDomainError, ScenarioError
 from .spec import (
+    _FIELD_CONFIGS,
     PROJECTOR_NAMES,
     Config,
     FreqTag,
@@ -86,28 +87,31 @@ def _fmt(x: float) -> str:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, pattern: bool) -> None:
-    """The scenario and output flags; pattern adds --beta and --samples, sweep --beta-range."""
+    """The scenario and output flags; pattern adds --beta and --samples, sweep --beta-range.
+    A scenario flag not given sets no attribute, so ScenarioSpec's default applies."""
+    unset = argparse.SUPPRESS
     parser.add_argument("--config", required=True, choices=[c.value for c in Config],
                         help="slit configuration")
-    parser.add_argument("--pulse", choices=[p.value for p in Pulse], default="short",
+    parser.add_argument("--pulse", choices=[p.value for p in Pulse], default=unset,
                         help="light pulse regime (default: short)")
-    parser.add_argument("--treatment", choices=[t.value for t in Treatment], default=None,
+    parser.add_argument("--treatment", choices=[t.value for t in Treatment], default=unset,
                         help="exact coherent-state markers or first-order amplitudes "
                              "(default: first for config E, exact elsewhere)")
     if pattern:
-        parser.add_argument("--beta", type=_complex_arg, default=0j,
+        parser.add_argument("--beta", type=_complex_arg, default=unset,
                             help="recoil kick amplitude, complex accepted (default: 0)")
-    parser.add_argument("--alpha", type=_complex_arg, default=None,
+    parser.add_argument("--alpha", type=_complex_arg, default=unset,
                         help="longitudinal common-mode kick, config D only")
-    parser.add_argument("--epsilon", type=float, default=0.01,
+    parser.add_argument("--epsilon", type=float, default=unset,
                         help="scattering amplitude, in [1.4917e-154, 0.1] (default: 0.01)")
-    parser.add_argument("--coupling", type=float, default=None,
+    parser.add_argument("--coupling", type=float, default=unset, dest="coupling_g",
+                        metavar="COUPLING",
                         help="slit-slit coupling g, config E only; the normal modes "
                              "split by the beat frequency 2g")
-    parser.add_argument("--evolve-time", type=float, default=None, dest="evolve_time",
+    parser.add_argument("--evolve-time", type=float, default=unset, dest="evolve_time",
                         help="beat evolution time, config E only; a quarter beat "
                              "period is pi/(4g)")
-    parser.add_argument("--nmax", type=int, default=16,
+    parser.add_argument("--nmax", type=int, default=unset,
                         help="Fock truncation per mode (default: 16)")
     parser.add_argument("--eraser", action="store_true",
                         help="apply the which-way eraser rotation")
@@ -165,25 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_scenario_flags(args) -> None:
-    for flag, value, config in (("--alpha", args.alpha, "D"), ("--coupling", args.coupling, "E"),
-                                ("--evolve-time", args.evolve_time, "E")):
-        if value is not None and args.config != config:
-            raise FlagError(flag, f"applies to config {config} only, not config {args.config}")
+    for field, config in _FIELD_CONFIGS.items():
+        if field in vars(args) and args.config != config.value:
+            raise FlagError(_FIELD_FLAGS.get(field, "--" + field),
+                            f"applies to config {config.value} only, not config {args.config}")
 
 
-def _settle_spec(args, beta: complex) -> None:
-    """The spec of the scenario flags at this beta goes to args.spec, checked."""
-    args.spec = ScenarioSpec(
-        config=args.config,
-        pulse=args.pulse,
-        beta=beta,
-        alpha=args.alpha if args.alpha is not None else 0j,
-        epsilon=args.epsilon,
-        coupling_g=args.coupling if args.coupling is not None else 0.0,
-        evolve_time=args.evolve_time if args.evolve_time is not None else 0.0,
-        treatment=args.treatment,
-        nmax=args.nmax,
-    )
+def _settle_spec(args, **fixed) -> None:
+    """The spec of the scenario flags given, and of fixed, goes to args.spec, checked."""
+    given = {name: value for name, value in vars(args).items() if name in ScenarioSpec._fields}
+    args.spec = ScenarioSpec(**given, **fixed)
     check_chain(args.spec, args.eraser, args.coincidence)
 
 
@@ -191,7 +186,7 @@ def _settle_pattern(args) -> None:
     _check_scenario_flags(args)
     if args.samples > MAX_SAMPLES:
         raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
-    _settle_spec(args, args.beta)
+    _settle_spec(args)
     check_nsamples(args.samples)
     check_domain(args.spec, args.coincidence)
 
@@ -222,7 +217,7 @@ def _settle_sweep(args) -> None:
     """Check sweep's flags: args.betas as (MIN, MAX, STEPS), and args.spec at beta 0."""
     _check_scenario_flags(args)
     args.betas = _parse_beta_range(args.beta_range)
-    _settle_spec(args, 0j)
+    _settle_spec(args, beta=0j)
 
 
 def _settle_whichway(args) -> None:

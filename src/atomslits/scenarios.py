@@ -73,10 +73,27 @@ def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
                                 common_kick)
 
 
-def _first_order_kicked(nmax: int, beta: complex) -> FockVector:
-    """sqrt(1-|b|^2) |0> + b |1>: normalized single-mode first-order marker of C/D."""
-    c0 = math.sqrt(1.0 - abs(beta) ** 2)
-    return _superposition(_space((nmax,)), ((0, c0), (1, beta)))
+def _first_order(space, b: complex, level: int) -> FockVector:
+    """sqrt(1-|b|^2) |0> + b |level>: the normalized first-order marker of a kick b."""
+    return _superposition(space, ((0, math.sqrt(1.0 - abs(b) ** 2)), (level, b)))
+
+
+def _opposite_kicks(spec: ScenarioSpec) -> tuple[FockVector, FockVector]:
+    """The one-mode markers of the kicks +b and -b: |b> and |-b> (EXACT), or
+    sqrt(1-|b|^2) |0> +- b |1> (FIRST_ORDER)."""
+    b, nmax = spec.beta, spec.nmax
+    if spec.treatment is Treatment.EXACT:
+        return coherent_state(b, nmax)[0], coherent_state(-b, nmax)[0]
+    space = _space((nmax,))
+    return _first_order(space, b, 1), _first_order(space, -b, 1)
+
+
+def _long_pulse(spec: ScenarioSpec, space, *outcomes) -> TwoPathMixture:
+    """The long-pulse mixture: the elastic line on the ground marker at weight
+    eps^2 (1-|b|^2), then each (psi1, psi2, tag, share) outcome at eps^2 |b|^2 share."""
+    b2, eps2, g = abs(spec.beta) ** 2, spec.epsilon**2, ground_state(space)
+    return _mixture((g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
+                    *((psi1, psi2, tag, eps2 * b2 * share) for psi1, psi2, tag, share in outcomes))
 
 
 def _build_A(spec: ScenarioSpec) -> TwoPathMixture:
@@ -96,9 +113,7 @@ def _build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     if spec.treatment is not Treatment.EXACT:
         space = _space((nmax, nmax))
         i10, i01 = transforms._excitation_pair_indices(space)
-        c0 = math.sqrt(1.0 - abs(b) ** 2)
-        psi1 = _superposition(space, ((0, c0), (i10, b)))
-        psi2 = _superposition(space, ((0, c0), (i01, b)))
+        psi1, psi2 = _first_order(space, b, i10), _first_order(space, b, i01)
         return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
     kicked = coherent_state(b, nmax)[0]
     still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
@@ -114,16 +129,11 @@ def _build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
     photon to one slit and kills the fringe. Outcome fractions are 1-|b|^2 and
     |b|^2/2 per slit, so the one-path components enter with weight |b|^2.
     """
-    b2 = abs(spec.beta) ** 2
     space = _space((spec.nmax, spec.nmax))
-    g = ground_state(space)
     empty = zero_vector(space)
-    eps2 = spec.epsilon**2
-    return _mixture(
-        (g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-        (basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, eps2 * b2),
-        (empty, basis_state(space, (0, 1)), FreqTag.SHIFTED, eps2 * b2),
-    )
+    return _long_pulse(spec, space,
+                       (basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, 1.0),
+                       (empty, basis_state(space, (0, 1)), FreqTag.SHIFTED, 1.0))
 
 
 def _build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -133,13 +143,7 @@ def _build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     kick flips the sign of the |1> amplitude between paths, contrast exactly
     1-2|b|^2. C1 and C2 are equivalent and share this builder.
     """
-    b, nmax = spec.beta, spec.nmax
-    if spec.treatment is not Treatment.EXACT:
-        psi1 = _first_order_kicked(nmax, b)
-        psi2 = _first_order_kicked(nmax, -b)
-        return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
-    psi1, psi2 = coherent_state(b, nmax)[0], coherent_state(-b, nmax)[0]
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
+    return _mixture((*_opposite_kicks(spec), FreqTag.ELASTIC, spec.epsilon**2))
 
 
 def _build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
@@ -149,15 +153,9 @@ def _build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
     i.e. a pi-shifted fringe of full contrast, weight |b|^2. Without frequency
     selection the two lines add to contrast 1-2|b|^2.
     """
-    b2 = abs(spec.beta) ** 2
     space = _space((spec.nmax,))
-    g = ground_state(space)
-    e1 = basis_state(space, (1,))
-    eps2 = spec.epsilon**2
-    return _mixture(
-        (g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-        (e1, _shared_state(space, ((1, 1.0),), negated=True), FreqTag.SHIFTED, eps2 * b2),
-    )
+    flipped = _shared_state(space, ((1, 1.0),), negated=True)
+    return _long_pulse(spec, space, (basis_state(space, (1,)), flipped, FreqTag.SHIFTED, 1.0))
 
 
 def _build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -167,16 +165,10 @@ def _build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     fringe entirely even when alpha is large; it is detectable but carries no
     which-way information.
     """
-    b, a, nmax = spec.beta, spec.alpha, spec.nmax
-    common = coherent_state(a, nmax)[0]
-    if spec.treatment is Treatment.EXACT:
-        plus, minus = coherent_state(b, nmax)[0], coherent_state(-b, nmax)[0]
-    else:
-        plus = _first_order_kicked(nmax, b)
-        minus = _first_order_kicked(nmax, -b)
-    psi1 = _product((common, plus))
-    psi2 = _product((common, minus))
-    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), common_kick=a)
+    common = coherent_state(spec.alpha, spec.nmax)[0]
+    plus, minus = _opposite_kicks(spec)
+    psi1, psi2 = _product((common, plus)), _product((common, minus))
+    return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), common_kick=spec.alpha)
 
 
 def _build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -198,18 +190,12 @@ def _build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
     antisymmetric mode pi-shifted; neither marks a path. Weights are |b|^2/2
     per mode, elastic 1-|b|^2.
     """
-    b2 = abs(spec.beta) ** 2
     space = _space((spec.nmax, spec.nmax))
-    g = ground_state(space)
     sym = transforms._normal_mode(space, 1.0)
     antisym = transforms._normal_mode(space, -1.0)
     flipped = transforms._normal_mode(space, -1.0, negated=True)
-    eps2 = spec.epsilon**2
-    return _mixture(
-        (g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-        (sym, sym, FreqTag.SYM, eps2 * b2 / 2.0),
-        (antisym, flipped, FreqTag.ANTISYM, eps2 * b2 / 2.0),
-    )
+    return _long_pulse(spec, space, (sym, sym, FreqTag.SYM, 0.5),
+                       (antisym, flipped, FreqTag.ANTISYM, 0.5))
 
 
 # The builders of each config's short and long pulse; ScenarioSpec has refused

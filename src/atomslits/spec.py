@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from enum import Enum
 
 from .errors import PerturbationError, ScenarioError, SpaceMismatchError, TruncationError
@@ -78,25 +79,23 @@ class FreqTag(str, Enum):
 # value -> member of each enum, without the enum call; a member hashes and compares as its value
 _CONFIGS, _PULSES, _TREATMENTS = ({m.value: m for m in e} for e in (Config, Pulse, Treatment))
 
-
-class _Regime:
-    def __init__(self, treatments: tuple[Treatment, ...], long: bool, modes: int):
-        self.treatments, self.long, self.modes = treatments, long, modes
-
-
 _BOTH = (Treatment.EXACT, Treatment.FIRST_ORDER)
 
 # What each config defines: its short-pulse treatments (the first is the default, () where
-# the treatment does not enter), whether it has a long pulse, and the marker modes its
-# builders put on every chain. scenarios holds a builder for each regime defined here.
+# the treatment does not enter), whether it has a long pulse, the marker modes its builders
+# put on every chain, the |beta|^2 bound of its first-order short pulse (None where no kick
+# enters; every long pulse needs |beta|^2 < 0.5), and the ScenarioSpec fields no other config
+# reads. scenarios holds a builder for each regime defined here.
+_Regime = namedtuple("_Regime", "treatments long modes bound fields", defaults=((),))
 _REGIMES = {
-    Config.A: _Regime((), True, 2),
-    Config.B: _Regime(_BOTH, True, 2),
-    Config.C1: _Regime(_BOTH, True, 1),
-    Config.C2: _Regime(_BOTH, True, 1),
-    Config.D: _Regime(_BOTH, False, 2),
-    Config.E: _Regime((Treatment.FIRST_ORDER,), True, 2),
+    Config.A: _Regime((), True, 2, None),
+    Config.B: _Regime(_BOTH, True, 2, 1.0),
+    Config.C1: _Regime(_BOTH, True, 1, 0.5),
+    Config.C2: _Regime(_BOTH, True, 1, 0.5),
+    Config.D: _Regime(_BOTH, False, 2, 0.5, ("alpha",)),
+    Config.E: _Regime((Treatment.FIRST_ORDER,), True, 2, 1.0, ("coupling_g", "evolve_time")),
 }
+_FIELD_CONFIGS = {field: config for config, regime in _REGIMES.items() for field in regime.fields}
 
 # Each named coincidence projector and the marker modes it needs; None fits any space.
 _PROJECTOR_MODES = {"ground": None, "atom1_excited": 2, "atom2_excited": 2, "single_atom_0": 1,
@@ -104,9 +103,13 @@ _PROJECTOR_MODES = {"ground": None, "atom1_excited": 2, "atom2_excited": 2, "sin
 PROJECTOR_NAMES = tuple(_PROJECTOR_MODES)
 
 
+def _whole(count) -> bool:
+    return isinstance(count, int) or float(count).is_integer()
+
+
 def check_nmax(nmax: int) -> None:
-    """Refuse a truncation outside 2 <= nmax <= MAX_NMAX; run it before allocating.
-    Below 2 is ScenarioError with field "nmax", above is TruncationError."""
+    """Refuse a truncation that is not a whole number in 2 <= nmax <= MAX_NMAX; run it before
+    allocating. Above MAX_NMAX is TruncationError, the rest ScenarioError field "nmax"."""
     if nmax < 2:
         raise ScenarioError("nmax", f"truncation dimension must be >= 2, got {nmax}")
     if nmax > MAX_NMAX:
@@ -114,6 +117,8 @@ def check_nmax(nmax: int) -> None:
             f"truncation dimension {nmax} exceeds {MAX_NMAX}; levels above "
             f"{MAX_NMAX - 1} overflow the float64 factorial"
         )
+    if not _whole(nmax):
+        raise ScenarioError("nmax", f"truncation dimension must be a whole number, got {nmax}")
 
 
 def _squared_abs(z: complex) -> float:
@@ -161,21 +166,22 @@ def check_kick(name: str, amplitude: complex, nmax: int) -> None:
 
 def check_domain(spec: ScenarioSpec, coincidence: str | None = None) -> None:
     """Refuse a spec, and a coincidence cut of its chain, outside the physics domain, in
-    the order build and condition reach the rules: D's alpha guard; beta's truncation
-    tail (exact short pulses) or perturbative bound (|beta| < 1 for first-order B and E
-    short pulses, |beta|^2 < 0.5 elsewhere); D's alpha tail, under a coincidence only."""
-    config, nmax, short = spec.config, spec.nmax, spec.pulse is Pulse.SHORT
-    if config is Config.D:
+    the order build and condition reach the rules: the alpha guard; beta's truncation tail
+    (exact short pulses) or the perturbative bound that _REGIMES, the one home of the
+    bounds and of the config-only fields, sets; the alpha tail, under a coincidence only."""
+    regime, nmax, short = _REGIMES[spec.config], spec.nmax, spec.pulse is Pulse.SHORT
+    reads_alpha = spec.config is _FIELD_CONFIGS["alpha"]
+    if reads_alpha:
         check_amplitude(spec.alpha, nmax)
-    if config is not Config.A and short and spec.treatment is Treatment.EXACT:
+    if regime.bound is not None and short and spec.treatment is Treatment.EXACT:
         check_kick("beta", spec.beta, nmax)
-    elif config is not Config.A:
-        b2, unit_bound = _squared_abs(spec.beta), short and config in (Config.B, Config.E)
-        if b2 >= (1.0 if unit_bound else 0.5):
-            bound = ("first-order treatment requires |beta| < 1" if unit_bound else
-                     "long pulses and first-order config C/D need |beta|^2 < 0.5")
-            raise PerturbationError(f"{bound}, got |beta|^2 = {b2:.4g}")
-    if coincidence is not None and config is Config.D:
+    elif regime.bound is not None:  # None: no kick enters the marker
+        b2, bound = _squared_abs(spec.beta), regime.bound if short else 0.5
+        if b2 >= bound:
+            rule = ("first-order treatment requires |beta| < 1" if bound == 1.0 else
+                    "long pulses and first-order config C/D need |beta|^2 < 0.5")
+            raise PerturbationError(f"{rule}, got |beta|^2 = {b2:.4g}")
+    if coincidence is not None and reads_alpha:
         check_kick("alpha", spec.alpha, nmax)
 
 
@@ -188,9 +194,11 @@ def check_whichway(beta: float, delta: float, nmax: int) -> None:
 
 
 def check_nsamples(nsamples: int) -> None:
-    """Refuse a pattern of fewer than MIN_SAMPLES phases, with field "nsamples"."""
+    """Refuse a pattern that is not a whole number >= MIN_SAMPLES of phases, field "nsamples"."""
     if nsamples < MIN_SAMPLES:
         raise ScenarioError("nsamples", f"nsamples must be >= {MIN_SAMPLES}, got {nsamples}")
+    if not _whole(nsamples):
+        raise ScenarioError("nsamples", f"nsamples must be a whole number, got {nsamples}")
 
 
 def check_modes(nmodes: int, projector: str | None = None) -> None:
@@ -220,13 +228,13 @@ class ScenarioSpec(_Frozen):
     """Declarative description of one scenario run.
 
     beta is the dimensionless recoil kick beta = i Q x0 / sqrt(2) for photon
-    momentum transfer Q and trap oscillator length x0. alpha applies to
-    config D only; coupling_g and evolve_time apply to config E only (other
-    builders ignore them). beta, alpha, coupling_g, evolve_time and their
-    product must be finite; epsilon must stay in [1.49e-154, 0.1], the
-    single-scattering regime in which epsilon**2 is a normal float; nmax must
-    lie in [2, 171]. A value outside its domain raises ScenarioError with its
-    field ("evolve_time" for the product), except nmax above 171: TruncationError.
+    momentum transfer Q and trap oscillator length x0. alpha (config D),
+    coupling_g and evolve_time (config E) are read by the config whose _REGIMES
+    entry lists them only. beta, alpha, coupling_g, evolve_time and their product
+    must be finite; epsilon must stay in [1.49e-154, 0.1], the single-scattering
+    regime in which epsilon**2 is a normal float; nmax must be a whole number in
+    [2, 171]. A value outside its domain raises ScenarioError with its field
+    ("evolve_time" for the product), except nmax above 171: TruncationError.
 
     treatment None resolves to the config's default: first order for config
     E on either pulse, exact elsewhere. Combinations the regime table does
@@ -258,7 +266,7 @@ class ScenarioSpec(_Frozen):
         self.__dict__.update(config=config, pulse=pulse, beta=complex(beta),
                              alpha=complex(alpha), epsilon=float(epsilon),
                              coupling_g=float(coupling_g), evolve_time=float(evolve_time),
-                             treatment=treatment, nmax=int(nmax))
+                             treatment=treatment)
         for name in ("beta", "alpha", "coupling_g", "evolve_time"):
             value = getattr(self, name)
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -280,7 +288,8 @@ class ScenarioSpec(_Frozen):
                 f"coupling_g * evolve_time must be finite, got {self.coupling_g} * "
                 f"{self.evolve_time}"
             )
-        check_nmax(self.nmax)
+        check_nmax(nmax)
+        self.__dict__["nmax"] = int(nmax)
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -19,6 +19,7 @@ import atomslits
 from atomslits import acceptance
 from atomslits.cli import main
 from atomslits.front import MAX_SWEEP_STEPS, build_parser
+from atomslits.spec import _FIELD_CONFIGS
 
 
 def run(argv, capsys):
@@ -784,6 +785,35 @@ def test_sweep_lanes_and_echo_follow_the_regime(config, pulse, capsys):
     two_lanes = pulse == "short" and config in ("B", "C1", "C2", "D")
     for row in rows:
         assert (row["visibility_exact"] != row["visibility_first_order"]) is two_lanes
+
+
+# The config-only flags and the one config that reads each, stated apart from spec._REGIMES.
+CONFIG_ONLY = {"--alpha": ("alpha", "D"), "--coupling": ("coupling_g", "E"),
+               "--evolve-time": ("evolve_time", "E")}
+
+
+def test_config_only_flags_are_the_regime_tables():
+    assert {field: config.value for field, config in _FIELD_CONFIGS.items()} == dict(
+        CONFIG_ONLY.values())
+
+
+@pytest.mark.parametrize("command", ["pattern", "sweep"])
+@pytest.mark.parametrize("flag", CONFIG_ONLY)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_each_config_only_flag_is_refused_off_its_config(command, flag, config, capsys):
+    argv = [command, "--config", config, f"{flag}=0.5"]
+    if command == "sweep":
+        argv += ["--beta-range", "0:0.1:2"]
+    code, out, err = run(argv, capsys)
+    field, reader = CONFIG_ONLY[flag]
+    if config == reader:
+        # the flag reaches its spec field, echoed in the header
+        assert (code, err) == (0, "")
+        assert csv_sections(out)[0][field] == ("0.5+0j" if field == "alpha" else "0.5")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"atomslits: error: {flag}: applies to config {reader} only, " \
+                      f"not config {config}\n"
 
 
 # Floats a user could type, weighted towards the values that break numerics;

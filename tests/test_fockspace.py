@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomslits.errors import SpaceMismatchError, TruncationError
+from atomslits.errors import ScenarioError, SpaceMismatchError, TruncationError
 from atomslits.fockspace import (
     FockSpace,
     FockVector,
@@ -17,8 +17,8 @@ from atomslits.fockspace import (
     ground_state,
     inner,
 )
-from atomslits.spec import _poisson_tail
-from atomslits.twopath import Projector, TwoPathComponent, TwoPathMixture, condition
+from atomslits.spec import Config, ScenarioSpec, _poisson_tail
+from atomslits.twopath import Projector, TwoPathComponent, TwoPathMixture, condition, pattern
 
 
 def test_space_dim_and_index_convention():
@@ -289,3 +289,30 @@ def test_truncation_guard_names_a_nan_amplitude(beta):
             make(beta, 8)
         assert type(info.value) is ValueError
         assert "nan" in str(info.value)
+
+
+def test_a_count_that_is_no_whole_number_is_refused():
+    # 16.5 levels once gave 17 amplitudes on a 16-level space, and 16.5 phases 17 samples
+    for nmax in (16.5, 2.5, math.nan):
+        for call in (lambda: coherent_state(0.5, nmax), lambda: displacement_operator(0.5, nmax),
+                     lambda: ScenarioSpec(Config.B, nmax=nmax)):
+            with pytest.raises(ScenarioError, match="whole number") as exc:
+                call()
+            assert exc.value.field == "nmax"
+    with pytest.raises(TruncationError, match="exceeds 171"):
+        ScenarioSpec(Config.B, nmax=math.inf)
+    g = ground_state(FockSpace((4,)))
+    m = TwoPathMixture([TwoPathComponent(g, g)])
+    for nsamples in (16.5, math.nan, math.inf, np.float64(31.5)):
+        with pytest.raises(ScenarioError, match="whole number") as exc:
+            pattern(m, nsamples)
+        assert exc.value.field == "nsamples"
+    # a whole float or a numpy integer keeps the bytes of the int
+    state, residual = coherent_state(0.5 + 0.25j, 16)
+    for nmax in (16.0, np.int64(16)):
+        same, same_residual = coherent_state(0.5 + 0.25j, nmax)
+        assert same.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert same_residual == residual
+        assert ScenarioSpec(Config.B, nmax=nmax) == ScenarioSpec(Config.B, nmax=16)
+    for nsamples in (32.0, np.int64(32)):
+        assert pattern(m, nsamples).intensities.tobytes() == pattern(m, 32).intensities.tobytes()

@@ -3,8 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atomslits.errors import PerturbationError, ScenarioError, TruncationError
+from atomslits import closedform
+from atomslits.errors import (PerturbationError, PhysicsDomainError, ScenarioError,
+                              TruncationError)
 from atomslits.scenarios import (
     Config,
     Pulse,
@@ -409,6 +413,46 @@ def test_treatments_a_regime_tells_apart():
     assert ScenarioSpec(Config.A).treatments == ()
     assert ScenarioSpec(Config.B, Pulse.LONG).treatments == ()
     assert ScenarioSpec(Config.E, Pulse.LONG, treatment=Treatment.EXACT).treatments == ()
+
+
+# --- perturbative bounds: the regime table against the closed forms -------------
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Every regime with a perturbative bound: each short pulse at first order, and each long
+# pulse of a config with golden-rule weights.
+_BOUNDED = [(c, Pulse.SHORT) for c in Config] + [
+    (c, Pulse.LONG) for c in (Config.B, Config.C1, Config.C2, Config.E)]
+
+
+@settings(max_examples=1000)
+@given(regime=st.sampled_from(_BOUNDED), edge=st.sampled_from((0.5, 1.0)),
+       ulps=st.integers(-40, 40), axis=st.sampled_from((1, -1, 1j, -1j)))
+def test_domain_bounds_refuse_where_the_closed_forms_do(regime, edge, ulps, axis):
+    # |beta| within 40 ulps of either edge, along the real or the imaginary axis, where
+    # abs(b)**2 and re**2 + im**2 are the same float; off the axes they can differ by an ulp
+    config, pulse = regime
+    beta = _nudged(math.sqrt(edge), ulps) * axis
+    s = spec(config, pulse, Treatment.FIRST_ORDER, beta=beta)
+    try:
+        if pulse is Pulse.SHORT:
+            closedform.first_order_contrast(config, beta)
+        else:
+            closedform.longpulse_weights(config, beta)
+        reference = False
+    except PhysicsDomainError:
+        reference = True
+    try:
+        check_domain(s)
+        refused = False
+    except PerturbationError:
+        refused = True
+    assert refused == reference
 
 
 # --- truncation: the function that owns the state refuses it -----------------

@@ -93,3 +93,37 @@ def test_identity_reports_each_call_that_differs(tmp_path):
     assert (result.returncode, result.stdout.splitlines()) == (1, [
         "10 calls: 9 same, 1 differ; at the parent 10 exit 0",
         "  whichway --beta 0.5 --delta 1.0: stdout (exit 0 -> 0)"]), result.stderr
+
+
+def test_identity_library_reports_each_chain_that_differs(tmp_path):
+    result = run_script("identity.py", SRC, SRC, "--library", "--limit", "60", cwd=tmp_path)
+    lines = result.stdout.splitlines()
+    assert (result.returncode, lines[1:]) == (
+        0, ["no chain differs in its results or its exception"]), result.stderr
+    assert lines[0].startswith("60 chains: 60 same, 0 differ; at the parent ")
+    # a copy whose config A weight is one ulp higher: each A chain that builds differs
+    copy = tmp_path / "src"
+    shutil.copytree(Path(SRC) / "atomslits", copy / "atomslits",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    scenarios = copy / "atomslits" / "scenarios.py"
+    source = scenarios.read_text()
+    weight = "return _mixture((g, g, FreqTag.ELASTIC, spec.epsilon**2))"
+    assert source.count(weight) == 1
+    scenarios.write_text(source.replace(
+        weight, "return _mixture((g, g, FreqTag.ELASTIC, math.nextafter(spec.epsilon**2, 1)))"))
+    result = run_script("identity.py", SRC, str(copy), "--library", "--limit", "60",
+                        cwd=tmp_path)
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import identity
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    built_a = [chain for chain in identity.chains(1, 60)
+               if chain[0]["config"] == "A" and identity.chain_outcome(chain)[1] == "built"]
+    reported = result.stdout.splitlines()[1:]
+    assert result.returncode == 1 and len(built_a) >= 2, result.stderr
+    assert result.stdout.splitlines()[0].startswith(
+        f"60 chains: {60 - len(built_a)} same, {len(built_a)} differ; ")
+    assert [line.split(": built -> built")[0].strip() for line in reported] == [
+        f"{fields} eraser={eraser} dispersive={dispersive} coincidence={coincidence}"
+        for fields, eraser, dispersive, coincidence in built_a]
