@@ -15,7 +15,9 @@ each part of a child's wall time is reported as its median:
   exit       the child's wall time after `main` returns: the atexit handlers,
              the stdio flush and `os._exit`, which skips module cleanup
 
-A last column says whether numpy was loaded when `main` returned.
+Two last columns say how many of the total ms the child spent compiling
+atomslits' own source (`compile`, 0 where every module loads from its
+bytecode cache) and whether numpy was loaded when `main` returned.
 
 The child stamps CLOCK_MONOTONIC, which all processes share, after each part
 and writes the stamps to stderr when `main` returns; the parent stamps the
@@ -59,6 +61,22 @@ STAMPS = "startup_cost stamps:"
 CHILD = f"""\
 import os, sys, time
 stamps = [time.clock_gettime(time.CLOCK_MONOTONIC)]
+from importlib.machinery import SourceFileLoader
+compiling = [0.0]
+source_to_code = SourceFileLoader.source_to_code
+
+
+def timed_source_to_code(loader, *args, **kwargs):
+    if loader.name.partition(".")[0] != "atomslits":
+        return source_to_code(loader, *args, **kwargs)
+    start = time.perf_counter()
+    try:
+        return source_to_code(loader, *args, **kwargs)
+    finally:
+        compiling[0] += time.perf_counter() - start
+
+
+SourceFileLoader.source_to_code = timed_source_to_code
 import atomslits
 stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
 from atomslits import front
@@ -70,7 +88,8 @@ def stamped_main(argv=None):
     code = main(argv)
     stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
     numpy = "yes" if "numpy" in sys.modules else "no"
-    os.write(2, ("\\n{STAMPS} " + " ".join(map(repr, stamps)) + " " + numpy + "\\n").encode())
+    line = " ".join(map(repr, stamps + [compiling[0] * 1e3])) + " " + numpy
+    os.write(2, ("\\n{STAMPS} " + line + "\\n").encode())
     return code
 
 
@@ -80,7 +99,8 @@ front.entry()
 
 
 def split_one(argv, expected):
-    """The ms of each of PARTS in one fresh child running argv, and whether it loaded numpy."""
+    """The ms of each of PARTS in one fresh child running argv, the ms it spent compiling
+    atomslits' source, and whether it loaded numpy."""
     launched = time.clock_gettime(time.CLOCK_MONOTONIC)
     child = subprocess.run([sys.executable, "-c", CHILD, *argv], stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, text=True, timeout=600)
@@ -89,9 +109,9 @@ def split_one(argv, expected):
     if child.returncode != expected or not found:
         sys.exit(f"startup_cost: {' '.join(argv)} exited {child.returncode}, "
                  f"expected {expected}:\n{child.stderr}")
-    *stamped, numpy = line.split()
+    *stamped, compiling, numpy = line.split()
     stamps = [launched, *map(float, stamped), reaped]
-    return [(b - a) * 1e3 for a, b in zip(stamps, stamps[1:])], numpy
+    return [(b - a) * 1e3 for a, b in zip(stamps, stamps[1:])], float(compiling), numpy
 
 
 def main(argv=None):
@@ -101,18 +121,21 @@ def main(argv=None):
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     splits = {kind: [] for kind in KINDS}
+    compiling = {kind: [] for kind in KINDS}
     numpy = {}
     for _ in range(args.runs):
         for kind, (call, expected) in KINDS.items():
-            parts, numpy[kind] = split_one(call, expected)
+            parts, compile_ms, numpy[kind] = split_one(call, expected)
             splits[kind].append(parts)
+            compiling[kind].append(compile_ms)
     print(f"median of {args.runs} fresh children per kind, in ms, BLAS on one thread")
-    print(f"{'kind':<14}" + "".join(f"{name:>11}" for name in PARTS + ("total", "numpy")))
+    print(f"{'kind':<14}" + "".join(f"{name:>11}"
+                                    for name in PARTS + ("total", "compile", "numpy")))
     for kind, runs in splits.items():
         medians = [statistics.median(part) for part in zip(*runs)]
         total = statistics.median(sum(run) for run in runs)
         print(f"{kind:<14}" + "".join(f"{ms:>11.1f}" for ms in medians + [total])
-              + f"{numpy[kind]:>11}")
+              + f"{statistics.median(compiling[kind]):>11.1f}{numpy[kind]:>11}")
 
 
 if __name__ == "__main__":

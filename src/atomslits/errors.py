@@ -37,12 +37,12 @@ class SpaceMismatchError(ValueError):
 
 
 class ScenarioError(ValueError):
-    """A run parameter outside its domain, or a combination the model does not define.
-
-    field names what is at fault: a ScenarioSpec field ("pulse", "treatment",
-    "beta", "alpha", "epsilon", "coupling_g", "evolve_time", "nmax"), "eraser"
-    or "coincidence" for a transform the chain's marker space does not take, or
-    pattern's "nsamples". The CLI names the flag of that field.
+    """A run value outside its domain, or a combination the model does not define; the
+    one exception for an exit-2 refusal of a value. field names what is at fault: a
+    ScenarioSpec field, whichway's "beta" or "delta" (spec.check_whichway), "eraser" or
+    "coincidence" for a transform the marker space does not take, pattern's "nsamples",
+    sweep's "beta_range", or "out" or "stdout" for output that cannot be written. Only
+    atomslits.front.run maps a field to the flag it names on stderr.
     """
 
     def __init__(self, field: str, message: str):

@@ -49,17 +49,9 @@ MAX_SAMPLES = 65536
 # Largest STEPS in sweep --beta-range MIN:MAX:STEPS; each step builds up to
 # two scenarios, so the bound keeps a mistyped count from running for hours.
 MAX_SWEEP_STEPS = 10000
-# The flag of each ScenarioError field whose flag is not "--" + field.
+# The flag of each ScenarioError field that is not the field's name after "--".
 _FIELD_FLAGS = {"coupling_g": "--coupling", "evolve_time": "--evolve-time",
-                "nsamples": "--samples"}
-
-
-class FlagError(Exception):
-    """An invalid flag value or combination; carries the offending flag name."""
-
-    def __init__(self, flag: str, message: str):
-        super().__init__(f"{flag}: {message}")
-        self.flag = flag
+                "nsamples": "--samples", "beta_range": "--beta-range", "stdout": "stdout"}
 
 
 def _complex_arg(text: str) -> complex:
@@ -171,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_scenario_flags(args) -> None:
     for field, config in _FIELD_CONFIGS.items():
         if field in vars(args) and args.config != config.value:
-            raise FlagError(_FIELD_FLAGS.get(field, "--" + field),
-                            f"applies to config {config.value} only, not config {args.config}")
+            raise ScenarioError(field, f"applies to config {config.value} only, "
+                                       f"not config {args.config}")
 
 
 def _settle_spec(args, **fixed) -> None:
@@ -185,7 +177,7 @@ def _settle_spec(args, **fixed) -> None:
 def _settle_pattern(args) -> None:
     _check_scenario_flags(args)
     if args.samples > MAX_SAMPLES:
-        raise FlagError("--samples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
+        raise ScenarioError("nsamples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
     _settle_spec(args)
     check_nsamples(args.samples)
     check_domain(args.spec, args.coincidence)
@@ -194,22 +186,22 @@ def _settle_pattern(args) -> None:
 def _parse_beta_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise FlagError("--beta-range", f"expected MIN:MAX:STEPS, got {text!r}")
+        raise ScenarioError("beta_range", f"expected MIN:MAX:STEPS, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         steps = int(parts[2])
     except ValueError:
-        raise FlagError("--beta-range", f"expected numbers MIN:MAX:STEPS, got {text!r}")
+        raise ScenarioError("beta_range", f"expected numbers MIN:MAX:STEPS, got {text!r}")
     if steps < 1:
-        raise FlagError("--beta-range", "needs at least one step")
+        raise ScenarioError("beta_range", "needs at least one step")
     if steps > MAX_SWEEP_STEPS:
-        raise FlagError("--beta-range", f"STEPS must be <= {MAX_SWEEP_STEPS}, got {steps}")
+        raise ScenarioError("beta_range", f"STEPS must be <= {MAX_SWEEP_STEPS}, got {steps}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise FlagError("--beta-range", f"MIN and MAX must be finite, got {text!r}")
+        raise ScenarioError("beta_range", f"MIN and MAX must be finite, got {text!r}")
     if lo < 0:
-        raise FlagError("--beta-range", "MIN must be >= 0")
+        raise ScenarioError("beta_range", "MIN must be >= 0")
     if hi < lo:
-        raise FlagError("--beta-range", "MAX must be >= MIN")
+        raise ScenarioError("beta_range", "MAX must be >= MIN")
     return lo, hi, steps
 
 
@@ -221,17 +213,13 @@ def _settle_sweep(args) -> None:
 
 
 def _settle_whichway(args) -> None:
-    if not 0 <= args.beta < math.inf:
-        raise FlagError("--beta", "must be finite and >= 0")
-    if not 0 <= args.delta < math.inf:
-        raise FlagError("--delta", "must be finite and >= 0")
     check_whichway(args.beta, args.delta, args.nmax)
 
 
 def _write(args, payload, meta=None, header="", rows=()) -> None:
     """Write payload as JSON, or meta, header and rows as CSV; to stdout or --out.
 
-    Output that cannot be written is a FlagError naming --out or stdout.
+    Output that cannot be written is a ScenarioError of field "out" or "stdout".
     """
     if args.format == "json":
         import json  # CSV calls skip its import
@@ -246,7 +234,7 @@ def _write(args, payload, meta=None, header="", rows=()) -> None:
 
 
 def _put(text: str, out: str | None) -> None:
-    """Write text to stdout or the file out; a FlagError names where it cannot be written."""
+    """Write text to stdout or the file out; a ScenarioError names where it cannot be written."""
     try:
         if out is None:
             if sys.stdout is None:  # the process started with stdout closed
@@ -257,8 +245,8 @@ def _put(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise FlagError("stdout" if out is None else "--out",
-                        f"cannot write output: {exc.strerror or exc}")
+        raise ScenarioError("stdout" if out is None else "out",
+                            f"cannot write output: {exc.strerror or exc}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,9 +289,10 @@ def run(parser: argparse.ArgumentParser, argv=None) -> int:
         return getattr(cli, "cmd_" + args.command)(args)
     except PhysicsDomainError as exc:
         code, message = EXIT_PHYSICS, f"physics domain error: {exc}"
-    except ScenarioError as exc:  # a value or combination the library refused, by field
-        code, message = EXIT_FLAG, f"error: {_FIELD_FLAGS.get(exc.field, '--' + exc.field)}: {exc}"
-    except (FlagError, ValueError) as exc:
+    except ScenarioError as exc:  # a refused value or combination, by field: name its flag
+        flag = _FIELD_FLAGS.get(exc.field, "--" + exc.field)
+        code, message = EXIT_FLAG, f"error: {flag}: {exc}"
+    except ValueError as exc:
         code, message = EXIT_FLAG, f"error: {exc}"
     try:  # as argparse's own, a stderr missing or on a closed descriptor loses the line
         sys.stderr.write(f"atomslits: {message}\n")

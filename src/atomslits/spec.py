@@ -186,7 +186,11 @@ def check_domain(spec: ScenarioSpec, coincidence: str | None = None) -> None:
 
 
 def check_whichway(beta: float, delta: float, nmax: int) -> None:
-    """check_kick of the probe delta and the marker beta, both guards before either tail."""
+    """Refuse a beta, then a delta, not finite and >= 0 (ScenarioError of its field); then
+    check_kick the probe delta and the marker beta, both guards before either tail."""
+    for name, value in (("beta", beta), ("delta", delta)):
+        if not 0 <= value < math.inf:
+            raise ScenarioError(name, "must be finite and >= 0")
     check_amplitude(delta, nmax)
     check_amplitude(beta, nmax)
     check_kick("delta", delta, nmax)

@@ -9,12 +9,13 @@ against closedform, which the last tests pin by changing one of the two.
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from atomslits import (Projector, ScenarioSpec, TruncationError, acceptance, build, closedform,
-                       scenarios)
+from atomslits import (FreqTag, Projector, ScenarioSpec, TruncationError, TwoPathComponent,
+                       TwoPathMixture, acceptance, build, closedform, scenarios)
 from atomslits.cli import main
 
 
@@ -91,3 +92,13 @@ def test_z_excitation_readout_refuses_a_truncated_common_kick():
     z_ground = Projector(m.space, np.eye(16 * 16, 16))
     with pytest.raises(TruncationError, match=r"alpha = 3\.9"):
         acceptance._z_excitation_probability(m, z_ground)
+
+
+def test_mixture_gap_is_infinite_across_structures():
+    short = build(ScenarioSpec("B", beta=0.3))
+    assert acceptance._mixture_gap(short, short) == 0.0
+    # B long holds three components, B short one
+    assert acceptance._mixture_gap(short, build(ScenarioSpec("B", "long", beta=0.3))) == math.inf
+    (c,) = short.components
+    retagged = TwoPathMixture((TwoPathComponent(c.psi1, c.psi2, FreqTag.SHIFTED, c.weight),))
+    assert acceptance._mixture_gap(short, retagged) == math.inf

@@ -266,6 +266,14 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
          "error: unrecognized arguments: --beta 0.3"),
         (["sweep", "--config", "B", "--samples", "256", "--beta-range", "0:0.3:2"],
          "error: unrecognized arguments: --samples 256"),
+        # argparse reads "--beta-range -0.1:0.3:5" as a flag and finds no value for
+        # --beta-range; with "=" the value reaches the MIN check
+        (["sweep", "--config", "B", "--beta-range=-0.1:0.3:5"],
+         "error: --beta-range: MIN must be >= 0"),
+        (["sweep", "--config", "B", "--beta-range", "0:1"],
+         "error: --beta-range: expected MIN:MAX:STEPS, got '0:1'"),
+        (["pattern", "--config", "B", "--beta", "abc"],
+         "argument --beta: not a real or complex number: 'abc'"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):

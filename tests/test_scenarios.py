@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomslits import closedform
+from atomslits import closedform, scenarios
 from atomslits.errors import (PerturbationError, PhysicsDomainError, ScenarioError,
                               TruncationError)
 from atomslits.scenarios import (
@@ -398,6 +398,22 @@ def test_spec_flat_serialization_round_trip():
     assert isinstance(flat["beta"], str)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"config": "Z"}, "'Z' is not a valid Config"),
+    ({"config": "B", "pulse": "medium"}, "'medium' is not a valid Pulse"),
+    ({"config": "B", "treatment": "second"}, "'second' is not a valid Treatment"),
+    ({"config": ["B"]}, r"\['B'\] is not a valid Config"),  # unhashable: no table lookup
+])
+def test_spec_refuses_a_value_of_no_enum_by_the_enum_call(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScenarioSpec(**fields)
+
+
+def test_regime_table_and_builder_tables_agree():
+    assert set(scenarios._LONG) == {c for c, r in _REGIMES.items() if r.long}
+    assert set(scenarios._SHORT) == set(Config)
+
+
 def test_spec_accepts_plain_strings():
     s = ScenarioSpec("C2", "long", beta=0.4)
     assert s.config is Config.C2
@@ -434,8 +450,10 @@ _BOUNDED = [(c, Pulse.SHORT) for c in Config] + [
 @given(regime=st.sampled_from(_BOUNDED), edge=st.sampled_from((0.5, 1.0)),
        ulps=st.integers(-40, 40), axis=st.sampled_from((1, -1, 1j, -1j)))
 def test_domain_bounds_refuse_where_the_closed_forms_do(regime, edge, ulps, axis):
-    # |beta| within 40 ulps of either edge, along the real or the imaginary axis, where
-    # abs(b)**2 and re**2 + im**2 are the same float; off the axes they can differ by an ulp
+    # |beta| within 40 ulps of either edge, along the real or the imaginary axis. The table
+    # squares abs(b)**2 and the closed forms re*re + im*im, which are not the same float in
+    # general, on the axes too: float pow is not correctly rounded, and abs(x)**2 != x*x for
+    # about 1 in 1,100 uniform reals in [-2, 2]. These 648 betas happen to agree.
     config, pulse = regime
     beta = _nudged(math.sqrt(edge), ulps) * axis
     s = spec(config, pulse, Treatment.FIRST_ORDER, beta=beta)
@@ -501,3 +519,12 @@ def test_only_d_carries_a_common_kick():
     m = build(spec(Config.D, treatment=Treatment.FIRST_ORDER, beta=0.3, alpha=0.5j))
     assert m.common_kick == 0.5j
     assert TwoPathMixture(m.components).common_kick is None
+
+
+@pytest.mark.parametrize("beta,delta,field", [
+    (-0.5, 0.3, "beta"), (math.nan, 0.3, "beta"), (0.5, math.inf, "delta"), (-1.0, -1.0, "beta")])
+def test_whichway_refuses_a_negative_or_non_finite_amplitude_by_field(beta, delta, field):
+    # the library refuses what whichway's --beta and --delta refuse, beta first
+    with pytest.raises(ScenarioError, match="^must be finite and >= 0$") as refused:
+        scenarios._whichway(beta, delta, 16)
+    assert refused.value.field == field

@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(atomslits.__file__).resolve().parents[1])
 
 
-def run_script(name, *args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def run_script(name, *args, cwd, **env):
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
@@ -60,19 +60,22 @@ def test_chain_cost_refuses_a_truncated_kick(tmp_path):
 
 
 def test_startup_cost_splits_every_kind(tmp_path):
-    result = run_script("startup_cost.py", "--runs", "1", cwd=tmp_path)
+    # no bytecode cache is read or written, so every child compiles atomslits' source
+    result = run_script("startup_cost.py", "--runs", "1", cwd=tmp_path,
+                        PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path / "none"))
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "median of 1 fresh children per kind, in ms, BLAS on one thread"
     assert lines[1].split() == ["kind", "start", "package", "front", "main", "exit", "total",
-                                 "numpy"]
+                                 "compile", "numpy"]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "whichway",
                                         "report", "reject", "reject3", "help", "version"]
     for row in rows:
-        parts = [float(ms) for ms in row[1:-1]]
+        parts = [float(ms) for ms in row[1:7]]
         assert all(ms > 0 for ms in parts)
         assert abs(sum(parts[:-1]) - parts[-1]) < 0.5
+        assert 0 < float(row[7]) < parts[-1]
     # only the calls that compute load numpy; the truncation refusal is settled before
     assert [row[-1] for row in rows] == ["yes"] * 5 + ["no"] * 4
     assert list(tmp_path.iterdir()) == []

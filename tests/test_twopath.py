@@ -9,6 +9,7 @@ from atomslits.errors import EmptyPatternError, SpaceMismatchError
 from atomslits.fockspace import FockSpace, FockVector, basis_state, coherent_state, zero_vector
 from atomslits.twopath import (
     FreqTag,
+    PatternScan,
     Projector,
     TwoPathComponent,
     TwoPathMixture,
@@ -163,6 +164,14 @@ def test_projector_space_mismatch():
         condition(m, p)
     with pytest.raises(SpaceMismatchError):
         Projector(SPACE, np.eye(3))
+    with pytest.raises(SpaceMismatchError,
+                       match=r"'other' is defined on \(5,\), state lives in \(4,\)"):
+        p.apply(B0)
+
+
+def test_pattern_scan_refuses_samples_of_two_shapes():
+    with pytest.raises(ValueError, match="phis and intensities must have the same shape"):
+        PatternScan(np.zeros(4), np.zeros(5), 1.0, 0.0)
 
 
 def test_component_and_mixture_validation():
@@ -170,6 +179,9 @@ def test_component_and_mixture_validation():
         TwoPathComponent(B0, B0, FreqTag.ELASTIC, -0.1)
     with pytest.raises(SpaceMismatchError):
         TwoPathComponent(B0, basis_state(FockSpace((5,)), (0,)))
+    other = basis_state(FockSpace((5,)), (0,))
+    with pytest.raises(SpaceMismatchError, match="all components must share one FockSpace"):
+        TwoPathMixture((TwoPathComponent(B0, B0), TwoPathComponent(other, other)))
     with pytest.raises(ValueError):
         TwoPathMixture(())
     with pytest.raises(ValueError):
