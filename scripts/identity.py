@@ -14,7 +14,11 @@ The corpus, with repeated argv dropped, is:
   - --blocks blocks of `perfbench.generate.cli_blocks(--seed)`;
   - --probes seeded `pattern` calls on configs B, C1, D and E, nmax 2-40, with
     kicks from inside the domain to past the truncation guard, half of them
-    with --coincidence ground, and --probes seeded `whichway` calls.
+    with --coincidence ground, and --probes seeded `whichway` calls;
+  - --probes / 2 seeded `pattern` bound probes: a first-order short pulse or a
+    long pulse whose complex kick has |b|^2 within a few ulps of the
+    perturbative bound of its regime (BOUNDS), where the way |b|^2 is rounded
+    decides between exit 0 and exit 3.
 --limit keeps the first calls of that list.
 
 With --library, one child per tree, the parent's first and never both at once,
@@ -48,6 +52,11 @@ CHAINS = 10000
 TAGS = ("ELASTIC", "SHIFTED", "SYM", "ANTISYM")
 PROJECTORS = ("ground", "atom1_excited", "atom2_excited", "single_atom_0", "single_atom_1",
               "sym", "antisym")
+# The |b|^2 bound of each (config, pulse) with a perturbative domain: 1 for first-order
+# B and E short pulses, 0.5 for first-order C and D and for every long pulse.
+BOUNDS = {("B", "short"): 1.0, ("E", "short"): 1.0, ("C1", "short"): 0.5, ("C2", "short"): 0.5,
+          ("D", "short"): 0.5, ("B", "long"): 0.5, ("C1", "long"): 0.5, ("C2", "long"): 0.5,
+          ("E", "long"): 0.5}
 
 
 def _kick(rng: random.Random, nmax: int) -> str:
@@ -83,6 +92,20 @@ def probes(rng: random.Random, count: int) -> list[list[str]]:
     return calls
 
 
+def bound_probes(rng: random.Random, count: int) -> list[list[str]]:
+    """count pattern calls at a BOUNDS regime, each with a kick of random phase and
+    |b|^2 = bound * (1 + k * epsilon) for an integer k in [-3, 3], before rounding."""
+    calls = []
+    for _ in range(count):
+        (config, pulse), bound = rng.choice(sorted(BOUNDS.items()))
+        size = math.sqrt(bound * (1.0 + rng.randint(-3, 3) * sys.float_info.epsilon))
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        beta = complex(size * math.cos(turn), size * math.sin(turn))
+        calls.append(["pattern", "--config", config, "--pulse", pulse, "--treatment", "first",
+                      f"--beta={beta!r}", "--samples", "16"])
+    return calls
+
+
 def corpus(seed: int, blocks: int, count: int) -> list[list[str]]:
     """The corpus the module docstring describes, in that order, each argv once."""
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # perfbench imports atomslits.closedform
@@ -94,6 +117,7 @@ def corpus(seed: int, blocks: int, count: int) -> list[list[str]]:
     traffic = cli_blocks(seed)
     calls += [call.argv for _ in range(blocks) for call in next(traffic)]
     calls += probes(random.Random(f"identity:{seed}"), count)
+    calls += bound_probes(random.Random(f"identity-bounds:{seed}"), count // 2)
     unique = {tuple(argv): list(argv) for argv in calls}
     return list(unique.values())
 

@@ -218,7 +218,7 @@ def _crit_property_suite(tol: float) -> list[dict]:
         checks.append(_check(f"displacement_unitary(beta={b})", ratio, 1.0, 1e-8))
 
     # normalization of constructed states
-    coh, _ = coherent_state(0.5, nmax)
+    coh = coherent_state(0.5, nmax)
     checks.append(_check("coherent_state_normalized", coh.norm(), 1.0, 1e-10))
     first_b = ScenarioSpec(Config.B, Pulse.SHORT, beta=0.3, treatment=Treatment.FIRST_ORDER)
     m, _ = _run(first_b)
@@ -282,8 +282,8 @@ def _crit_property_suite(tol: float) -> list[dict]:
     phase_shift = max(_phase_gap(a[1], b[1]) for a, b in zip(coarse, fine))
     checks.append(_check("truncation_convergence_visibility", vis_shift, 0.0, 1e-10))
     checks.append(_check("truncation_convergence_phase", phase_shift, 0.0, 1e-10))
-    c16, _ = coherent_state(0.5, 16)
-    c20, _ = coherent_state(0.5, 20)
+    c16 = coherent_state(0.5, 16)
+    c20 = coherent_state(0.5, 20)
     amp_shift = float(np.max(np.abs(c16.amplitudes - c20.amplitudes[:16])))
     checks.append(_check("truncation_convergence_amplitudes", amp_shift, 0.0, 1e-10))
     return checks

@@ -142,10 +142,7 @@ class FockVector(_Frozen):
         # negating the float64 parts writes the bytes of -amplitudes, signed zeros
         # too, without the complex loop
         flipped = np.negative(self.amplitudes.view(np.float64))
-        out = FockVector._wrap(self.space, flipped.view(np.complex128))
-        if "_norm" in self.__dict__:  # the same squares, summed in the same order
-            out.__dict__["_norm"] = self.__dict__["_norm"]
-        return out
+        return FockVector._wrap(self.space, flipped.view(np.complex128))
 
 
 # The fixed-state and projector tables hold vectors of at most two modes of
@@ -213,22 +210,19 @@ def _levels(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     return n, root_factorial
 
 
-def coherent_state(beta: complex, nmax: int) -> tuple[FockVector, float]:
+def coherent_state(beta: complex, nmax: int) -> FockVector:
     """Truncated coherent state |beta>, renormalized to unit norm.
 
     Amplitudes follow the analytic series c_n = exp(-|beta|^2/2) beta^n / sqrt(n!)
-    for n < nmax. Returns the renormalized state together with the truncation
-    residual 1 - sum |c_n|^2, the tail mass lost to the cutoff before
-    renormalization. spec.check_amplitude refuses beta first.
+    for n < nmax, divided by their norm. The mass the cutoff drops is
+    spec._poisson_tail(|beta|^2, nmax); spec.check_amplitude refuses beta first.
     """
     b2 = check_amplitude(beta, nmax)
     b = complex(beta)
     n, root_factorial = _levels(nmax)
     amps = math.exp(-b2 / 2.0) * b**n / root_factorial
-    captured = float(np.vdot(amps, amps).real)
-    residual = max(0.0, 1.0 - captured)
-    amps /= math.sqrt(captured)
-    return FockVector._wrap(_space((nmax,)), amps), residual
+    amps /= math.sqrt(float(np.vdot(amps, amps).real))
+    return FockVector._wrap(_space((nmax,)), amps)
 
 
 def displacement_operator(beta: complex, nmax: int) -> np.ndarray:

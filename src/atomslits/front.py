@@ -26,6 +26,7 @@ from ._version import __version__
 from .errors import PhysicsDomainError, ScenarioError
 from .spec import (
     _FIELD_CONFIGS,
+    MAX_SAMPLES,
     PROJECTOR_NAMES,
     Config,
     FreqTag,
@@ -43,9 +44,6 @@ EXIT_FLAG = 2
 EXIT_PHYSICS = 3
 EXIT_ACCEPTANCE = 4
 
-# Largest --samples accepted; the sampled curve is a consistency check, and
-# this bound keeps a mistyped count from exhausting memory.
-MAX_SAMPLES = 65536
 # Largest STEPS in sweep --beta-range MIN:MAX:STEPS; each step builds up to
 # two scenarios, so the bound keeps a mistyped count from running for hours.
 MAX_SWEEP_STEPS = 10000
@@ -129,9 +127,12 @@ def _add_run_flags(parser: argparse.ArgumentParser, pattern: bool) -> None:
 def _whichway_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, required=True, help="marker kick, real >= 0")
     parser.add_argument("--delta", type=float, required=True, help="probe amplitude, real >= 0")
-    parser.add_argument("--nmax", type=int, default=16)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None, metavar="PATH")
+    parser.add_argument("--nmax", type=int, default=16,
+                        help="Fock truncation per mode (default: 16)")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv",
+                        help="output format (default: csv)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="output file (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,8 +177,6 @@ def _settle_spec(args, **fixed) -> None:
 
 def _settle_pattern(args) -> None:
     _check_scenario_flags(args)
-    if args.samples > MAX_SAMPLES:
-        raise ScenarioError("nsamples", f"must be <= {MAX_SAMPLES}, got {args.samples}")
     _settle_spec(args)
     check_nsamples(args.samples)
     check_domain(args.spec, args.coincidence)

@@ -51,8 +51,8 @@ from .fockspace import (
     inner,
     zero_vector,
 )
-from .spec import (Config, FreqTag, Pulse, ScenarioSpec, Treatment, check_chain, check_domain,
-                   check_whichway)
+from .spec import (Config, FreqTag, Pulse, ScenarioSpec, Treatment, _squared_abs, check_chain,
+                   check_domain, check_whichway)
 from .twopath import TwoPathComponent, TwoPathMixture, condition
 
 __all__ = [
@@ -75,7 +75,7 @@ def _mixture(*components: tuple[FockVector, FockVector, FreqTag, float],
 
 def _first_order(space, b: complex, level: int) -> FockVector:
     """sqrt(1-|b|^2) |0> + b |level>: the normalized first-order marker of a kick b."""
-    return _superposition(space, ((0, math.sqrt(1.0 - abs(b) ** 2)), (level, b)))
+    return _superposition(space, ((0, math.sqrt(1.0 - _squared_abs(b))), (level, b)))
 
 
 def _opposite_kicks(spec: ScenarioSpec) -> tuple[FockVector, FockVector]:
@@ -83,7 +83,7 @@ def _opposite_kicks(spec: ScenarioSpec) -> tuple[FockVector, FockVector]:
     sqrt(1-|b|^2) |0> +- b |1> (FIRST_ORDER)."""
     b, nmax = spec.beta, spec.nmax
     if spec.treatment is Treatment.EXACT:
-        return coherent_state(b, nmax)[0], coherent_state(-b, nmax)[0]
+        return coherent_state(b, nmax), coherent_state(-b, nmax)
     space = _space((nmax,))
     return _first_order(space, b, 1), _first_order(space, -b, 1)
 
@@ -91,7 +91,7 @@ def _opposite_kicks(spec: ScenarioSpec) -> tuple[FockVector, FockVector]:
 def _long_pulse(spec: ScenarioSpec, space, *outcomes) -> TwoPathMixture:
     """The long-pulse mixture: the elastic line on the ground marker at weight
     eps^2 (1-|b|^2), then each (psi1, psi2, tag, share) outcome at eps^2 |b|^2 share."""
-    b2, eps2, g = abs(spec.beta) ** 2, spec.epsilon**2, ground_state(space)
+    b2, eps2, g = _squared_abs(spec.beta), spec.epsilon**2, ground_state(space)
     return _mixture((g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
                     *((psi1, psi2, tag, eps2 * b2 * share) for psi1, psi2, tag, share in outcomes))
 
@@ -115,7 +115,7 @@ def _build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
         i10, i01 = transforms._excitation_pair_indices(space)
         psi1, psi2 = _first_order(space, b, i10), _first_order(space, b, i01)
         return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
-    kicked = coherent_state(b, nmax)[0]
+    kicked = coherent_state(b, nmax)
     still = ground_state(kicked.space)  # bit for bit coherent_state(0, nmax)
     psi1 = _product((kicked, still))
     psi2 = _product((still, kicked))
@@ -165,7 +165,7 @@ def _build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
     fringe entirely even when alpha is large; it is detectable but carries no
     which-way information.
     """
-    common = coherent_state(spec.alpha, spec.nmax)[0]
+    common = coherent_state(spec.alpha, spec.nmax)
     plus, minus = _opposite_kicks(spec)
     psi1, psi2 = _product((common, plus)), _product((common, minus))
     return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2), common_kick=spec.alpha)
@@ -239,5 +239,5 @@ def _whichway(beta: float, delta: float, nmax: int) -> tuple[float, float]:
     """|<delta|beta>|^2 and |<delta|-beta>|^2 of the truncated coherent states,
     unclamped, after spec.check_whichway. coherent_state is looked up when called."""
     check_whichway(beta, delta, nmax)
-    probe, plus, minus = (coherent_state(b, nmax)[0] for b in (delta, beta, -beta))
+    probe, plus, minus = (coherent_state(b, nmax) for b in (delta, beta, -beta))
     return abs(inner(probe, plus)) ** 2, abs(inner(probe, minus)) ** 2

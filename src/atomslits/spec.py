@@ -23,8 +23,11 @@ __all__ = ["Config", "FreqTag", "PROJECTOR_NAMES", "Pulse", "ScenarioSpec", "Tre
 # 170! is the largest factorial a float64 holds, so the coherent series
 # beta^n / sqrt(n!) is defined on levels n <= 170 only.
 MAX_NMAX = 171
-# The fewest detector phases a sampled pattern may have.
+# The fewest and the most detector phases a sampled pattern may have; the sampled
+# curve is a consistency check, and the upper bound keeps a mistyped count from
+# exhausting memory.
 MIN_SAMPLES = 16
+MAX_SAMPLES = 65536
 # The smallest epsilon whose square, a factor on every weight, is a normal float.
 _EPSILON_MIN = math.sqrt(sys.float_info.min)
 
@@ -122,11 +125,8 @@ def check_nmax(nmax: int) -> None:
 
 
 def _squared_abs(z: complex) -> float:
-    """abs(z) ** 2, or inf where that square overflows a float."""
-    try:
-        return abs(z) ** 2
-    except OverflowError:
-        return math.inf
+    """|z|^2 as re*re + im*im, the square closedform takes; inf where it overflows."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def check_amplitude(amplitude: complex, nmax: int) -> float:
@@ -198,11 +198,14 @@ def check_whichway(beta: float, delta: float, nmax: int) -> None:
 
 
 def check_nsamples(nsamples: int) -> None:
-    """Refuse a pattern that is not a whole number >= MIN_SAMPLES of phases, field "nsamples"."""
+    """Refuse a pattern that is not a whole number in [MIN_SAMPLES, MAX_SAMPLES] of phases,
+    field "nsamples"; run it before allocating."""
     if nsamples < MIN_SAMPLES:
         raise ScenarioError("nsamples", f"nsamples must be >= {MIN_SAMPLES}, got {nsamples}")
     if not _whole(nsamples):
         raise ScenarioError("nsamples", f"nsamples must be a whole number, got {nsamples}")
+    if nsamples > MAX_SAMPLES:
+        raise ScenarioError("nsamples", f"must be <= {MAX_SAMPLES}, got {nsamples}")
 
 
 def check_modes(nmodes: int, projector: str | None = None) -> None:

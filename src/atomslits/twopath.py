@@ -257,17 +257,13 @@ def mean_intensity(m: TwoPathMixture) -> float:
 
 
 def _require_light(m: TwoPathMixture) -> float:
-    """The mean intensity, checked to be light with a finite fringe peak; kept once checked."""
-    d = m.__dict__.get("_light")
-    if d is None:
-        d = mean_intensity(m)
-        if d <= _INTENSITY_FLOOR * m.total_weight:
-            raise EmptyPatternError(
-                "both paths carry zero amplitude; the state was fully conditioned away")
-        if not math.isfinite(2.0 * d):
-            raise ValueError(
-                f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
-        m.__dict__["_light"] = d
+    """The mean intensity, checked to be light with a finite fringe peak."""
+    d = mean_intensity(m)
+    if d <= _INTENSITY_FLOOR * m.total_weight:
+        raise EmptyPatternError(
+            "both paths carry zero amplitude; the state was fully conditioned away")
+    if not math.isfinite(2.0 * d):
+        raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
     return d
 
 
@@ -310,7 +306,8 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     built here) the sampled (Imax - Imin)/(Imax + Imin) reproduces them.
 
     Raises EmptyPatternError when every path amplitude is zero, and ScenarioError
-    with field "nsamples" for fewer than 16 samples.
+    with field "nsamples", before the grid is allocated, for a count that is not
+    a whole number in [16, 65536].
     """
     check_nsamples(nsamples)
     d = _require_light(m)

@@ -368,6 +368,10 @@ def test_non_finite_scenario_values_exit_two(argv, needle, capsys):
         # an undefined combination is a flag error even where nmax is out of range too
         (["pattern", "--config", "D", "--pulse", "long", "--nmax", "500"], 2),
         (["pattern", "--config", "E", "--treatment", "exact", "--nmax", "500"], 2),
+        # re*re + im*im of this beta is 0.5, the bound, as closedform squares it; abs(b)**2
+        # is one ulp below
+        (["pattern", "--config", "C1", "--treatment", "first",
+          "--beta=-0.5806662020015749+0.4035179820690351j"], 3),
     ],
 )
 def test_domain_limits_exit_codes(argv, expected, capsys):

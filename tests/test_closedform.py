@@ -82,9 +82,9 @@ def test_whichway_matches_truncated_fock_overlaps():
     # two-implementation check: scalar formulas against brute-force inner products
     for b in (0.2, 0.5, 1.0):
         for d in (0.2, 0.5, 1.0):
-            probe, _ = coherent_state(d, 24)
-            plus, _ = coherent_state(b, 24)
-            minus, _ = coherent_state(-b, 24)
+            probe = coherent_state(d, 24)
+            plus = coherent_state(b, 24)
+            minus = coherent_state(-b, 24)
             ref = closedform.whichway_probabilities(b, d)
             assert abs(abs(inner(probe, plus)) ** 2 - ref.p_plus) < 1e-8
             assert abs(abs(inner(probe, minus)) ** 2 - ref.p_minus) < 1e-8

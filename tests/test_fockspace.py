@@ -46,25 +46,25 @@ def test_vector_is_frozen_and_checked():
 
 
 def test_coherent_zero_displacement_is_ground():
-    vec, residual = coherent_state(0, 8)
+    vec = coherent_state(0, 8)
     assert vec.amplitudes[0] == 1.0
     assert np.all(vec.amplitudes[1:] == 0.0)
-    assert residual == 0.0
+    assert _poisson_tail(0.0, 8) == 0.0
 
 
 def test_coherent_overlap_matches_closed_form():
     # the analytic overlap law |<delta|beta>|^2 = exp(-|delta - beta|^2) is the
     # independent reference for the truncated-series construction
     delta, beta = 0.5, 0.2
-    vd, _ = coherent_state(delta, 20)
-    vb, _ = coherent_state(beta, 20)
+    vd = coherent_state(delta, 20)
+    vb = coherent_state(beta, 20)
     p = abs(inner(vd, vb)) ** 2
     assert abs(p - math.exp(-abs(delta - beta) ** 2)) < 1e-10
 
 
 def test_opposite_coherent_overlap_frozen_value():
-    vb, _ = coherent_state(0.3, 20)
-    vm, _ = coherent_state(-0.3, 20)
+    vb = coherent_state(0.3, 20)
+    vm = coherent_state(-0.3, 20)
     p = abs(inner(vm, vb)) ** 2
     assert abs(p - math.exp(-4 * 0.3**2)) < 1e-10
     assert abs(p - 0.6976763260710304) < 1e-12  # exp(-0.36)
@@ -73,26 +73,29 @@ def test_opposite_coherent_overlap_frozen_value():
 @pytest.mark.parametrize("delta", [0.0, 0.2, -0.2, 0.5, -0.5, 0.3j])
 @pytest.mark.parametrize("beta", [0.0, 0.2, -0.2, 0.5, -0.5, 0.3j])
 def test_overlap_law_grid(delta, beta):
-    vd, _ = coherent_state(delta, 16)
-    vb, _ = coherent_state(beta, 16)
+    vd = coherent_state(delta, 16)
+    vb = coherent_state(beta, 16)
     p = abs(inner(vd, vb)) ** 2
     assert abs(p - math.exp(-abs(delta - beta) ** 2)) < 1e-8
 
 
 def test_coherent_truncation_residual_reported():
-    _, residual = coherent_state(2.0, 8)
-    # Poisson tail mass above n = 8 at mean 4
-    assert 0.01 < residual < 0.1
-    _, tiny = coherent_state(0.3, 16)
-    assert tiny < 1e-20
+    # the mass the cutoff drops is spec's Poisson tail: above n = 8 at mean 4
+    assert 0.01 < _poisson_tail(2.0**2, 8) < 0.1
+    assert _poisson_tail(0.3**2, 16) < 1e-20
 
 
 @settings(max_examples=300)
 @given(nmax=st.integers(2, 171), share=st.floats(0.0, 0.999), theta=st.floats(0.0, 6.3))
 def test_poisson_tail_is_the_residual_of_the_coherent_series(nmax, share, theta):
-    # the scalar tail that spec refuses by, against the residual of the built state
+    # the scalar tail that spec refuses by, against 1 - sum |c_n|^2 of the series before
+    # coherent_state renormalizes it
     beta = cmath.rect(math.sqrt(share * nmax), theta)
-    assert abs(coherent_state(beta, nmax)[1] - _poisson_tail(abs(beta) ** 2, nmax)) <= 1e-12
+    b2 = beta.real * beta.real + beta.imag * beta.imag
+    n = np.arange(nmax)
+    series = math.exp(-b2 / 2.0) * beta**n / np.sqrt(np.cumprod(np.maximum(n, 1), dtype=float))
+    residual = max(0.0, 1.0 - float(np.vdot(series, series).real))
+    assert abs(residual - _poisson_tail(b2, nmax)) <= 1e-12
 
 
 def test_poisson_tail_matches_the_regularized_gamma_function():
@@ -117,7 +120,7 @@ def test_truncation_guards():
         displacement_operator(5.0, 16)
     # 170! is the largest float64 factorial: levels >= 171 are refused, and a
     # huge request fails before anything is allocated
-    assert coherent_state(0.3, 171)[0].amplitudes[170] != 0.0
+    assert coherent_state(0.3, 171).amplitudes[170] != 0.0
     for nmax in (172, 10**12):
         with pytest.raises(TruncationError):
             coherent_state(0.1, nmax)
@@ -131,9 +134,10 @@ def test_coherent_series_uses_exact_factorials():
     beta, nmax = 0.7 - 0.2j, 25
     n = np.arange(nmax)
     exact = np.array([float(math.factorial(k)) for k in range(nmax)])
-    amps = math.exp(-abs(beta) ** 2 / 2.0) * beta**n / np.sqrt(exact)
+    b2 = beta.real * beta.real + beta.imag * beta.imag
+    amps = math.exp(-b2 / 2.0) * beta**n / np.sqrt(exact)
     reference = amps / math.sqrt(float(np.vdot(amps, amps).real))
-    vec, _ = coherent_state(beta, nmax)
+    vec = coherent_state(beta, nmax)
     assert np.array_equal(vec.amplitudes, reference)
 
 
@@ -145,7 +149,7 @@ def test_displacement_matches_coherent_series():
     beta, nmax = 0.2, 16
     d = displacement_operator(beta, nmax)
     from_operator = d @ basis_state(FockSpace((nmax,)), (0,)).amplitudes
-    from_series, _ = coherent_state(beta, nmax)
+    from_series = coherent_state(beta, nmax)
     assert np.max(np.abs(from_operator - from_series.amplitudes)) < 1e-8
 
 
@@ -175,8 +179,8 @@ def test_inner_is_sesquilinear_and_positive():
 
 def test_truncation_convergence():
     for beta in (0.2, 0.5):
-        lo, _ = coherent_state(beta, 16)
-        hi, _ = coherent_state(beta, 20)
+        lo = coherent_state(beta, 16)
+        hi = coherent_state(beta, 20)
         assert np.max(np.abs(lo.amplitudes - hi.amplitudes[:16])) < 1e-10
 
 
@@ -201,8 +205,8 @@ def test_displacement_unitary_hypothesis(re, im):
     d=st.floats(-1.0, 1.0, allow_nan=False),
 )
 def test_overlap_law_hypothesis(b, d):
-    vb, _ = coherent_state(b, 20)
-    vd, _ = coherent_state(d, 20)
+    vb = coherent_state(b, 20)
+    vd = coherent_state(d, 20)
     assert abs(abs(inner(vd, vb)) ** 2 - math.exp(-abs(d - b) ** 2)) < 1e-8
 
 
@@ -231,8 +235,8 @@ def test_library_vectors_are_read_only_with_exact_cached_norm():
         a,
         ground_state(space),
         -b,
-        coherent_state(0.4 + 0.1j, 9)[0],
-        _product([coherent_state(0.2, 3)[0], basis_state(FockSpace((4,)), (1,))]),
+        coherent_state(0.4 + 0.1j, 9),
+        _product([coherent_state(0.2, 3), basis_state(FockSpace((4,)), (1,))]),
         picked,
     ]
     for v in results:
@@ -308,11 +312,11 @@ def test_a_count_that_is_no_whole_number_is_refused():
             pattern(m, nsamples)
         assert exc.value.field == "nsamples"
     # a whole float or a numpy integer keeps the bytes of the int
-    state, residual = coherent_state(0.5 + 0.25j, 16)
+    state = coherent_state(0.5 + 0.25j, 16)
     for nmax in (16.0, np.int64(16)):
-        same, same_residual = coherent_state(0.5 + 0.25j, nmax)
+        same = coherent_state(0.5 + 0.25j, nmax)
         assert same.amplitudes.tobytes() == state.amplitudes.tobytes()
-        assert same_residual == residual
+        assert _poisson_tail(0.3125, nmax) == _poisson_tail(0.3125, 16)  # |0.5+0.25j|^2
         assert ScenarioSpec(Config.B, nmax=nmax) == ScenarioSpec(Config.B, nmax=16)
     for nsamples in (32.0, np.int64(32)):
         assert pattern(m, nsamples).intensities.tobytes() == pattern(m, 32).intensities.tobytes()

@@ -26,9 +26,8 @@ import atomslits
 from atomslits import closedform
 from atomslits.cli import main
 from atomslits.errors import EmptyPatternError, PhysicsDomainError
-from atomslits.fockspace import coherent_state
 from atomslits.scenarios import ScenarioSpec, _run
-from atomslits.spec import check_domain
+from atomslits.spec import _poisson_tail, _squared_abs, check_domain
 from atomslits.transforms import PROJECTOR_NAMES
 from atomslits.twopath import FreqTag, phase_offset, visibility
 
@@ -277,7 +276,7 @@ def test_eight_more_levels_move_no_output_beyond_the_truncation(drawn):
         return
     a, b = (dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
             for _, out, _ in (coarse, fine))
-    residual = max((coherent_state(k, nmax)[1] for k in kicks), default=0.0)
+    residual = max((_poisson_tail(_squared_abs(k), nmax) for k in kicks), default=0.0)
     bound = 10.0 * residual + 1e-13
     for key in ("visibility", "post_selection_probability"):
         assert abs(float(a[key]) - float(b[key])) <= bound, (key, a[key], b[key], residual)

@@ -446,16 +446,9 @@ _BOUNDED = [(c, Pulse.SHORT) for c in Config] + [
     (c, Pulse.LONG) for c in (Config.B, Config.C1, Config.C2, Config.E)]
 
 
-@settings(max_examples=1000)
-@given(regime=st.sampled_from(_BOUNDED), edge=st.sampled_from((0.5, 1.0)),
-       ulps=st.integers(-40, 40), axis=st.sampled_from((1, -1, 1j, -1j)))
-def test_domain_bounds_refuse_where_the_closed_forms_do(regime, edge, ulps, axis):
-    # |beta| within 40 ulps of either edge, along the real or the imaginary axis. The table
-    # squares abs(b)**2 and the closed forms re*re + im*im, which are not the same float in
-    # general, on the axes too: float pow is not correctly rounded, and abs(x)**2 != x*x for
-    # about 1 in 1,100 uniform reals in [-2, 2]. These 648 betas happen to agree.
-    config, pulse = regime
-    beta = _nudged(math.sqrt(edge), ulps) * axis
+def assert_refused_where_the_closed_forms_are(config, pulse, beta):
+    """check_domain refuses the first-order spec of beta exactly where the closed form of
+    its regime raises."""
     s = spec(config, pulse, Treatment.FIRST_ORDER, beta=beta)
     try:
         if pulse is Pulse.SHORT:
@@ -470,7 +463,32 @@ def test_domain_bounds_refuse_where_the_closed_forms_do(regime, edge, ulps, axis
         refused = False
     except PerturbationError:
         refused = True
-    assert refused == reference
+    assert refused == reference, (config, pulse, beta)
+
+
+@settings(max_examples=1000)
+@given(regime=st.sampled_from(_BOUNDED), edge=st.sampled_from((0.5, 1.0)),
+       ulps=st.integers(-40, 40), axis=st.sampled_from((1, -1, 1j, -1j)))
+def test_domain_bounds_refuse_where_the_closed_forms_do(regime, edge, ulps, axis):
+    # |beta| within 40 ulps of either edge, along the real or the imaginary axis. The table
+    # and the closed forms both square re*re + im*im (abs(x)**2 is not that float for about
+    # 1 in 1,100 uniform reals in [-2, 2], since float pow is not correctly rounded).
+    config, pulse = regime
+    assert_refused_where_the_closed_forms_are(config, pulse, _nudged(math.sqrt(edge), ulps) * axis)
+
+
+@settings(max_examples=2000)
+@given(regime=st.sampled_from(_BOUNDED), edge=st.sampled_from((0.5, 1.0)),
+       offset=st.floats(-1e-15, 1e-15), turn=st.floats(0.0, 2.0 * math.pi))
+def test_complex_kicks_at_the_bounds_are_refused_where_the_closed_forms_do(regime, edge,
+                                                                            offset, turn):
+    # complex betas with |beta|^2 within about 1e-15 (relative) of either edge; there
+    # abs(b)**2 and re*re + im*im fall on different sides of the bound for about 1 in 40,
+    # so a table that squared with abs would refuse where the closed forms do not
+    config, pulse = regime
+    size = math.sqrt(edge * (1.0 + offset))
+    beta = complex(size * math.cos(turn), size * math.sin(turn))
+    assert_refused_where_the_closed_forms_are(config, pulse, beta)
 
 
 # --- truncation: the function that owns the state refuses it -----------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomslits.errors import EmptyPatternError, SpaceMismatchError
+from atomslits.errors import EmptyPatternError, ScenarioError, SpaceMismatchError
 from atomslits.fockspace import FockSpace, FockVector, basis_state, coherent_state, zero_vector
 from atomslits.twopath import (
     FreqTag,
@@ -15,6 +15,7 @@ from atomslits.twopath import (
     TwoPathMixture,
     coherence_sum,
     condition,
+    _unit_circle,
     mean_intensity,
     pattern,
     phase_offset,
@@ -52,8 +53,8 @@ def test_single_path_is_flat():
 
 def test_opposite_coherent_paths_visibility():
     beta = 0.3
-    plus, _ = coherent_state(beta, 16)
-    minus, _ = coherent_state(-beta, 16)
+    plus = coherent_state(beta, 16)
+    minus = coherent_state(-beta, 16)
     v = visibility(single(plus, minus))
     assert abs(v - math.exp(-2 * beta**2)) < 1e-9
     # first-order cross-check: 1 - 2 b^2 within the quartic window
@@ -65,8 +66,8 @@ def test_coherence_sum_examples():
     assert 2 * coherence_sum(m) / mean_intensity(m) == pytest.approx(1.0)
 
     beta = 0.3
-    plus, _ = coherent_state(beta, 16)
-    minus, _ = coherent_state(-beta, 16)
+    plus = coherent_state(beta, 16)
+    minus = coherent_state(-beta, 16)
     m = single(plus, minus)
     c = 2 * coherence_sum(m) / mean_intensity(m)
     assert c.imag == pytest.approx(0.0, abs=1e-12)
@@ -85,8 +86,8 @@ def test_coherence_sum_examples():
 
 def test_pattern_matches_closed_form_curve():
     beta = 0.4
-    plus, _ = coherent_state(beta, 16)
-    minus, _ = coherent_state(-beta, 16)
+    plus = coherent_state(beta, 16)
+    minus = coherent_state(-beta, 16)
     m = single(plus, minus, weight=0.7)
     scan = pattern(m, 128)
     mean = mean_intensity(m)
@@ -167,6 +168,17 @@ def test_projector_space_mismatch():
     with pytest.raises(SpaceMismatchError,
                        match=r"'other' is defined on \(5,\), state lives in \(4,\)"):
         p.apply(B0)
+
+
+def test_pattern_refuses_too_many_samples_before_the_grid():
+    m = single(B0, B1)
+    pattern(m, 65536)
+    before = _unit_circle.cache_info()
+    for nsamples in (65537, 10**9):
+        with pytest.raises(ScenarioError, match=f"must be <= 65536, got {nsamples}") as exc:
+            pattern(m, nsamples)
+        assert exc.value.field == "nsamples"
+    assert _unit_circle.cache_info() == before
 
 
 def test_pattern_scan_refuses_samples_of_two_shapes():
