@@ -67,6 +67,59 @@ def _mixture_gap(a: TwoPathMixture, b: TwoPathMixture) -> float:
 # --- criteria -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Criterion:
+    id: str
+    title: str
+    tolerance: float
+    fn: Callable[[float], list[dict]]
+
+    def run(self, tolerance: float | None = None) -> dict:
+        tol = self.tolerance if tolerance is None else float(tolerance)
+        checks = self.fn(tol)
+        return {
+            "id": self.id,
+            "title": self.title,
+            "tolerance": tol,
+            "passed": all(c["passed"] for c in checks),
+            "checks": checks,
+        }
+
+
+CRITERIA: tuple[Criterion, ...] = ()
+
+
+def _criterion(title: str, tolerance: float) -> Callable:
+    """Append the decorated `_crit_<id>` function to CRITERIA, in definition order."""
+    def register(fn: Callable[[float], list[dict]]) -> Callable[[float], list[dict]]:
+        global CRITERIA
+        CRITERIA += (Criterion(fn.__name__.removeprefix("_crit_"), title, tolerance, fn),)
+        return fn
+    return register
+
+
+def _conditioned(label: str, m: TwoPathMixture, phase: float, tol: float) -> list[dict]:
+    """A conditioned fringe at full contrast and the given phase: its two checks."""
+    return [_check(f"conditioned_vis_{label}", visibility(m), 1.0, tol),
+            _phase_check(f"conditioned_phase_{label}", phase_offset(m), phase, tol)]
+
+
+def _grid(b: float, alpha: float, g: float, t: float, nmax: int = 16) -> list[ScenarioSpec]:
+    """One spec per kicked regime: B, C1 and E on both pulses, D short."""
+    return [
+        ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.EXACT, nmax=nmax),
+        ScenarioSpec(Config.B, Pulse.SHORT, beta=b, treatment=Treatment.FIRST_ORDER, nmax=nmax),
+        ScenarioSpec(Config.B, Pulse.LONG, beta=b, nmax=nmax),
+        ScenarioSpec(Config.C1, Pulse.SHORT, beta=b, treatment=Treatment.EXACT, nmax=nmax),
+        ScenarioSpec(Config.C1, Pulse.LONG, beta=b, nmax=nmax),
+        ScenarioSpec(Config.D, Pulse.SHORT, beta=b, alpha=alpha, nmax=nmax),
+        ScenarioSpec(Config.E, Pulse.SHORT, beta=b, coupling_g=g, evolve_time=t,
+                     treatment=Treatment.FIRST_ORDER, nmax=nmax),
+        ScenarioSpec(Config.E, Pulse.LONG, beta=b, nmax=nmax),
+    ]
+
+
+@_criterion("config B short pulse: first-order contrast 1-|b|^2, exact exp(-|b|^2)", 1e-9)
 def _crit_b_short_contrast(tol: float) -> list[dict]:
     checks = []
     for b in (0.05, 0.1, 0.2, 0.3):
@@ -80,6 +133,7 @@ def _crit_b_short_contrast(tol: float) -> list[dict]:
     return checks
 
 
+@_criterion("eraser on first-order B: conditioned full contrast at phases 0 and pi", 1e-9)
 def _crit_eraser_restores_contrast(tol: float) -> list[dict]:
     checks = []
     for b in (0.1, 0.3):
@@ -88,16 +142,15 @@ def _crit_eraser_restores_contrast(tol: float) -> list[dict]:
         erased, _ = _run(spec, eraser=True)
         on_1, _ = _run(spec, eraser=True, coincidence="atom1_excited")
         on_2, _ = _run(spec, eraser=True, coincidence="atom2_excited")
-        checks.append(_check(f"conditioned_vis_atom1(beta={b})", visibility(on_1), 1.0, tol))
-        checks.append(_phase_check(f"conditioned_phase_atom1(beta={b})", phase_offset(on_1), 0.0, tol))
-        checks.append(_check(f"conditioned_vis_atom2(beta={b})", visibility(on_2), 1.0, tol))
-        checks.append(_phase_check(f"conditioned_phase_atom2(beta={b})", phase_offset(on_2), math.pi, tol))
+        checks += _conditioned(f"atom1(beta={b})", on_1, 0.0, tol)
+        checks += _conditioned(f"atom2(beta={b})", on_2, math.pi, tol)
         checks.append(
             _check(f"unconditioned_vis_unchanged(beta={b})", visibility(erased), v_before, tol)
         )
     return checks
 
 
+@_criterion("eraser cannot restore contrast after a long pulse on config B", 1e-9)
 def _crit_long_pulse_b_irreversible(tol: float) -> list[dict]:
     checks = []
     spec = ScenarioSpec(Config.B, Pulse.LONG, beta=0.3)
@@ -107,6 +160,8 @@ def _crit_long_pulse_b_irreversible(tol: float) -> list[dict]:
     return checks
 
 
+@_criterion("config C: contrast 1-2|b|^2 / exp(-2|b|^2), coincidence phases 0 and pi, C1 = C2",
+            1e-9)
 def _crit_c_contrast_and_coincidence(tol: float) -> list[dict]:
     checks = []
     for b in (0.1, 0.3, 0.5):
@@ -122,15 +177,14 @@ def _crit_c_contrast_and_coincidence(tol: float) -> list[dict]:
         on_0, _ = _run(spec, coincidence="single_atom_0")
         on_1, _ = _run(spec, coincidence="single_atom_1")
         label = treatment.value
-        checks.append(_check(f"conditioned_vis_level0({label})", visibility(on_0), 1.0, tol))
-        checks.append(_phase_check(f"conditioned_phase_level0({label})", phase_offset(on_0), 0.0, tol))
-        checks.append(_check(f"conditioned_vis_level1({label})", visibility(on_1), 1.0, tol))
-        checks.append(_phase_check(f"conditioned_phase_level1({label})", phase_offset(on_1), math.pi, tol))
+        checks += _conditioned(f"level0({label})", on_0, 0.0, tol)
+        checks += _conditioned(f"level1({label})", on_1, math.pi, tol)
         gap = _mixture_gap(_run(spec)[0], _run(spec._replace(config=Config.C2))[0])
         checks.append(_check(f"c1_c2_elementwise({label})", gap, 0.0, 0.0))
     return checks
 
 
+@_criterion("long-pulse C: contrast 1-2|b|^2, dispersive element restores 1", 1e-9)
 def _crit_c_long_dispersive(tol: float) -> list[dict]:
     checks = []
     for b in (0.3, 0.5):
@@ -142,6 +196,7 @@ def _crit_c_long_dispersive(tol: float) -> list[dict]:
     return checks
 
 
+@_criterion("coherent-probe readout matches exp(-|delta -+ beta|^2) and exp(-4 beta delta)", 1e-8)
 def _crit_whichway_discrimination(tol: float) -> list[dict]:
     checks = []
     nmax = 24
@@ -157,18 +212,7 @@ def _crit_whichway_discrimination(tol: float) -> list[dict]:
     return checks
 
 
-def _z_excitation_probability(m: TwoPathMixture, z_ground: Projector) -> float:
-    """P(n_z >= 1) of D's marker, read as the norm condition() keeps on the n_z = 0
-    levels; condition refuses a truncated common kick."""
-    num = 0.0
-    den = 0.0
-    for c, kept in zip(m.components, condition(m, z_ground)[0].components):
-        for psi, image in ((c.psi1, kept.psi1), (c.psi2, kept.psi2)):
-            den += c.weight * psi.norm() ** 2
-            num += c.weight * image.norm() ** 2
-    return 1.0 - num / den
-
-
+@_criterion("config D: common-mode kick is detectable but leaves the fringe untouched", 1e-9)
 def _crit_d_common_mode(tol: float) -> list[dict]:
     checks = []
     b = 0.3
@@ -181,12 +225,14 @@ def _crit_d_common_mode(tol: float) -> list[dict]:
         m, _ = _run(ScenarioSpec(Config.D, beta=b, alpha=a, nmax=nmax))
         checks.append(_check(f"visibility_alpha_independent(alpha={a})", visibility(m),
                              reference, tol))
+        # P(n_z >= 1): what condition's post-selection on n_z = 0 leaves out
         checks.append(_check(f"z_excitation_probability(alpha={a})",
-                             _z_excitation_probability(m, z_ground),
+                             1.0 - condition(m, z_ground)[1],
                              1.0 - closedform.projection_probability(0, a), 1e-8))
     return checks
 
 
+@_criterion("config E: quarter-beat evolution acts as the eraser; t=0 equals first-order B", 1e-9)
 def _crit_e_quarter_beat_eraser(tol: float) -> list[dict]:
     checks = []
     b = 0.2
@@ -205,6 +251,8 @@ def _crit_e_quarter_beat_eraser(tol: float) -> list[dict]:
     return checks
 
 
+@_criterion("unitarity, normalization, bounds, additivity, reversibility, truncation stability",
+            1e-10)
 def _crit_property_suite(tol: float) -> list[dict]:
     checks = []
     nmax = 16
@@ -225,22 +273,8 @@ def _crit_property_suite(tol: float) -> list[dict]:
     checks.append(_check("first_order_path_normalized", m.components[0].psi1.norm(), 1.0, 1e-10))
 
     # visibility stays in [0, 1] across the scenario grid
-    grid = [
-        ScenarioSpec(Config.A),
-        ScenarioSpec(Config.B, Pulse.SHORT, beta=0.35, treatment=Treatment.EXACT),
-        ScenarioSpec(Config.B, Pulse.SHORT, beta=0.35, treatment=Treatment.FIRST_ORDER),
-        ScenarioSpec(Config.B, Pulse.LONG, beta=0.35),
-        ScenarioSpec(Config.C1, Pulse.SHORT, beta=0.35, treatment=Treatment.EXACT),
-        ScenarioSpec(Config.C1, Pulse.LONG, beta=0.35),
-        ScenarioSpec(Config.D, Pulse.SHORT, beta=0.35, alpha=0.8),
-        ScenarioSpec(
-            Config.E, Pulse.SHORT, beta=0.35, coupling_g=0.9, evolve_time=0.4,
-            treatment=Treatment.FIRST_ORDER,
-        ),
-        ScenarioSpec(Config.E, Pulse.LONG, beta=0.35),
-    ]
     worst = 0.0
-    for spec in grid:
+    for spec in [ScenarioSpec(Config.A), *_grid(0.35, 0.8, 0.9, 0.4)]:
         vis = visibility(_run(spec)[0])
         worst = max(worst, -vis, vis - 1.0)
     checks.append(_check("visibility_within_unit_interval", worst, 0.0, 1e-12))
@@ -257,24 +291,8 @@ def _crit_property_suite(tol: float) -> list[dict]:
 
     # truncation convergence: nmax 16 -> 20 moves nothing by more than 1e-10
     def _at(nmax_val: int) -> list[tuple[float, float]]:
-        specs = [
-            ScenarioSpec(Config.B, Pulse.SHORT, beta=0.5, treatment=Treatment.EXACT, nmax=nmax_val),
-            ScenarioSpec(Config.B, Pulse.SHORT, beta=0.5, treatment=Treatment.FIRST_ORDER, nmax=nmax_val),
-            ScenarioSpec(Config.B, Pulse.LONG, beta=0.5, nmax=nmax_val),
-            ScenarioSpec(Config.C1, Pulse.SHORT, beta=0.5, treatment=Treatment.EXACT, nmax=nmax_val),
-            ScenarioSpec(Config.C1, Pulse.LONG, beta=0.5, nmax=nmax_val),
-            ScenarioSpec(Config.D, Pulse.SHORT, beta=0.5, alpha=1.0, nmax=nmax_val),
-            ScenarioSpec(
-                Config.E, Pulse.SHORT, beta=0.5, coupling_g=1.0, evolve_time=0.7,
-                treatment=Treatment.FIRST_ORDER, nmax=nmax_val,
-            ),
-            ScenarioSpec(Config.E, Pulse.LONG, beta=0.5, nmax=nmax_val),
-        ]
-        out = []
-        for spec in specs:
-            mix, _ = _run(spec)
-            out.append((visibility(mix), phase_offset(mix)))
-        return out
+        mixtures = [_run(spec)[0] for spec in _grid(0.5, 1.0, 1.0, 0.7, nmax_val)]
+        return [(visibility(mix), phase_offset(mix)) for mix in mixtures]
 
     coarse = _at(16)
     fine = _at(20)
@@ -287,83 +305,6 @@ def _crit_property_suite(tol: float) -> list[dict]:
     amp_shift = float(np.max(np.abs(c16.amplitudes - c20.amplitudes[:16])))
     checks.append(_check("truncation_convergence_amplitudes", amp_shift, 0.0, 1e-10))
     return checks
-
-
-@dataclass(frozen=True)
-class Criterion:
-    id: str
-    title: str
-    tolerance: float
-    fn: Callable[[float], list[dict]]
-
-    def run(self, tolerance: float | None = None) -> dict:
-        tol = self.tolerance if tolerance is None else float(tolerance)
-        checks = self.fn(tol)
-        return {
-            "id": self.id,
-            "title": self.title,
-            "tolerance": tol,
-            "passed": all(c["passed"] for c in checks),
-            "checks": checks,
-        }
-
-
-CRITERIA = (
-    Criterion(
-        "b_short_contrast",
-        "config B short pulse: first-order contrast 1-|b|^2, exact exp(-|b|^2)",
-        1e-9,
-        _crit_b_short_contrast,
-    ),
-    Criterion(
-        "eraser_restores_contrast",
-        "eraser on first-order B: conditioned full contrast at phases 0 and pi",
-        1e-9,
-        _crit_eraser_restores_contrast,
-    ),
-    Criterion(
-        "long_pulse_b_irreversible",
-        "eraser cannot restore contrast after a long pulse on config B",
-        1e-9,
-        _crit_long_pulse_b_irreversible,
-    ),
-    Criterion(
-        "c_contrast_and_coincidence",
-        "config C: contrast 1-2|b|^2 / exp(-2|b|^2), coincidence phases 0 and pi, C1 = C2",
-        1e-9,
-        _crit_c_contrast_and_coincidence,
-    ),
-    Criterion(
-        "c_long_dispersive",
-        "long-pulse C: contrast 1-2|b|^2, dispersive element restores 1",
-        1e-9,
-        _crit_c_long_dispersive,
-    ),
-    Criterion(
-        "whichway_discrimination",
-        "coherent-probe readout matches exp(-|delta -+ beta|^2) and exp(-4 beta delta)",
-        1e-8,
-        _crit_whichway_discrimination,
-    ),
-    Criterion(
-        "d_common_mode",
-        "config D: common-mode kick is detectable but leaves the fringe untouched",
-        1e-9,
-        _crit_d_common_mode,
-    ),
-    Criterion(
-        "e_quarter_beat_eraser",
-        "config E: quarter-beat evolution acts as the eraser; t=0 equals first-order B",
-        1e-9,
-        _crit_e_quarter_beat_eraser,
-    ),
-    Criterion(
-        "property_suite",
-        "unitarity, normalization, bounds, additivity, reversibility, truncation stability",
-        1e-10,
-        _crit_property_suite,
-    ),
-)
 
 
 def run_all() -> dict:

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import scenarios
 from ._version import __version__
-from .front import EXIT_ACCEPTANCE, EXIT_OK, _fmt, _write, build_parser, entry, run
+from .front import EXIT_ACCEPTANCE, EXIT_OK, _fmt, _write, build_parser, run
 from .scenarios import _run
 from .twopath import pattern, visibility
 
-__all__ = ["main", "entry"]
+__all__ = ["main"]
 
 
 def cmd_pattern(args) -> int:

@@ -114,14 +114,18 @@ def _add_run_flags(parser: argparse.ArgumentParser, pattern: bool) -> None:
         parser.add_argument("--samples", type=int, default=256,
                             help=f"number of detector phases sampled, at most {MAX_SAMPLES} "
                                  "(default: 256)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="output format (default: csv)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="output file (default: stdout)")
+    _output_flags(parser)
     if not pattern:
         parser.add_argument("--beta-range", required=True, metavar="MIN:MAX:STEPS",
                             dest="beta_range",
                             help=f"real sweep range, MIN >= 0, STEPS at most {MAX_SWEEP_STEPS}")
+
+
+def _output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=["csv", "json"], default="csv",
+                        help="output format (default: csv)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="output file (default: stdout)")
 
 
 def _whichway_flags(parser: argparse.ArgumentParser) -> None:
@@ -129,10 +133,7 @@ def _whichway_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, required=True, help="probe amplitude, real >= 0")
     parser.add_argument("--nmax", type=int, default=16,
                         help="Fock truncation per mode (default: 16)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="output format (default: csv)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="output file (default: stdout)")
+    _output_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:

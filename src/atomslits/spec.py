@@ -205,7 +205,7 @@ def check_nsamples(nsamples: int) -> None:
     if not _whole(nsamples):
         raise ScenarioError("nsamples", f"nsamples must be a whole number, got {nsamples}")
     if nsamples > MAX_SAMPLES:
-        raise ScenarioError("nsamples", f"must be <= {MAX_SAMPLES}, got {nsamples}")
+        raise ScenarioError("nsamples", f"nsamples must be <= {MAX_SAMPLES}, got {nsamples}")
 
 
 def check_modes(nmodes: int, projector: str | None = None) -> None:

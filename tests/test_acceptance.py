@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from atomslits import (FreqTag, Projector, ScenarioSpec, TruncationError, TwoPathComponent,
-                       TwoPathMixture, acceptance, build, closedform, scenarios)
+                       TwoPathMixture, acceptance, build, closedform, condition,
+                       scenarios)
 from atomslits.cli import main
 
 
@@ -33,6 +34,15 @@ def test_full_report_passes():
     report = acceptance.run_all()
     assert report["passed"] is True
     assert len(report["criteria"]) == len(acceptance.CRITERIA)
+
+
+def test_criteria_hold_every_crit_function_once_in_definition_order():
+    # a _crit_* function defined without the decorator would never run
+    defined = [fn for name, fn in vars(acceptance).items() if name.startswith("_crit_")]
+    assert [c.fn for c in acceptance.CRITERIA] == defined
+    ids = [c.id for c in acceptance.CRITERIA]
+    assert ids == [fn.__name__.removeprefix("_crit_") for fn in defined]
+    assert len(set(ids)) == len(ids)
 
 
 def test_tolerance_overrides_are_honored():
@@ -91,7 +101,7 @@ def test_z_excitation_readout_refuses_a_truncated_common_kick():
     m = build(ScenarioSpec("D", beta=0.3, alpha=3.9, nmax=16))
     z_ground = Projector(m.space, np.eye(16 * 16, 16))
     with pytest.raises(TruncationError, match=r"alpha = 3\.9"):
-        acceptance._z_excitation_probability(m, z_ground)
+        condition(m, z_ground)
 
 
 def test_mixture_gap_is_infinite_across_structures():
