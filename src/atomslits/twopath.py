@@ -235,7 +235,10 @@ class PatternScan:
 
 
 def coherence_sum(m: TwoPathMixture) -> complex:
-    """The cross term sum_k w_k <psi1_k|psi2_k> whose magnitude sets the contrast."""
+    """The cross term sum_k w_k <psi1_k|psi2_k> whose magnitude sets the contrast.
+
+    Summed from 0j, neither part is ever -0.0 (+0.0 + -0.0 and x + -x are +0.0), so
+    its atan2 is +pi on the negative real axis and 0.0 at zero."""
     total = 0j
     for c in m.components:
         total += c.weight * inner(c.psi1, c.psi2)
@@ -267,15 +270,6 @@ def _require_light(m: TwoPathMixture) -> float:
     return d
 
 
-def _principal_phase(z: complex) -> float:
-    if z == 0:
-        return 0.0
-    im = z.imag
-    if im == 0.0:
-        im = 0.0  # collapse -0.0 so a negative-real coherence reports +pi
-    return math.atan2(im, z.real)
-
-
 def visibility(m: TwoPathMixture) -> float:
     """Closed-form fringe visibility of the mixture, in [0, 1]."""
     d = _require_light(m)
@@ -285,7 +279,8 @@ def visibility(m: TwoPathMixture) -> float:
 def phase_offset(m: TwoPathMixture) -> float:
     """Principal argument of the coherence sum, in (-pi, pi]; 0 for flat patterns."""
     _require_light(m)
-    return _principal_phase(coherence_sum(m))
+    c = coherence_sum(m)
+    return math.atan2(c.imag, c.real)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -327,7 +322,7 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     scan = object.__new__(PatternScan)
     scan.__dict__.update(phis=phis, intensities=intensities,
                          visibility=min(2.0 * abs(c) / d, 1.0),
-                         phase_offset=_principal_phase(c))
+                         phase_offset=math.atan2(c.imag, c.real))
     return scan
 
 

@@ -372,6 +372,12 @@ def test_non_finite_scenario_values_exit_two(argv, needle, capsys):
         # is one ulp below
         (["pattern", "--config", "C1", "--treatment", "first",
           "--beta=-0.5806662020015749+0.4035179820690351j"], 3),
+        # the truncation residual 1e-10 at its edge: C1's tail at nmax 16 is 3.0e-10 at this
+        # beta and 4.3e-11 at 1.3
+        (["pattern", "--config", "C1", "--beta", "1.3909426050339602", "--nmax", "16"], 3),
+        (["pattern", "--config", "C1", "--beta", "1.3", "--nmax", "16"], 0),
+        # the intensity floor 1e-24: this cut keeps 1e-26 of the total weight
+        (["pattern", "--config", "B", "--beta", "1e-13", "--coincidence", "atom1_excited"], 3),
     ],
 )
 def test_domain_limits_exit_codes(argv, expected, capsys):

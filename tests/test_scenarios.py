@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomslits import closedform, scenarios
-from atomslits.errors import (PerturbationError, PhysicsDomainError, ScenarioError,
-                              TruncationError)
+from atomslits.errors import (EmptyPatternError, PerturbationError, PhysicsDomainError,
+                              ScenarioError, TruncationError)
+from atomslits.fockspace import basis_state, inner
 from atomslits.scenarios import (
     Config,
     Pulse,
@@ -17,11 +18,13 @@ from atomslits.scenarios import (
     build,
 )
 from atomslits.spec import _REGIMES, _poisson_tail, check_domain
-from atomslits.transforms import apply_dispersive, apply_eraser, evolve_beat, named_projector
+from atomslits.transforms import (apply_dispersive, apply_eraser, evolve_beat, named_projector,
+                                  quarter_beat_time)
 from atomslits.twopath import (
     FreqTag,
     TwoPathMixture,
     condition,
+    mean_intensity,
     pattern,
     phase_offset,
     visibility,
@@ -250,6 +253,16 @@ def test_e_population_follows_cosine_law():
     assert _level_probability(psi1, 1, 1) == pytest.approx(b * b * math.sin(0.7) ** 2, abs=1e-12)
 
 
+def test_e_quarter_beat_phases_follow_the_beat_direction():
+    # <psi1|psi2> on |1,0> is conj(b cos gt) (b (-i sin gt)), on |0,1> conj(b (-i sin gt))
+    # (b cos gt): at gt = pi/4 the phases are -pi/2 and +pi/2
+    g = 0.8
+    m = build(e_spec(beta=0.2, g=g, t=quarter_beat_time(g)))
+    for name, phase in (("atom1_excited", -math.pi / 2), ("atom2_excited", math.pi / 2)):
+        conditioned, _ = condition(m, named_projector(name, m.space))
+        assert phase_offset(conditioned) == pytest.approx(phase, abs=1e-12)
+
+
 def test_e_long_mixture():
     b = 0.3
     m = build(spec(Config.E, Pulse.LONG, beta=b))
@@ -269,6 +282,36 @@ def test_e_rejects_exact_treatment():
 
 
 # --- cross-configuration invariants ----------------------------------------
+
+
+def long_pulse_fractions(m, epsilon):
+    """Each outcome's share of the two-path intensity, sum_k w_k (|psi1_k|^2 + |psi2_k|^2)
+    / 2 / eps^2, keyed as closedform.longpulse_weights keys it: by tag, and a B shifted
+    line by the atom it excites, which must be the atom of the path that carries it."""
+    fractions = {}
+    for c in m.components:
+        key = c.tag.value.lower()
+        if m.space.nmodes == 2 and c.tag is FreqTag.SHIFTED:
+            path, marker = (1, c.psi1) if c.psi2.norm() == 0.0 else (2, c.psi2)
+            excited = [f"atom{atom}" for atom, levels in ((1, (1, 0)), (2, (0, 1)))
+                       if inner(basis_state(m.space, levels), marker) == 1.0]
+            assert excited == [f"atom{path}"]
+            key = excited[0]
+        share = c.weight * (c.psi1.norm() ** 2 + c.psi2.norm() ** 2) / 2.0 / epsilon**2
+        fractions[key] = fractions.get(key, 0.0) + share
+    return fractions
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.2 - 0.25j])
+@pytest.mark.parametrize("config", [Config.B, Config.C1, Config.C2, Config.E])
+def test_long_pulse_outcome_fractions_are_the_golden_rule_weights(config, beta):
+    # at beta 0.3, E's are 0.91 elastic and 0.045 per normal mode
+    s = ScenarioSpec(config, Pulse.LONG, beta=beta)
+    fractions = long_pulse_fractions(build(s), s.epsilon)
+    weights = closedform.longpulse_weights(config, beta)
+    assert fractions.keys() == weights.keys()
+    for outcome, weight in weights.items():
+        assert fractions[outcome] == pytest.approx(weight, abs=1e-15), outcome
 
 
 def test_perturbative_consistency_bound():
@@ -500,6 +543,18 @@ def test_exact_builders_refuse_a_truncated_beta(door):
     for config in (Config.B, Config.C1, Config.D):
         with pytest.raises(TruncationError, match=r"beta = 3\+0j loses 0\.022 .* at nmax 16"):
             door(spec(config, beta=3.0))
+
+
+def test_refusals_hold_at_their_thresholds():
+    # the tail of C1's exact kick at nmax 16 is 3.0e-10 here, above 1e-10, and 4.3e-11 at 1.3
+    with pytest.raises(TruncationError, match="loses 3e-10 "):
+        build(spec(Config.C1, beta=1.3909426050339602, nmax=16))
+    assert visibility(build(spec(Config.C1, beta=1.3, nmax=16))) > 0.0
+    # B's atom1_excited cut at beta 1e-13 keeps 1e-26 of its weight, below 1e-24
+    m, _ = scenarios._run(spec(Config.B, beta=1e-13), coincidence="atom1_excited")
+    assert mean_intensity(m) / m.total_weight == pytest.approx(1e-26, rel=1e-12)
+    with pytest.raises(EmptyPatternError):
+        pattern(m)
 
 
 def d_chain(nmax):

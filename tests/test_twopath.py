@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomslits import twopath
 from atomslits.errors import EmptyPatternError, ScenarioError, SpaceMismatchError
 from atomslits.fockspace import FockSpace, FockVector, basis_state, coherent_state, zero_vector
+from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, _run
 from atomslits.twopath import (
     FreqTag,
     PatternScan,
@@ -211,6 +213,70 @@ def test_visibility_one_requires_common_phase():
         )
     )
     assert visibility(m) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_full_contrast_that_rounds_above_one_is_one():
+    # D's unit paths at beta 0: 2|S|/d rounds to 1.0000000000000002 at this alpha, and the
+    # sample at phi = pi, d - 2|S|, to -2.7e-20
+    m, _ = _run(ScenarioSpec(Config.D, beta=0, alpha=-0.5576114281979072,
+                             treatment=Treatment.FIRST_ORDER))
+    assert 2.0 * abs(coherence_sum(m)) / mean_intensity(m) > 1.0
+    assert visibility(m) == 1.0
+    scan = pattern(m)
+    assert scan.visibility == 1.0
+    assert scan.intensities.min() == 0.0
+
+
+def test_a_fringe_peak_that_overflows_a_float_is_refused():
+    # d = 2 * 6e307 is finite, the peak 2 d of this full-contrast fringe is not
+    m = single(B0, B0, weight=6e307)
+    assert math.isfinite(mean_intensity(m))
+    with pytest.raises(ValueError, match="overflows a float"):
+        pattern(m, 16)
+
+
+def test_pattern_asserts_on_a_coherence_beyond_cauchy_schwarz(monkeypatch):
+    # |S| 1e-6 above d/2 drives the sample at phi = pi to -1e-6 d, below -1e-9 d
+    m = single(B0, B0)
+    beyond = coherence_sum(m) * (1.0 + 1e-6)
+    monkeypatch.setattr(twopath, "coherence_sum", lambda _: beyond)
+    with pytest.raises(AssertionError, match="intensity went significantly negative"):
+        pattern(m, 64)
+
+
+def test_a_negative_real_coherence_has_phase_plus_pi():
+    # C1's shifted line cut to |1> fringes exactly opposite the elastic line
+    m, _ = _run(ScenarioSpec(Config.C1, Pulse.LONG, beta=0.3), coincidence="single_atom_1")
+    c = coherence_sum(m)
+    assert c.real < 0.0 and c.imag == 0.0
+    assert phase_offset(m) == math.pi
+    assert pattern(m).phase_offset == math.pi
+
+
+_signed = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0))
+_path = st.lists(st.builds(complex, _signed, _signed), min_size=4, max_size=4)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_path, _path, st.sampled_from((0.0, 0.25, 1.0))),
+                min_size=1, max_size=3))
+def test_phase_lies_in_the_principal_interval_with_signed_zeros(parts):
+    # summed from 0j, no part of the coherence is -0.0, so atan2 never reads a signed zero
+    components = tuple(TwoPathComponent(FockVector(SPACE, psi1), FockVector(SPACE, psi2),
+                                        weight=w) for psi1, psi2, w in parts)
+    if sum(w for *_, w in parts) == 0.0:
+        return
+    m = TwoPathMixture(components)
+    if mean_intensity(m) == 0.0:
+        return
+    c = coherence_sum(m)
+    assert math.copysign(1.0, c.real) == 1.0 or c.real != 0.0
+    assert math.copysign(1.0, c.imag) == 1.0 or c.imag != 0.0
+    phase = phase_offset(m)
+    assert -math.pi < phase <= math.pi
+    assert pattern(m, 16).phase_offset == phase
+    if c.imag == 0.0:
+        assert phase == (math.pi if c.real < 0.0 else 0.0)
 
 
 _amp = st.floats(-1.0, 1.0, allow_nan=False)
