@@ -40,6 +40,7 @@ from atomslits import (
     pattern,
     visibility,
 )
+from atomslits.spec import _SECTORS, PROJECTOR_NAMES
 
 STAGES = ("spec", "build", "eraser/beat", "dispersive", "visibility", "projector",
           "condition", "pattern")
@@ -54,7 +55,8 @@ KINDS = {
 }
 CHAINS_PER_KIND = 4
 TAGS = ("ELASTIC", "SHIFTED", "SYM", "ANTISYM")
-PROJECTORS = ("ground", "atom1_excited", "atom2_excited", "sym", "antisym")
+# the named projectors a two-oscillator marker takes, in PROJECTOR_NAMES order
+PROJECTORS = tuple(name for name in PROJECTOR_NAMES if len(_SECTORS[name][0][0]) in (0, 2))
 
 
 def _chains(nmax, seed):

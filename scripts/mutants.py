@@ -71,6 +71,10 @@ MUTANTS = (
     Mutant("pattern keeps samples below zero", "if lowest < 0.0:", "if lowest < -1.0:"),
     Mutant("fringe peak overflow unchecked", "if not math.isfinite(2.0 * d):",
            "if not math.isfinite(d):"),
+    Mutant("mean intensity overflow unchecked", "if d == math.inf:", "if d != d:"),
+    Mutant("mean intensity drops psi2",
+           "d += c.weight * (c.psi1.norm() ** 2 + c.psi2.norm() ** 2)",
+           "d += c.weight * c.psi1.norm() ** 2"),
     Mutant("intensity floor 1e-30", "_INTENSITY_FLOOR = 1e-24", "_INTENSITY_FLOOR = 1e-30"),
     Mutant("post-selection over the total weight",
            "return conditioned, mean_intensity(conditioned) / before",
@@ -115,22 +119,20 @@ MUTANTS = (
     Mutant("first-order B excites slit 1 on both paths", "_first_order(space, b, i01)",
            "_first_order(space, b, i10)"),
     Mutant("long B photon through slit 1 excites atom 2",
-           "(basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, 1.0)",
-           "(basis_state(space, (0, 1)), empty, FreqTag.SHIFTED, 1.0)"),
-    Mutant("long C shifted line in phase",
-           "flipped = _shared_state(space, ((1, 1.0),), negated=True)",
-           "flipped = _shared_state(space, ((1, 1.0),), negated=False)"),
+           "(\"atom1_excited\", None, FreqTag.SHIFTED, 1.0)",
+           "(\"atom2_excited\", None, FreqTag.SHIFTED, 1.0)"),
+    Mutant("long C shifted line in phase", "(\"single_atom_1\", \"-single_atom_1\",",
+           "(\"single_atom_1\", \"single_atom_1\","),
     Mutant("D without its common kick", "common = coherent_state(spec.alpha, spec.nmax)",
            "common = coherent_state(0j, spec.nmax)"),
     Mutant("D carries no common kick", "common_kick=spec.alpha)", "common_kick=None)"),
     Mutant("E short without the beat",
            "return transforms.evolve_beat(base, spec.coupling_g, spec.evolve_time)",
            "return base"),
-    Mutant("E long SYM share 0.25", "(sym, sym, FreqTag.SYM, 0.5)",
-           "(sym, sym, FreqTag.SYM, 0.25)"),
-    Mutant("E long antisymmetric mode in phase",
-           "flipped = transforms._normal_mode(space, -1.0, negated=True)",
-           "flipped = transforms._normal_mode(space, -1.0, negated=False)"),
+    Mutant("E long SYM share 0.25", "(\"sym\", \"sym\", FreqTag.SYM, 0.5)",
+           "(\"sym\", \"sym\", FreqTag.SYM, 0.25)"),
+    Mutant("E long antisymmetric mode in phase", "(\"antisym\", \"-antisym\",",
+           "(\"antisym\", \"antisym\","),
     # transforms
     Mutant("eraser applies its inverse",
            "_INVERSE_ROWS if inverse else _ERASER_ROWS",
@@ -151,12 +153,18 @@ MUTANTS = (
            equivalent="-<psi1|psi2> = <psi1|-psi2> to the bit and ||-psi|| = ||psi||, so V, the "
                       "phase, the post-selection and every intensity are unchanged; only the "
                       "path whose amplitudes carry the sign differs"),
-    Mutant("atom1_excited on slit 2", "(i10 if name == \"atom1_excited\" else i01, 1.0)",
-           "(i01 if name == \"atom1_excited\" else i10, 1.0)"),
-    Mutant("sym and antisym swapped", "_normal_mode(space, 1.0 if name == \"sym\" else -1.0)",
-           "_normal_mode(space, -1.0 if name == \"sym\" else 1.0)"),
-    Mutant("single_atom levels swapped", "column = basis_state(space, (int(name[-1]),))",
-           "column = basis_state(space, (1 - int(name[-1]),))"),
+    Mutant("sector lookup ignores its negation",
+           "space, negated=sector.startswith(\"-\"))", "space, negated=False)"),
+    # spec: the marker sectors that the long pulses and the projectors share
+    Mutant("atom1_excited on slit 2", "\"atom1_excited\": (((1, 0), 1.0),)",
+           "\"atom1_excited\": (((0, 1), 1.0),)"),
+    Mutant("sym the antisymmetric mode", "((0, 1), 1.0 / math.sqrt(2.0))),",
+           "((0, 1), -1.0 / math.sqrt(2.0))),"),
+    Mutant("antisym the symmetric mode", "((0, 1), -1.0 / math.sqrt(2.0)))}",
+           "((0, 1), 1.0 / math.sqrt(2.0)))}"),
+    Mutant("single_atom levels swapped",
+           "\"single_atom_0\": (((0,), 1.0),),\n            \"single_atom_1\": (((1,), 1.0),)",
+           "\"single_atom_0\": (((1,), 1.0),),\n            \"single_atom_1\": (((0,), 1.0),)"),
     # fockspace
     Mutant("inner conjugates its second slot",
            "return complex(np.vdot(u.amplitudes, v.amplitudes))",

@@ -21,8 +21,8 @@ from ._version import __version__
 from .fockspace import coherent_state, displacement_operator
 from .scenarios import Config, Pulse, ScenarioSpec, Treatment, _run
 from .transforms import apply_eraser, quarter_beat_time
-from .twopath import (FreqTag, Projector, TwoPathMixture, condition, pattern, phase_offset,
-                      visibility)
+from .twopath import (FreqTag, Projector, TwoPathMixture, coherence_sum, condition,
+                      mean_intensity, pattern, phase_offset, visibility)
 
 __all__ = ["CRITERIA", "Criterion", "run_all"]
 
@@ -272,10 +272,11 @@ def _crit_property_suite(tol: float) -> list[dict]:
     m, _ = _run(first_b)
     checks.append(_check("first_order_path_normalized", m.components[0].psi1.norm(), 1.0, 1e-10))
 
-    # visibility stays in [0, 1] across the scenario grid
+    # the contrast 2|S|/d, before visibility clamps it, stays in [0, 1] across the grid
     worst = 0.0
     for spec in [ScenarioSpec(Config.A), *_grid(0.35, 0.8, 0.9, 0.4)]:
-        vis = visibility(_run(spec)[0])
+        mixture = _run(spec)[0]
+        vis = 2.0 * abs(coherence_sum(mixture)) / mean_intensity(mixture)
         worst = max(worst, -vis, vis - 1.0)
     checks.append(_check("visibility_within_unit_interval", worst, 0.0, 1e-12))
 

@@ -10,8 +10,8 @@ states and operators can be shared across threads without coordination. The
 spaces the package builds are interned by dims: equal dims give one shared
 FockSpace object. The per-nmax level table of the coherent series is computed
 once and held read-only, and so is each fixed state (basis_state,
-ground_state, zero_vector, the normal modes and the negations the builders
-use), one per (space, state) with its norm, in a table of 32 that holds at
+ground_state, zero_vector, the marker sectors of spec._SECTORS and their
+negations), one per (space, state) with its norm, in a table of 32 that holds at
 most 15.0 MB at nmax 171; spaces of more than 171**2 levels get new arrays.
 All live in small bounded functools.lru_cache tables, which are thread-safe.
 """
@@ -170,8 +170,8 @@ def _fixed_state(mode_dims: tuple[int, ...], terms: tuple[tuple[int, complex], .
                  negated: bool) -> FockVector:
     """_superposition on the shared space of these dims, or its negation, read only.
 
-    Number states, the empty path and the fixed normal modes are computed once
-    and shared with their norm once computed. Marker traffic uses about 8 per
+    Number states, the empty path and the marker sectors are computed once and
+    shared with their norm once computed. Marker traffic uses about 8 per
     space; the 32 entries hold at most 32 x 467,856 = 14,971,392 bytes at nmax
     171.
     """

@@ -16,7 +16,9 @@ incoherent mixture whose weights are the first-order transition
 probabilities: 1-|b|^2 elastic, |b|^2/2 per excited slit for B, |b|^2 for the
 shifted line of C, |b|^2/2 per normal mode for E. A component whose photon
 definitely took one path carries half the two-path intensity baseline, so it
-enters with weight |b|^2 to land at the |b|^2/2 outcome fraction.
+enters with weight |b|^2 to land at the |b|^2/2 outcome fraction. The marker
+of each outcome is a named sector of spec._SECTORS, the state the coincidence
+projector of that name projects on; the _OUTCOMES table lists them.
 
 Treatments: EXACT keeps full coherent-state markers |+-b>; FIRST_ORDER keeps
 a single excitation quantum with amplitude b, with the elastic amplitude
@@ -42,17 +44,15 @@ from . import transforms
 from .fockspace import (
     FockVector,
     _product,
-    _shared_state,
     _space,
     _superposition,
-    basis_state,
     coherent_state,
     ground_state,
     inner,
     zero_vector,
 )
-from .spec import (Config, FreqTag, Pulse, ScenarioSpec, Treatment, _squared_abs, check_chain,
-                   check_domain, check_whichway)
+from .spec import (_REGIMES, Config, FreqTag, Pulse, ScenarioSpec, Treatment, _squared_abs,
+                   check_chain, check_domain, check_whichway)
 from .twopath import TwoPathComponent, TwoPathMixture, condition
 
 __all__ = [
@@ -88,14 +88,6 @@ def _opposite_kicks(spec: ScenarioSpec) -> tuple[FockVector, FockVector]:
     return _first_order(space, b, 1), _first_order(space, -b, 1)
 
 
-def _long_pulse(spec: ScenarioSpec, space, *outcomes) -> TwoPathMixture:
-    """The long-pulse mixture: the elastic line on the ground marker at weight
-    eps^2 (1-|b|^2), then each (psi1, psi2, tag, share) outcome at eps^2 |b|^2 share."""
-    b2, eps2, g = _squared_abs(spec.beta), spec.epsilon**2, ground_state(space)
-    return _mixture((g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-                    *((psi1, psi2, tag, eps2 * b2 * share) for psi1, psi2, tag, share in outcomes))
-
-
 def _build_A(spec: ScenarioSpec) -> TwoPathMixture:
     """Rigid slits: both paths carry the untouched ground marker, full contrast."""
     g = ground_state(_space((spec.nmax, spec.nmax)))
@@ -122,20 +114,6 @@ def _build_B_short(spec: ScenarioSpec) -> TwoPathMixture:
     return _mixture((psi1, psi2, FreqTag.ELASTIC, spec.epsilon**2))
 
 
-def _build_B_long(spec: ScenarioSpec) -> TwoPathMixture:
-    """Independent slits, long pulse: which-way outcomes become an incoherent mixture.
-
-    Elastic light keeps both paths; each frequency-shifted outcome pins the
-    photon to one slit and kills the fringe. Outcome fractions are 1-|b|^2 and
-    |b|^2/2 per slit, so the one-path components enter with weight |b|^2.
-    """
-    space = _space((spec.nmax, spec.nmax))
-    empty = zero_vector(space)
-    return _long_pulse(spec, space,
-                       (basis_state(space, (1, 0)), empty, FreqTag.SHIFTED, 1.0),
-                       (empty, basis_state(space, (0, 1)), FreqTag.SHIFTED, 1.0))
-
-
 def _build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     """Single recoiling slit, short pulse: opposite kicks tag the two paths.
 
@@ -144,18 +122,6 @@ def _build_C_short(spec: ScenarioSpec) -> TwoPathMixture:
     1-2|b|^2. C1 and C2 are equivalent and share this builder.
     """
     return _mixture((*_opposite_kicks(spec), FreqTag.ELASTIC, spec.epsilon**2))
-
-
-def _build_C_long(spec: ScenarioSpec) -> TwoPathMixture:
-    """Single recoiling slit, long pulse: elastic and trap-shifted lines.
-
-    The shifted line leaves the atom in |1> with a path-antisymmetric sign,
-    i.e. a pi-shifted fringe of full contrast, weight |b|^2. Without frequency
-    selection the two lines add to contrast 1-2|b|^2.
-    """
-    space = _space((spec.nmax,))
-    flipped = _shared_state(space, ((1, 1.0),), negated=True)
-    return _long_pulse(spec, space, (basis_state(space, (1,)), flipped, FreqTag.SHIFTED, 1.0))
 
 
 def _build_D_short(spec: ScenarioSpec) -> TwoPathMixture:
@@ -183,27 +149,45 @@ def _build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
     return transforms.evolve_beat(base, spec.coupling_g, spec.evolve_time)
 
 
-def _build_E_long(spec: ScenarioSpec) -> TwoPathMixture:
-    """Coupled slits, long pulse: the normal modes are the recorded eigenstates.
+# What a long pulse records besides the elastic line: each outcome's marker sector on path 1
+# and on path 2 (a name of spec._SECTORS, "-name" its negation, None an empty path), its tag
+# and its share of eps^2 |b|^2. B: a shifted photon excites its own slit's atom, which pins
+# it to that slit; a one-path component carries half the two-path baseline, so share 1 lands
+# at the |b|^2/2 outcome fraction. C: the shifted line leaves the atom in |1> with a
+# path-antisymmetric sign, a pi-shifted fringe of full contrast. E: the normal modes are the
+# recorded eigenstates, |b|^2/2 each; the antisymmetric one fringes pi-shifted, and neither
+# marks a path.
+_OUTCOMES = {
+    Config.B: (("atom1_excited", None, FreqTag.SHIFTED, 1.0),
+               (None, "atom2_excited", FreqTag.SHIFTED, 1.0)),
+    **dict.fromkeys((Config.C1, Config.C2),
+                    (("single_atom_1", "-single_atom_1", FreqTag.SHIFTED, 1.0),)),
+    Config.E: (("sym", "sym", FreqTag.SYM, 0.5), ("antisym", "-antisym", FreqTag.ANTISYM, 0.5)),
+}
 
-    The symmetric mode fringes in phase with the elastic line, the
-    antisymmetric mode pi-shifted; neither marks a path. Weights are |b|^2/2
-    per mode, elastic 1-|b|^2.
-    """
-    space = _space((spec.nmax, spec.nmax))
-    sym = transforms._normal_mode(space, 1.0)
-    antisym = transforms._normal_mode(space, -1.0)
-    flipped = transforms._normal_mode(space, -1.0, negated=True)
-    return _long_pulse(spec, space, (sym, sym, FreqTag.SYM, 0.5),
-                       (antisym, flipped, FreqTag.ANTISYM, 0.5))
+
+def _path(sector: str | None, space) -> FockVector:
+    """The state an _OUTCOMES entry names on this space, read only and shared."""
+    if sector is None:
+        return zero_vector(space)
+    return transforms._sector(sector.lstrip("-"), space, negated=sector.startswith("-"))
+
+
+def _build_long(spec: ScenarioSpec) -> TwoPathMixture:
+    """Frequency-resolved pulse, an incoherent mixture: the elastic line on the ground
+    marker at weight eps^2 (1-|b|^2), then each of the config's _OUTCOMES."""
+    space = _space((spec.nmax,) * _REGIMES[spec.config].modes)
+    b2, eps2, g = _squared_abs(spec.beta), spec.epsilon**2, transforms._sector("ground", space)
+    return _mixture((g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
+                    *((_path(sector1, space), _path(sector2, space), tag, eps2 * b2 * share)
+                      for sector1, sector2, tag, share in _OUTCOMES[spec.config]))
 
 
 # The builders of each config's short and long pulse; ScenarioSpec has refused
 # the regimes that spec._REGIMES does not define.
 _SHORT = {Config.A: _build_A, Config.B: _build_B_short, Config.C1: _build_C_short,
           Config.C2: _build_C_short, Config.D: _build_D_short, Config.E: _build_E_short}
-_LONG = {Config.A: _build_A, Config.B: _build_B_long, Config.C1: _build_C_long,
-         Config.C2: _build_C_long, Config.E: _build_E_long}
+_LONG = {Config.A: _build_A, **dict.fromkeys(_OUTCOMES, _build_long)}
 
 
 def build(spec: ScenarioSpec) -> TwoPathMixture:

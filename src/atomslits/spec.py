@@ -1,11 +1,11 @@
 """The scenario vocabulary and the rules a run is checked by, without numpy.
 
 Config, Pulse, Treatment, FreqTag, ScenarioSpec, what each config defines,
-the truncation and sample bounds, the marker modes each transform needs, and
-the physics domain (check_domain, check_whichway): the command line settles
-every flag and domain rule by them before it imports numpy, the builders and
-condition refuse by the same rules, and the compute modules import the
-vocabulary from here and re-export its names.
+the truncation and sample bounds, the named marker sectors, the marker modes
+each transform needs, and the physics domain (check_domain, check_whichway):
+the command line settles every flag and domain rule by them before it imports
+numpy, the builders and condition refuse by the same rules, and the compute
+modules import the vocabulary from here and re-export its names.
 """
 
 from __future__ import annotations
@@ -100,10 +100,15 @@ _REGIMES = {
 }
 _FIELD_CONFIGS = {field: config for config, regime in _REGIMES.items() for field in regime.fields}
 
-# Each named coincidence projector and the marker modes it needs; None fits any space.
-_PROJECTOR_MODES = {"ground": None, "atom1_excited": 2, "atom2_excited": 2, "single_atom_0": 1,
-                    "single_atom_1": 1, "sym": 2, "antisym": 2}
-PROJECTOR_NAMES = tuple(_PROJECTOR_MODES)
+# The named marker sectors, the states a long pulse records the marker in and the projectors
+# of those names project on: the (occupations, amplitude) terms of each unit state. A sector
+# needs as many marker modes as its occupations have; ground, (), is the vacuum of any space.
+_SECTORS = {"ground": (((), 1.0),), "atom1_excited": (((1, 0), 1.0),),
+            "atom2_excited": (((0, 1), 1.0),), "single_atom_0": (((0,), 1.0),),
+            "single_atom_1": (((1,), 1.0),),
+            "sym": (((1, 0), 1.0 / math.sqrt(2.0)), ((0, 1), 1.0 / math.sqrt(2.0))),
+            "antisym": (((1, 0), 1.0 / math.sqrt(2.0)), ((0, 1), -1.0 / math.sqrt(2.0)))}
+PROJECTOR_NAMES = tuple(_SECTORS)
 
 
 def _whole(count) -> bool:
@@ -211,9 +216,9 @@ def check_nsamples(nsamples: int) -> None:
 def check_modes(nmodes: int, projector: str | None = None) -> None:
     """Refuse, with SpaceMismatchError, a marker space of nmodes modes that the
     excitation pair of the eraser and the beat (projector None) or the named
-    projector does not fit. An unknown name is left to named_projector."""
-    needed = 2 if projector is None else _PROJECTOR_MODES.get(projector)
-    if needed is not None and nmodes != needed:
+    projector does not fit. An unknown name, measured as ground, is left to named_projector."""
+    needed = 2 if projector is None else len(_SECTORS.get(projector, _SECTORS["ground"])[0][0])
+    if needed and nmodes != needed:
         raise SpaceMismatchError(
             f"projector {projector!r} needs a single-oscillator space" if needed == 1
             else f"operation needs a two-oscillator marker space, got {nmodes} mode(s)")

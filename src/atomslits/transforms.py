@@ -6,11 +6,14 @@ phase flip of a dispersive optical element, and the named coincidence
 projectors exposed on the command line. Each transform returns a mixture that
 carries the common kick of the one it was given.
 
-Each named projector is built once per (name, space) and shared read-only,
-its column a view of the shared fixed state of fockspace and its U^dag the one
-array it adds: a table of 16, which marker traffic's 3 two-mode spaces of 5
-projectors fill, holding at most 15.0 MB at nmax 171 with the columns it keeps
-alive. It is a bounded functools.lru_cache table, which is thread-safe.
+Every named marker sector of spec._SECTORS is one shared read-only fixed state
+of fockspace per space, which the long-pulse builders put on the paths and the
+projector of that name keeps as its column. Each named projector is built once
+per (name, space) and shared read-only, its column a view of that state and
+its U^dag the one array it adds: a table of 16, which marker traffic's 3
+two-mode spaces of 5 projectors fill, holding at most 15.0 MB at nmax 171 with
+the columns it keeps alive. It is a bounded functools.lru_cache table, which is
+thread-safe.
 """
 
 from __future__ import annotations
@@ -20,16 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import (
-    FockSpace,
-    FockVector,
-    _shared,
-    _shared_state,
-    _space,
-    basis_state,
-    ground_state,
-)
-from .spec import PROJECTOR_NAMES, FreqTag, check_modes
+from .fockspace import FockSpace, FockVector, _shared, _shared_state, _space
+from .spec import _SECTORS, PROJECTOR_NAMES, FreqTag, check_modes
 from .twopath import Projector, TwoPathComponent, TwoPathMixture
 
 __all__ = [
@@ -45,8 +40,6 @@ __all__ = [
 # |1,0> and |0,1>:  |1,0> -> (|1,0> - |0,1>)/sqrt2,  |0,1> -> (|1,0> + |0,1>)/sqrt2
 _ERASER_ROWS = (np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)).tolist()
 _INVERSE_ROWS = np.array(_ERASER_ROWS).conj().T.tolist()  # the rows of its adjoint
-# the amplitude of each level in a normal mode (|1,0> +- |0,1>)/sqrt2
-_ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
@@ -55,10 +48,18 @@ def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
     return space.mode_dims[1], 1
 
 
-def _normal_mode(space: FockSpace, sign: float, negated: bool = False) -> FockVector:
-    """(|1,0> + sign |0,1>)/sqrt2 for sign +-1, or its negation, read only and shared."""
-    i10, i01 = _excitation_pair_indices(space)
-    return _shared_state(space, ((i10, _ROOT_HALF), (i01, sign * _ROOT_HALF)), negated)
+@lru_cache(maxsize=32)
+def _flat_terms(name: str, mode_dims: tuple[int, ...]) -> tuple[tuple[int, float], ...]:
+    """The (flat level, amplitude) terms of the named sector on the space of these dims."""
+    space = _space(mode_dims)
+    return tuple((space.index(occupations) if occupations else 0, amplitude)
+                 for occupations, amplitude in _SECTORS[name])
+
+
+def _sector(name: str, space: FockSpace, negated: bool = False) -> FockVector:
+    """The unit state of the named marker sector on a space of as many modes as its
+    occupations (ground: any), or its negation, read only and shared."""
+    return _shared_state(space, _flat_terms(name, space.mode_dims), negated)
 
 
 def _is_plus_zero(z: complex) -> bool:
@@ -149,10 +150,9 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
 def named_projector(name: str, space: FockSpace) -> Projector:
     """The named coincidence projector on the given marker space, read only and shared.
 
-    ground works on any space; atom1_excited, atom2_excited, sym and antisym
-    need a two-oscillator space; single_atom_0 and single_atom_1 need a
-    single-oscillator space. sym and antisym project on (|1,0> +/- |0,1>)/sqrt2.
-    Every one is rank one, held as its single unit column.
+    Every one is rank one, held as its single unit column: the state of the
+    marker sector of that name in spec._SECTORS, whose occupations also fix the
+    number of marker modes it needs (ground: any).
     """
     if name not in PROJECTOR_NAMES:
         raise ValueError(
@@ -168,13 +168,4 @@ def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     at most 16 x 2 x 467,856 = 14,971,392 bytes at nmax 171."""
     check_modes(len(mode_dims), name)
     space = _space(mode_dims)
-    if name == "ground":
-        column = ground_state(space)
-    elif name in ("single_atom_0", "single_atom_1"):
-        column = basis_state(space, (int(name[-1]),))
-    elif name in ("atom1_excited", "atom2_excited"):
-        i10, i01 = _excitation_pair_indices(space)
-        column = _shared_state(space, ((i10 if name == "atom1_excited" else i01, 1.0),))
-    else:
-        column = _normal_mode(space, 1.0 if name == "sym" else -1.0)
-    return Projector._wrap(space, column.amplitudes[:, None], name)
+    return Projector._wrap(space, _sector(name, space).amplitudes[:, None], name)

@@ -260,13 +260,13 @@ def mean_intensity(m: TwoPathMixture) -> float:
 
 
 def _require_light(m: TwoPathMixture) -> float:
-    """The mean intensity, checked to be light with a finite fringe peak."""
+    """The mean intensity d, checked to be light and finite; |S| <= d/2 keeps 2|S|/d finite."""
     d = mean_intensity(m)
     if d <= _INTENSITY_FLOOR * m.total_weight:
         raise EmptyPatternError(
             "both paths carry zero amplitude; the state was fully conditioned away")
-    if not math.isfinite(2.0 * d):
-        raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
+    if d == math.inf:
+        raise ValueError("the mean intensity of the mixture overflows a float")
     return d
 
 
@@ -300,12 +300,15 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     grid that contains the extrema (any multiple of 4 samples for the states
     built here) the sampled (Imax - Imin)/(Imax + Imin) reproduces them.
 
-    Raises EmptyPatternError when every path amplitude is zero, and ScenarioError
+    Raises EmptyPatternError when every path amplitude is zero, ValueError where the
+    fringe peak, twice the mean intensity, overflows a float, and ScenarioError
     with field "nsamples", before the grid is allocated, for a count that is not
     a whole number in [16, 65536].
     """
     check_nsamples(nsamples)
     d = _require_light(m)
+    if not math.isfinite(2.0 * d):
+        raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
     c = coherence_sum(m)
     phis, circle = _unit_circle(nsamples)
     re = (c * circle).real

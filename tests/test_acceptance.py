@@ -74,6 +74,16 @@ def test_report_takes_its_contrast_from_closedform(monkeypatch):
     assert _checks("b_short_contrast")["passed"] is False
 
 
+def test_the_unit_interval_check_reads_the_contrast_before_its_clamp(monkeypatch):
+    # visibility clamps 2|S|/d to 1, so a check of its value could never fail; a mean
+    # intensity that drops half the light doubles A's contrast to 2
+    real = acceptance.mean_intensity
+    monkeypatch.setattr(acceptance, "mean_intensity", lambda m: real(m) / 2.0)
+    check, = (c for c in _checks("property_suite")["checks"]
+              if c["name"] == "visibility_within_unit_interval")
+    assert check["passed"] is False and check["value"] == 1.0
+
+
 def test_whichway_and_report_read_out_through_one_function(monkeypatch):
     monkeypatch.setattr(scenarios, "_whichway", lambda beta, delta, nmax: (0.5, 0.25))
     assert _whichway_json(0.5, 0.5) == {"p_plus": 0.5, "p_minus": 0.25, "ratio": 0.5}

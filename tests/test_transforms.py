@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from atomslits import spec
 from atomslits.errors import SpaceMismatchError
 from atomslits.fockspace import FockSpace, FockVector, basis_state, ground_state
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
@@ -175,6 +176,48 @@ def test_named_projector_errors():
     with pytest.raises(SpaceMismatchError):
         named_projector("sym", FockSpace((4,)))
     assert set(PROJECTOR_NAMES) >= {"ground", "sym", "antisym"}
+
+
+# The sectors of each long pulse's outcomes after its elastic line on ground, path 1 and
+# path 2: a projector name, "-name" for its negation, None for an empty path.
+LONG_SECTORS = {
+    Config.B: [("atom1_excited", None), (None, "atom2_excited")],
+    Config.C1: [("single_atom_1", "-single_atom_1")],
+    Config.C2: [("single_atom_1", "-single_atom_1")],
+    Config.E: [("sym", "sym"), ("antisym", "-antisym")],
+}
+
+
+@pytest.mark.parametrize("config", list(LONG_SECTORS))
+def test_long_pulse_paths_are_the_projector_columns(config):
+    m = build(ScenarioSpec(config, Pulse.LONG, beta=0.3, nmax=5))
+    outcomes = [("ground", "ground"), *LONG_SECTORS[config]]
+    assert len(m.components) == len(outcomes)
+    for c, sectors in zip(m.components, outcomes):
+        for path, sector in zip((c.psi1, c.psi2), sectors):
+            if sector is None:
+                assert not path.amplitudes.any()
+                continue
+            column = named_projector(sector.lstrip("-"), m.space).columns[:, 0]
+            if sector.startswith("-"):  # the bitwise negation, signed zeros too
+                negated = np.negative(column.view(np.float64))
+                assert path.amplitudes.tobytes() == negated.tobytes()
+            else:  # the very vector the projector's column is a view of
+                assert np.shares_memory(path.amplitudes, column)
+                assert path.amplitudes.tobytes() == column.tobytes()
+
+
+def test_check_modes_takes_each_sector_on_as_many_modes_as_its_occupations():
+    modes = {"ground": 0, "atom1_excited": 2, "atom2_excited": 2, "single_atom_0": 1,
+             "single_atom_1": 1, "sym": 2, "antisym": 2}
+    assert {name: len(terms[0][0]) for name, terms in spec._SECTORS.items()} == modes
+    for name, needed in modes.items():
+        for nmodes in (1, 2, 3):
+            if needed in (0, nmodes):  # ground, 0, fits any space
+                spec.check_modes(nmodes, name)
+            else:
+                with pytest.raises(SpaceMismatchError):
+                    spec.check_modes(nmodes, name)
 
 
 def test_c_short_conditioned_on_excited_is_pi_shifted():

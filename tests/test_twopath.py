@@ -9,6 +9,7 @@ from atomslits import twopath
 from atomslits.errors import EmptyPatternError, ScenarioError, SpaceMismatchError
 from atomslits.fockspace import FockSpace, FockVector, basis_state, coherent_state, zero_vector
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, _run
+from atomslits.transforms import named_projector
 from atomslits.twopath import (
     FreqTag,
     PatternScan,
@@ -233,6 +234,27 @@ def test_a_fringe_peak_that_overflows_a_float_is_refused():
     assert math.isfinite(mean_intensity(m))
     with pytest.raises(ValueError, match="overflows a float"):
         pattern(m, 16)
+
+
+@pytest.mark.parametrize("weight", [6e307, 8e307])
+def test_only_pattern_refuses_a_fringe_peak_that_overflows_a_float(weight):
+    # 2 |S| <= d keeps the contrast finite where d is; only pattern forms the peak 2 d
+    m = single(B0, B0, weight=weight)
+    assert math.isfinite(mean_intensity(m)) and not math.isfinite(2.0 * mean_intensity(m))
+    assert 0.0 <= visibility(m) <= 1.0
+    assert phase_offset(m) == 0.0
+    assert condition(m, named_projector("ground", SPACE))[1] == 1.0
+    with pytest.raises(ValueError, match="fringe peak"):
+        pattern(m, 16)
+
+
+def test_a_mean_intensity_that_overflows_a_float_is_refused():
+    # a finite weight of 1e308 on two unit paths sums to d = inf, whose contrast is nan
+    m = single(B0, B0, weight=1e308)
+    ground = named_projector("ground", SPACE)
+    for readout in (visibility, phase_offset, pattern, lambda m: condition(m, ground)):
+        with pytest.raises(ValueError, match="mean intensity of the mixture overflows"):
+            readout(m)
 
 
 def test_pattern_asserts_on_a_coherence_beyond_cauchy_schwarz(monkeypatch):
