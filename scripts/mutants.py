@@ -79,6 +79,12 @@ MUTANTS = (
     Mutant("post-selection over the total weight",
            "return conditioned, mean_intensity(conditioned) / before",
            "return conditioned, mean_intensity(conditioned) / m.total_weight"),
+    Mutant("U^dag without the conjugate for every column",
+           "adjoint = u.conj().T if u.imag.any() else u.T", "adjoint = u.T"),
+    # acceptance: a fault inside a criterion fails it
+    Mutant("report fault recorded as passed",
+           "checks = [_check(f\"raised {type(exc).__name__}: {exc}\", 1.0, 0.0, 0.0)]",
+           "checks = [_check(f\"raised {type(exc).__name__}: {exc}\", 1.0, 0.0, 1.0)]"),
     # spec: the truncation, perturbative and sample refusals
     Mutant("truncation residual threshold 1e-9",
            "if residual > 1e-10:", "if residual > 1e-9:"),
@@ -147,6 +153,8 @@ MUTANTS = (
            "c = complex(math.cos(2.0 * g * t))"),
     Mutant("quarter beat at pi/(2 g)", "t = (math.pi / 4.0) / g", "t = (math.pi / 2.0) / g"),
     Mutant("dispersive flips the untagged lines", "if c.tag in tagset", "if c.tag not in tagset"),
+    Mutant("tag table maps ANTISYM to SYM", "tagset = frozenset(_TAGS[t] for t in tags)",
+           "tagset = frozenset(_TAGS[t.removeprefix(\"ANTI\")] for t in tags)"),
     Mutant("dispersive negates psi1",
            "TwoPathComponent._wrap(c.psi1, -c.psi2, c.tag, c.weight)",
            "TwoPathComponent._wrap(-c.psi1, c.psi2, c.tag, c.weight)",

@@ -75,8 +75,15 @@ class Criterion:
     fn: Callable[[float], list[dict]]
 
     def run(self, tolerance: float | None = None) -> dict:
+        """The criterion's record. A ValueError its function raises (a domain, scenario
+        or space refusal) or pattern's AssertionError on a negative intensity is a fault
+        of the library, as report takes no physics input: it fails the criterion as one
+        check, 1 exception raised against 0, that names it."""
         tol = self.tolerance if tolerance is None else float(tolerance)
-        checks = self.fn(tol)
+        try:
+            checks = self.fn(tol)
+        except (ValueError, AssertionError) as exc:
+            checks = [_check(f"raised {type(exc).__name__}: {exc}", 1.0, 0.0, 0.0)]
         return {
             "id": self.id,
             "title": self.title,

@@ -145,9 +145,11 @@ class FockVector(_Frozen):
         return FockVector._wrap(self.space, flipped.view(np.complex128))
 
 
-# The fixed-state and projector tables hold vectors of at most two modes of
-# MAX_NMAX levels, the largest marker space: 467,856 bytes each. A larger
-# space gets new arrays on every call, so no table can pin more.
+# The fixed-state table, and the projector table whose entries keep their
+# columns alive (each a view of a fixed state, its transpose the U^dag), hold
+# vectors of at most two modes of MAX_NMAX levels, the largest marker space:
+# 467,856 bytes each. A larger space gets new arrays on every call, so no
+# table can pin more.
 _SHARED_DIM_MAX = MAX_NMAX**2
 
 

@@ -80,7 +80,8 @@ class FreqTag(str, Enum):
 
 
 # value -> member of each enum, without the enum call; a member hashes and compares as its value
-_CONFIGS, _PULSES, _TREATMENTS = ({m.value: m for m in e} for e in (Config, Pulse, Treatment))
+_CONFIGS, _PULSES, _TREATMENTS, _TAGS = ({m.value: m for m in e}
+                                         for e in (Config, Pulse, Treatment, FreqTag))
 
 _BOTH = (Treatment.EXACT, Treatment.FIRST_ORDER)
 
@@ -216,12 +217,13 @@ def check_nsamples(nsamples: int) -> None:
 def check_modes(nmodes: int, projector: str | None = None) -> None:
     """Refuse, with SpaceMismatchError, a marker space of nmodes modes that the
     excitation pair of the eraser and the beat (projector None) or the named
-    projector does not fit. An unknown name, measured as ground, is left to named_projector."""
+    projector does not fit, naming both mode counts. An unknown name, measured as ground,
+    is left to named_projector."""
     needed = 2 if projector is None else len(_SECTORS.get(projector, _SECTORS["ground"])[0][0])
     if needed and nmodes != needed:
-        raise SpaceMismatchError(
-            f"projector {projector!r} needs a single-oscillator space" if needed == 1
-            else f"operation needs a two-oscillator marker space, got {nmodes} mode(s)")
+        what = "operation" if projector is None else f"projector {projector!r}"
+        raise SpaceMismatchError(f"{what} needs a {('single', 'two')[needed - 1]}-oscillator "
+                                 f"marker space, got {nmodes} mode(s)")
 
 
 def check_chain(spec: ScenarioSpec, eraser: bool, coincidence: str | None) -> None:

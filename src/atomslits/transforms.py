@@ -10,10 +10,10 @@ Every named marker sector of spec._SECTORS is one shared read-only fixed state
 of fockspace per space, which the long-pulse builders put on the paths and the
 projector of that name keeps as its column. Each named projector is built once
 per (name, space) and shared read-only, its column a view of that state and
-its U^dag the one array it adds: a table of 16, which marker traffic's 3
-two-mode spaces of 5 projectors fill, holding at most 15.0 MB at nmax 171 with
-the columns it keeps alive. It is a bounded functools.lru_cache table, which is
-thread-safe.
+its U^dag the column's transpose, so it adds no array: a table of 16, which
+marker traffic's 3 two-mode spaces of 5 projectors fill, keeping at most 16
+columns alive, 7.5 MB at nmax 171. It is a bounded functools.lru_cache table,
+which is thread-safe.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fockspace import FockSpace, FockVector, _shared, _shared_state, _space
-from .spec import _SECTORS, PROJECTOR_NAMES, FreqTag, check_modes
+from .spec import _SECTORS, _TAGS, PROJECTOR_NAMES, FreqTag, check_modes
 from .twopath import Projector, TwoPathComponent, TwoPathMixture
 
 __all__ = [
@@ -139,7 +139,11 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
     absent from the mixture are ignored; applying the same tags twice is the
     identity.
     """
-    tagset = frozenset(FreqTag(t) for t in tags)
+    tags = tuple(tags)
+    try:
+        tagset = frozenset(_TAGS[t] for t in tags)
+    except (KeyError, TypeError):  # not a value of FreqTag: the enum call says so
+        tagset = frozenset(FreqTag(t) for t in tags)
     if not tagset:
         raise ValueError("apply_dispersive needs at least one frequency tag")
     return TwoPathMixture._wrap(
@@ -164,8 +168,8 @@ def named_projector(name: str, space: FockSpace) -> Projector:
 @lru_cache(maxsize=16)
 def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     """The projector named_projector shares. Marker traffic uses 5 on each of 3
-    spaces; each of the 16 entries holds its U^dag and keeps its column alive,
-    at most 16 x 2 x 467,856 = 14,971,392 bytes at nmax 171."""
+    spaces; each of the 16 entries keeps its column alive, whose transpose is
+    its U^dag, at most 16 x 467,856 = 7,485,696 bytes at nmax 171."""
     check_modes(len(mode_dims), name)
     space = _space(mode_dims)
     return Projector._wrap(space, _sector(name, space).amplitudes[:, None], name)

@@ -132,7 +132,9 @@ class Projector(_Frozen):
 
     columns is U, a dim x k block of orthonormal columns spanning the kept
     subspace; a coincidence projector is rank one, so k is 1 there and the
-    dim x dim matrix is never formed. U^dag is formed once, at construction.
+    dim x dim matrix is never formed. U^dag is formed once, at construction:
+    a read-only transpose view of U where the columns are real, as every named
+    projector's is, and a conjugate copy only where a column is complex.
     The columns are copied in and must be finite, with a Gram matrix U^dag U
     idempotent within 1e-12, which is exactly when U U^dag is an orthogonal
     projector, and each column must be exactly zero or of unit norm within 1e-12.
@@ -165,8 +167,10 @@ class Projector(_Frozen):
         self._adopt(space, u, name)
 
     def _adopt(self, space: FockSpace, u: np.ndarray, name: str) -> None:
-        adjoint = u.conj().T
         u.setflags(write=False)
+        # real columns: U^dag is the view U^T. conj would only flip the signs of zero
+        # imaginary parts, whose products add +-0 to sums np.dot starts at +0: same bytes
+        adjoint = u.conj().T if u.imag.any() else u.T
         adjoint.setflags(write=False)
         # one column whose only nonzero entry is exactly 1, as for a number state
         single = u.shape[1] == 1 and int(np.count_nonzero(u)) == 1 and bool((u == 1).any())

@@ -274,6 +274,13 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path):
          "error: --beta-range: expected MIN:MAX:STEPS, got '0:1'"),
         (["pattern", "--config", "B", "--beta", "abc"],
          "argument --beta: not a real or complex number: 'abc'"),
+        # a projector the marker space does not take: its name and both mode counts
+        (["pattern", "--config", "C1", "--coincidence", "sym"],
+         "error: --coincidence: projector 'sym' needs a two-oscillator marker space, "
+         "got 1 mode(s)"),
+        (["pattern", "--config", "B", "--coincidence", "single_atom_1"],
+         "error: --coincidence: projector 'single_atom_1' needs a single-oscillator marker "
+         "space, got 2 mode(s)"),
     ],
 )
 def test_flag_errors_exit_two_and_name_the_flag(argv, needle, capsys):
@@ -747,6 +754,29 @@ def test_report_fails_with_corrupted_tolerance(monkeypatch, capsys):
     by_id = {c["id"]: c["passed"] for c in json.loads(out)["criteria"]}
     assert by_id.pop("b_short_contrast") is False
     assert all(by_id.values())
+
+
+def test_a_fault_raised_inside_a_report_criterion_fails_it(monkeypatch, capsys):
+    # a mean intensity that drops psi2 empties B long's coincidence cut: the
+    # EmptyPatternError is the library's fault, not a domain error of the caller
+    from atomslits import twopath
+
+    def dropped(m):
+        return sum(c.weight * c.psi1.norm() ** 2 for c in m.components)
+
+    monkeypatch.setattr(twopath, "mean_intensity", dropped)
+    code, out, err = run(["report"], capsys)
+    assert code == 4 and err == ""
+
+    def refuse(constant):
+        raise ValueError(f"report JSON holds {constant}")
+
+    criteria = {c["id"]: c for c in json.loads(out, parse_constant=refuse)["criteria"]}
+    failed = criteria["long_pulse_b_irreversible"]
+    assert failed["passed"] is False
+    [check] = failed["checks"]
+    assert check["name"].startswith("raised EmptyPatternError: both paths carry zero")
+    assert (check["value"], check["expected"], check["passed"]) == (1.0, 0.0, False)
 
 
 def test_version_flag(capsys):

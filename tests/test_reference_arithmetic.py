@@ -35,6 +35,7 @@ from atomslits.spec import _poisson_tail
 from atomslits.transforms import (
     PROJECTOR_NAMES,
     _named_projector,
+    _sector,
     apply_dispersive,
     apply_eraser,
     evolve_beat,
@@ -272,6 +273,9 @@ def test_named_projectors_are_shared_read_only_views_of_the_shared_states(nmax, 
     space = FockSpace((nmax,) * nmodes)
     names = [n for n in PROJECTOR_NAMES
              if n == "ground" or n.startswith("single") == (nmodes == 1)]
+    rng = np.random.default_rng(nmax * nmodes)
+    vectors = [random_amplitudes(rng, space.dim, zeros=space.dim // 2) for _ in range(4)]
+    vectors += [-v for v in vectors] + [np.full(space.dim, complex(-0.0, 0.0))]
     others = {id(v): v for v in (state() for _, state, _ in fixed_states(space))}.values()
     for name in names:
         projector = named_projector(name, space)
@@ -280,12 +284,51 @@ def test_named_projectors_are_shared_read_only_views_of_the_shared_states(nmax, 
         u = projector.columns
         state = projector_state(name, space)
         assert same_bits(u, state.amplitudes[:, None])
-        assert same_bits(projector._adjoint, u.conj().T)
         assert not u.flags.writeable and not projector._adjoint.flags.writeable
-        # the column is the shared state itself, the adjoint the projector's own array
+        # the column is the shared state itself, and U^dag a view of it: the column is
+        # real, so its transpose takes U^dag v to the bytes of the conjugate's
         assert np.shares_memory(u, state.amplitudes)
-        assert not np.shares_memory(projector._adjoint, u)
+        assert np.shares_memory(projector._adjoint, u)
+        for v in vectors:
+            assert same_bits(np.dot(projector._adjoint, v), u.conj().T @ v), name
         assert sum(np.shares_memory(u, other.amplitudes) for other in others) == 1, name
+
+
+def test_a_complex_custom_column_keeps_a_conjugate_copy():
+    space = FockSpace((16, 16))
+    rng = np.random.default_rng(5)
+    column = random_amplitudes(rng, space.dim, zeros=space.dim // 3)
+    projector = Projector(space, column[:, None] / np.linalg.norm(column))
+    u = projector.columns
+    assert same_bits(projector._adjoint, u.conj().T)
+    assert not projector._adjoint.flags.writeable
+    assert not np.shares_memory(projector._adjoint, u)
+
+
+def traced_peak(run):
+    """tracemalloc peak of run(), from a reset peak, tracing only for the call unless
+    tracing already."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_named_projectors_of_tabled_sector_states_allocate_no_array():
+    space = FockSpace((64, 64))
+    names = [name for name in PROJECTOR_NAMES if not name.startswith("single")]
+    for name in names:
+        _sector(name, space)  # each column's state already in its table
+    _named_projector.cache_clear()
+    peak = traced_peak(lambda: [named_projector(name, space) for name in names])
+    assert len(names) == 5
+    assert peak < space.dim * np.dtype(np.complex128).itemsize  # one 64 KiB array
 
 
 def test_projector_columns_share_no_memory_with_the_callers_array():
@@ -661,17 +704,7 @@ def chain_peak_bytes(regime, warm):
         table.cache_clear()
     if warm:
         _chain(regime)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        _chain(regime)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if started:
-            tracemalloc.stop()
-    return peak
+    return traced_peak(lambda: _chain(regime))
 
 
 @pytest.mark.parametrize("regime", REGIMES, ids=lambda r: "-".join(filter(None, r)))
@@ -682,7 +715,7 @@ def test_chain_at_nmax_64_peaks_below_5_mb(regime):
 
 # A long pulse holds its ground, excited and empty path states side by side.
 # Unchanged path states are kept and equal projections shared. Cold, the chain
-# also fills the tables, 10 arrays of 64 KiB (0.63 MiB); copying every path
+# also fills the tables, 9 arrays of 64 KiB (0.57 MiB); copying every path
 # state at every stage took 14 (0.88 MiB). Warm, it allocates only the states
 # the transforms and the projection make, 5 arrays (0.32 MiB).
 LONG_PULSE_PEAK_LIMIT_BYTES = 0.7 * 2**20

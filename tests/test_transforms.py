@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,30 @@ def test_dispersive_absent_tag_is_noop_and_involution():
         assert np.array_equal(orig.psi2.amplitudes, new.psi2.amplitudes)
     with pytest.raises(ValueError):
         apply_dispersive(m, set())
+
+
+@pytest.mark.parametrize("tags", [
+    ["SHIFTED"], [FreqTag.SHIFTED], ("SYM", FreqTag.ANTISYM), {"ELASTIC", FreqTag.ELASTIC},
+    list(FreqTag), [member.value for member in FreqTag],
+], ids=["str", "member", "mixed", "equal", "members", "values"])
+def test_dispersive_maps_values_and_members_as_the_enum_call(tags):
+    components = tuple(TwoPathComponent(E10, E01, tag) for tag in FreqTag)
+    m = TwoPathMixture(components)
+    # an iterator too, read once
+    flipped = {c.tag for old, c in zip(components, apply_dispersive(m, iter(tags)).components)
+               if c.psi2 is not old.psi2}
+    assert flipped == {FreqTag(t) for t in tags}
+    assert all(type(tag) is FreqTag for tag in flipped)
+
+
+@pytest.mark.parametrize("tags", [["LOUD"], ["SHIFTED", "LOUD"], [["SYM"]], [None], [3]])
+def test_dispersive_refuses_an_unknown_tag_as_the_enum_call(tags):
+    m = TwoPathMixture((TwoPathComponent(E10, E01, FreqTag.SHIFTED),))
+    with pytest.raises(ValueError) as expected:
+        for t in tags:
+            FreqTag(t)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        apply_dispersive(m, tags)
 
 
 def test_named_projectors_orthogonal_and_complete():
