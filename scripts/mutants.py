@@ -49,17 +49,9 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # twopath: the contrast, its clamps, the phase and the refusals of an empty cut
-    Mutant("visibility without its clamp",
-           "return min(2.0 * abs(coherence_sum(m)) / d, 1.0)",
-           "return 2.0 * abs(coherence_sum(m)) / d"),
-    Mutant("pattern's visibility without its clamp",
-           "visibility=min(2.0 * abs(c) / d, 1.0),", "visibility=2.0 * abs(c) / d,"),
-    Mutant("phase_offset in [0, 2 pi)",
-           "return math.atan2(c.imag, c.real)",
-           "return math.atan2(c.imag, c.real) % (2.0 * math.pi)"),
-    Mutant("pattern's phase of the conjugate coherence",
-           "phase_offset=math.atan2(c.imag, c.real))",
-           "phase_offset=math.atan2(-c.imag, c.real))"),
+    Mutant("visibility without its clamp", "min(2.0 * abs(c) / d, 1.0)", "2.0 * abs(c) / d"),
+    Mutant("phase of the conjugate coherence", "math.atan2(c.imag, c.real)",
+           "math.atan2(-c.imag, c.real)"),
     Mutant("coherence of <psi2|psi1>",
            "total += c.weight * inner(c.psi1, c.psi2)",
            "total += c.weight * inner(c.psi2, c.psi1)"),
@@ -81,6 +73,12 @@ MUTANTS = (
            "return conditioned, mean_intensity(conditioned) / m.total_weight"),
     Mutant("U^dag without the conjugate for every column",
            "adjoint = u.conj().T if u.imag.any() else u.T", "adjoint = u.T"),
+    # cli and front: the CSV lines read the JSON payload; a library fault exits 1
+    Mutant("whichway CSV reference lines all read p_plus",
+           "meta.update((key, payload[key]) for key in\n                (\"p_plus\",",
+           "meta.update((key, payload[\"p_plus\"]) for key in\n                (\"p_plus\","),
+    Mutant("internal fault exits 0", "code, message = 1, f\"internal error: {exc}\"",
+           "code, message = 0, f\"internal error: {exc}\""),
     # acceptance: a fault inside a criterion fails it
     Mutant("report fault recorded as passed",
            "checks = [_check(f\"raised {type(exc).__name__}: {exc}\", 1.0, 0.0, 0.0)]",
@@ -153,8 +151,8 @@ MUTANTS = (
            "c = complex(math.cos(2.0 * g * t))"),
     Mutant("quarter beat at pi/(2 g)", "t = (math.pi / 4.0) / g", "t = (math.pi / 2.0) / g"),
     Mutant("dispersive flips the untagged lines", "if c.tag in tagset", "if c.tag not in tagset"),
-    Mutant("tag table maps ANTISYM to SYM", "tagset = frozenset(_TAGS[t] for t in tags)",
-           "tagset = frozenset(_TAGS[t.removeprefix(\"ANTI\")] for t in tags)"),
+    Mutant("tag table maps ANTISYM to SYM", "return _MEMBERS[enum][value]",
+           "return _MEMBERS[enum][{\"ANTISYM\": \"SYM\"}.get(value, value)]"),
     Mutant("dispersive negates psi1",
            "TwoPathComponent._wrap(c.psi1, -c.psi2, c.tag, c.weight)",
            "TwoPathComponent._wrap(-c.psi1, c.psi2, c.tag, c.weight)",

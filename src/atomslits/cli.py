@@ -8,8 +8,10 @@ Subcommands:
   report     run the acceptance suite and emit a pass/fail JSON summary
 
 atomslits.front parses and checks each call, with the exit codes it lists, and
-imports this module only for a call that computes. Identical flags produce
-byte-identical output; no timestamps are ever written.
+imports this module only for a call that computes. Each handler builds its JSON
+payload first and takes the CSV `# key=value` lines from the payload's values, so
+every printed number is computed once. Identical flags produce byte-identical
+output; no timestamps are ever written.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import scenarios
 from ._version import __version__
-from .front import EXIT_ACCEPTANCE, EXIT_OK, _fmt, _write, build_parser, run
+from .front import EXIT_ACCEPTANCE, EXIT_OK, _write, build_parser, run
 from .scenarios import _run
 from .twopath import pattern, visibility
 
@@ -34,13 +36,6 @@ def cmd_pattern(args) -> int:
         applied.append("dispersive:" + ",".join(sorted(t.value for t in args.dispersive)))
     if args.coincidence is not None:
         applied.append(f"coincidence:{args.coincidence}")
-    meta = {"version": __version__, "command": "pattern"}
-    meta.update(spec.to_dict())
-    meta["transforms"] = ";".join(applied) if applied else "none"
-    meta["condition"] = args.coincidence or "none"
-    meta["post_selection_probability"] = _fmt(post_selection)
-    meta["visibility"] = _fmt(scan.visibility)
-    meta["phase_offset"] = _fmt(scan.phase_offset)
     payload = {
         "meta": {
             "spec": spec.to_dict(),
@@ -53,9 +48,13 @@ def cmd_pattern(args) -> int:
         },
         "visibility": scan.visibility,
         "phase_offset": scan.phase_offset,
-        "condition": meta["condition"],
+        "condition": args.coincidence or "none",
         "post_selection_probability": post_selection,
     }
+    meta = {"version": __version__, "command": "pattern", **payload["meta"]["spec"],
+            "transforms": ";".join(applied) or "none"}
+    meta.update((key, payload[key]) for key in
+                ("condition", "post_selection_probability", "visibility", "phase_offset"))
     _write(args, payload, meta, "phi,intensity", zip(scan.phis, scan.intensities))
     return EXIT_OK
 
@@ -127,20 +126,10 @@ def cmd_whichway(args) -> int:
             for p in curve
         ],
     }
-    meta = {
-        "version": __version__,
-        "command": "whichway",
-        "beta": _fmt(args.beta),
-        "delta": _fmt(args.delta),
-        "nmax": args.nmax,
-        "p_plus": _fmt(ref.p_plus),
-        "p_minus": _fmt(ref.p_minus),
-        "fractional_error": _fmt(ref.fractional_error),
-        "detect_prob": _fmt(ref.detect_prob),
-        "simulated_p_plus": _fmt(sim_plus),
-        "simulated_p_minus": _fmt(sim_minus),
-        "simulated_ratio": _fmt(sim_minus / sim_plus),
-    }
+    meta = {"version": __version__, "command": "whichway", **payload["meta"]}
+    meta.update((key, payload[key]) for key in
+                ("p_plus", "p_minus", "fractional_error", "detect_prob"))
+    meta.update(("simulated_" + key, value) for key, value in payload["simulated"].items())
     _write(args, payload, meta, "fractional_error,required_delta,detect_prob",
            ((p.fractional_error, p.delta, p.detect_prob) for p in curve))
     return EXIT_OK

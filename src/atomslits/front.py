@@ -6,9 +6,9 @@ which loads numpy, is imported only for a call that computes, so --help,
 --version, every flag error and every truncation or perturbative refusal exit
 before numpy loads. cli.main runs the same run function with cli's build_parser.
 
-Exit codes: 0 success, 2 flag or combination error or output that cannot be
-written, 3 physics-domain error (truncation guard, empty post-selection,
-perturbative domain), 4 acceptance failure.
+Exit codes: 0 success, 1 internal error (an assertion of the library failed), 2 flag
+or combination error or output that cannot be written, 3 physics-domain error
+(truncation guard, empty post-selection, perturbative domain), 4 acceptance failure.
 """
 
 from __future__ import annotations
@@ -217,16 +217,16 @@ def _settle_whichway(args) -> None:
 
 
 def _write(args, payload, meta=None, header="", rows=()) -> None:
-    """Write payload as JSON, or meta, header and rows as CSV; to stdout or --out.
-
-    Output that cannot be written is a ScenarioError of field "out" or "stdout".
+    """Write payload as JSON, or meta, header and rows as CSV, each float by _fmt; to
+    stdout or --out. Output that cannot be written is a ScenarioError of field "out"
+    or "stdout".
     """
     if args.format == "json":
         import json  # CSV calls skip its import
 
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"# {key}={value}" for key, value in meta.items()]
+        lines = [f"# {key}={_fmt(v) if isinstance(v, float) else v}" for key, v in meta.items()]
         lines.append(header)
         lines.extend(",".join(_fmt(x) for x in row) for row in rows)
         text = "\n".join(lines) + "\n"
@@ -294,6 +294,8 @@ def run(parser: argparse.ArgumentParser, argv=None) -> int:
         code, message = EXIT_FLAG, f"error: {flag}: {exc}"
     except ValueError as exc:
         code, message = EXIT_FLAG, f"error: {exc}"
+    except AssertionError as exc:  # a fault of the library: exit 1, as an uncaught exception's
+        code, message = 1, f"internal error: {exc}"
     try:  # as argparse's own, a stderr missing or on a closed descriptor loses the line
         sys.stderr.write(f"atomslits: {message}\n")
     except (AttributeError, OSError):

@@ -80,8 +80,17 @@ class FreqTag(str, Enum):
 
 
 # value -> member of each enum, without the enum call; a member hashes and compares as its value
-_CONFIGS, _PULSES, _TREATMENTS, _TAGS = ({m.value: m for m in e}
-                                         for e in (Config, Pulse, Treatment, FreqTag))
+_MEMBERS = {e: {m.value: m for m in e} for e in (Config, Pulse, Treatment, FreqTag)}
+
+
+def _member(enum, value):
+    """The member of enum for a value or a member, by table lookup; an unknown or
+    unhashable value raises the enum call's own ValueError."""
+    try:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):  # not a value of enum: the enum call says so
+        return enum(value)
+
 
 _BOTH = (Treatment.EXACT, Treatment.FIRST_ORDER)
 
@@ -262,12 +271,8 @@ class ScenarioSpec(_Frozen):
     def __init__(self, config: Config, pulse: Pulse = Pulse.SHORT, beta: complex = 0j,
                  alpha: complex = 0j, epsilon: float = 0.01, coupling_g: float = 0.0,
                  evolve_time: float = 0.0, treatment: Treatment | None = None, nmax: int = 16):
-        try:
-            config, pulse = _CONFIGS[config], _PULSES[pulse]
-            treatment = None if treatment is None else _TREATMENTS[treatment]
-        except (KeyError, TypeError):  # not a value of its enum: the enum call says so
-            config, pulse = Config(config), Pulse(pulse)
-            treatment = None if treatment is None else Treatment(treatment)
+        config, pulse = _member(Config, config), _member(Pulse, pulse)
+        treatment = None if treatment is None else _member(Treatment, treatment)
         regime = _REGIMES[config]
         if treatment is None:
             treatment = (regime.treatments or (Treatment.EXACT,))[0]

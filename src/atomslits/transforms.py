@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fockspace import FockSpace, FockVector, _shared, _shared_state, _space
-from .spec import _SECTORS, _TAGS, PROJECTOR_NAMES, FreqTag, check_modes
+from .spec import _SECTORS, PROJECTOR_NAMES, FreqTag, _member, check_modes
 from .twopath import Projector, TwoPathComponent, TwoPathMixture
 
 __all__ = [
@@ -139,11 +139,7 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
     absent from the mixture are ignored; applying the same tags twice is the
     identity.
     """
-    tags = tuple(tags)
-    try:
-        tagset = frozenset(_TAGS[t] for t in tags)
-    except (KeyError, TypeError):  # not a value of FreqTag: the enum call says so
-        tagset = frozenset(FreqTag(t) for t in tags)
+    tagset = frozenset(_member(FreqTag, t) for t in tags)
     if not tagset:
         raise ValueError("apply_dispersive needs at least one frequency tag")
     return TwoPathMixture._wrap(

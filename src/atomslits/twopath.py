@@ -16,10 +16,10 @@ Visibility has the closed form
     V = 2 |sum_k w_k <psi1_k|psi2_k>| / sum_k w_k (||psi1_k||^2 + ||psi2_k||^2)
 
 and the phase offset is the principal argument of the same coherence sum, so
-I(phi) is proportional to 1 + V cos(phi + phase_offset). pattern() reports the
-closed-form values; the sampled curve is a consistency check, not the source
-of truth. The sample grid phi and exp(i phi) for each sample count are
-computed once and held read-only in a small bounded functools.lru_cache
+I(phi) is proportional to 1 + V cos(phi + phase_offset). visibility(), phase_offset()
+and pattern() read both from one private readout; the sampled curve is a consistency
+check, not the source of truth. The sample grid phi and exp(i phi) for each sample
+count are computed once and held read-only in a small bounded functools.lru_cache
 table, which is thread-safe; scans with one sample count share their phis.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyPatternError, SpaceMismatchError
 from .fockspace import FockSpace, FockVector, inner
-from .spec import FreqTag, _Frozen, check_kick, check_nsamples
+from .spec import FreqTag, _Frozen, _member, check_kick, check_nsamples
 
 __all__ = [
     "FreqTag",
@@ -70,7 +70,7 @@ class TwoPathComponent(_Frozen):
         w = float(weight)
         if w < 0 or not math.isfinite(w):
             raise ValueError(f"component weight must be finite and >= 0, got {w}")
-        self.__dict__.update(psi1=psi1, psi2=psi2, tag=FreqTag(tag), weight=w)
+        self.__dict__.update(psi1=psi1, psi2=psi2, tag=_member(FreqTag, tag), weight=w)
 
     @classmethod
     def _wrap(cls, psi1: FockVector, psi2: FockVector, tag: FreqTag,
@@ -274,17 +274,22 @@ def _require_light(m: TwoPathMixture) -> float:
     return d
 
 
+def _readout(m: TwoPathMixture) -> tuple[float, complex, float, float]:
+    """The fringe data every output reads: the checked mean intensity d, the coherence sum
+    S, V = min(2|S|/d, 1) (full contrast can round above 1) and atan2(S.imag, S.real)."""
+    d = _require_light(m)
+    c = coherence_sum(m)
+    return d, c, min(2.0 * abs(c) / d, 1.0), math.atan2(c.imag, c.real)
+
+
 def visibility(m: TwoPathMixture) -> float:
     """Closed-form fringe visibility of the mixture, in [0, 1]."""
-    d = _require_light(m)
-    return min(2.0 * abs(coherence_sum(m)) / d, 1.0)  # full contrast can round above 1
+    return _readout(m)[2]
 
 
 def phase_offset(m: TwoPathMixture) -> float:
     """Principal argument of the coherence sum, in (-pi, pi]; 0 for flat patterns."""
-    _require_light(m)
-    c = coherence_sum(m)
-    return math.atan2(c.imag, c.real)
+    return _readout(m)[3]
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -300,7 +305,7 @@ def _unit_circle(nsamples: int) -> tuple[np.ndarray, np.ndarray]:
 def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     """Sample I(phi) on a uniform grid over [0, 2 pi) and extract the fringe data.
 
-    The stored visibility and phase offset come from the closed forms; with a
+    The stored visibility and phase offset are visibility(m) and phase_offset(m); with a
     grid that contains the extrema (any multiple of 4 samples for the states
     built here) the sampled (Imax - Imin)/(Imax + Imin) reproduces them.
 
@@ -310,10 +315,9 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     a whole number in [16, 65536].
     """
     check_nsamples(nsamples)
-    d = _require_light(m)
+    d, c, v, phase = _readout(m)
     if not math.isfinite(2.0 * d):
         raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
-    c = coherence_sum(m)
     phis, circle = _unit_circle(nsamples)
     re = (c * circle).real
     intensities = re + re  # d + 2 Re(c e^{i phi}) to the bit: IEEE + commutes, x + x = 2 x
@@ -327,9 +331,7 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
         np.maximum(intensities, 0.0, out=intensities)
     intensities.setflags(write=False)  # adopted with the read-only grid, unchecked
     scan = object.__new__(PatternScan)
-    scan.__dict__.update(phis=phis, intensities=intensities,
-                         visibility=min(2.0 * abs(c) / d, 1.0),
-                         phase_offset=math.atan2(c.imag, c.real))
+    scan.__dict__.update(phis=phis, intensities=intensities, visibility=v, phase_offset=phase)
     return scan
 
 

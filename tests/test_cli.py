@@ -170,6 +170,32 @@ def test_whichway_json_matches_closed_forms(capsys):
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["whichway", "--beta", "0.3", "--delta", "0.7"],
+    ["whichway", "--beta", "1", "--delta", "1", "--nmax", "24"],
+    ["pattern", "--config", "D", "--beta", "0.3", "--alpha", "0.5j", "--eraser",
+     "--coincidence", "sym"],
+    ["pattern", "--config", "E", "--beta", "0.3", "--coupling", "1", "--evolve-time", "0.3",
+     "--coincidence", "atom1_excited"],
+])
+def test_csv_metadata_prints_the_json_numbers_to_the_bit(argv, capsys):
+    code, csv_out, _ = run(argv, capsys)
+    assert code == 0
+    code, json_out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    meta, payload = csv_sections(csv_out)[0], json.loads(json_out)
+    if argv[0] == "whichway":
+        numbers = {key: payload[key]
+                   for key in ("p_plus", "p_minus", "fractional_error", "detect_prob")}
+        numbers.update(("simulated_" + k, v) for k, v in payload["simulated"].items())
+    else:
+        numbers = {key: payload[key]
+                   for key in ("post_selection_probability", "visibility", "phase_offset")}
+        assert meta["condition"] == payload["condition"]
+    assert len(set(numbers.values())) >= 3  # a number read from a wrong key shows
+    assert {key: meta[key] for key in numbers} == {k: repr(v) for k, v in numbers.items()}
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     args = ["pattern", "--config", "E", "--pulse", "long", "--beta", "0.3",
             "--dispersive", "ANTISYM,SYM"]
@@ -777,6 +803,20 @@ def test_a_fault_raised_inside_a_report_criterion_fails_it(monkeypatch, capsys):
     [check] = failed["checks"]
     assert check["name"].startswith("raised EmptyPatternError: both paths carry zero")
     assert (check["value"], check["expected"], check["passed"]) == (1.0, 0.0, False)
+
+
+def test_a_library_fault_in_pattern_is_one_internal_error_line(monkeypatch, capsys):
+    # a mean intensity that drops psi2 puts pattern's samples far below zero
+    from atomslits import twopath
+
+    def dropped(m):
+        return sum(c.weight * c.psi1.norm() ** 2 for c in m.components)
+
+    monkeypatch.setattr(twopath, "mean_intensity", dropped)
+    code, out, err = run(["pattern", "--config", "B", "--samples", "16"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("atomslits: internal error: intensity went significantly negative; "
+                   "bookkeeping bug\n")
 
 
 def test_version_flag(capsys):

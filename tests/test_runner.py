@@ -2,7 +2,8 @@
 
 A printed number is either within 1e-9 of its closed form or the call exits 3
 because the truncation drops more than 1e-10 of a kick that reaches it;
-rotating every kick by one phase changes no output of any chain; config C2
+rotating every kick by one phase changes no output of any chain; pattern
+prints the bytes of visibility and phase_offset on every chain; config C2
 prints what C1 prints; raising nmax by 8 moves no output by more than the
 truncation allows; and a tracer bound over the module names the runner looks
 up still sees every layer.
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atomslits
@@ -29,7 +30,7 @@ from atomslits.errors import EmptyPatternError, PhysicsDomainError
 from atomslits.scenarios import ScenarioSpec, _run
 from atomslits.spec import _poisson_tail, _squared_abs, check_domain
 from atomslits.transforms import PROJECTOR_NAMES
-from atomslits.twopath import FreqTag, phase_offset, visibility
+from atomslits.twopath import FreqTag, pattern, phase_offset, visibility
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -198,6 +199,36 @@ def test_kick_phase_changes_no_output(drawn, theta):
     assert abs(post0 - post1) < 1e-12
     if v0 > 1e-6:
         assert abs((phase0 - phase1 + math.pi) % (2 * math.pi) - math.pi) < 1e-12
+
+
+# --- pattern prints what report checks ---------------------------------------
+
+
+@st.composite
+def readout_chains(draw):
+    """chains(), with a dispersive flip drawn on a short pulse too."""
+    spec, chain = draw(chains())
+    if "dispersive" not in chain:
+        chain["dispersive"] = draw(st.none() | st.sets(st.sampled_from(list(FreqTag)), min_size=1))
+    return spec, chain
+
+
+# two full-contrast cuts whose 2|S|/d rounds to 1 + 2**-52, above the clamp
+@example(drawn=(ScenarioSpec("B", beta=0.1), dict(eraser=False, dispersive=None,
+                                                  coincidence="sym")))
+@example(drawn=(ScenarioSpec("E", "long", beta=0.1),
+                dict(eraser=True, dispersive={FreqTag.ANTISYM}, coincidence="sym")))
+@settings(max_examples=200)
+@given(drawn=readout_chains())
+def test_pattern_prints_the_bytes_of_visibility_and_phase_offset(drawn):
+    spec, chain = drawn
+    try:
+        m = _run(spec, **chain)[0]
+        readout = visibility(m).hex(), phase_offset(m).hex()
+    except (PhysicsDomainError, ValueError):  # a refused kick or an emptied cut
+        return
+    scan = pattern(m, 16)
+    assert (scan.visibility.hex(), scan.phase_offset.hex()) == readout
 
 
 # --- C1 = C2 and nmax convergence, through the CLI ---------------------------

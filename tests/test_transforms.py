@@ -182,6 +182,35 @@ def test_dispersive_refuses_an_unknown_tag_as_the_enum_call(tags):
         apply_dispersive(m, tags)
 
 
+# the other constructors that look a member up by its value: the enum, the member read back
+# from the constructed object, and a member to pass
+_LOOKUPS = {
+    "spec_config": (Config, lambda v: ScenarioSpec(v).config, Config.C1),
+    "spec_pulse": (Pulse, lambda v: ScenarioSpec(Config.B, v).pulse, Pulse.LONG),
+    "spec_treatment": (Treatment, lambda v: ScenarioSpec(Config.B, treatment=v).treatment,
+                       Treatment.FIRST_ORDER),
+    "component_tag": (FreqTag, lambda v: TwoPathComponent(E10, E01, v).tag, FreqTag.ANTISYM),
+}
+
+
+@pytest.mark.parametrize("lookup", _LOOKUPS)
+@pytest.mark.parametrize("form", [lambda m: m.value, lambda m: m], ids=["str", "member"])
+def test_spec_and_component_map_values_and_members_as_the_enum_call(lookup, form):
+    enum, read, member = _LOOKUPS[lookup]
+    assert read(form(member)) is enum(form(member)) is member
+
+
+@pytest.mark.parametrize("lookup", _LOOKUPS)
+@pytest.mark.parametrize("form", [lambda m: "LOUD", lambda m: [m.value]], ids=["unknown", "list"])
+def test_spec_and_component_refuse_an_unknown_value_as_the_enum_call(lookup, form):
+    enum, read, member = _LOOKUPS[lookup]
+    with pytest.raises(ValueError) as expected:
+        enum(form(member))
+    with pytest.raises(ValueError) as refused:
+        read(form(member))
+    assert (refused.type, str(refused.value)) == (expected.type, str(expected.value))
+
+
 def test_named_projectors_orthogonal_and_complete():
     sym = named_projector("sym", TWO)
     antisym = named_projector("antisym", TWO)
