@@ -151,6 +151,8 @@ MUTANTS = (
            "c = complex(math.cos(2.0 * g * t))"),
     Mutant("quarter beat at pi/(2 g)", "t = (math.pi / 4.0) / g", "t = (math.pi / 2.0) / g"),
     Mutant("dispersive flips the untagged lines", "if c.tag in tagset", "if c.tag not in tagset"),
+    Mutant("dispersive reads a bare tag's letters", "if isinstance(tags, str):",
+           "if isinstance(tags, bytes):"),
     Mutant("tag table maps ANTISYM to SYM", "return _MEMBERS[enum][value]",
            "return _MEMBERS[enum][{\"ANTISYM\": \"SYM\"}.get(value, value)]"),
     Mutant("dispersive negates psi1",

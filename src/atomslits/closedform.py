@@ -10,13 +10,14 @@ exp(-|b|^2) for full coherent-state markers), config C and D as 1 - 2|b|^2
 state |delta> succeeds with probability exp(-|delta -+ b|^2) for |+-b>
 markers; the ratio of the two gives a fractional identification error
 exp(-4 b delta), available only with detection probability about
-exp(-|delta|^2).
+exp(-|delta|^2). tradeoff_curve(beta) tabulates that trade-off on a fixed grid
+of errors; required_probe(beta, e) gives the probe for any one error.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import PhysicsDomainError
 
@@ -182,20 +183,16 @@ def required_probe(beta: float, fractional_error: float) -> float:
     return delta
 
 
-def tradeoff_curve(
-    beta: float, errors: Iterable[float] | None = None
-) -> list[TradeoffPoint]:
+def tradeoff_curve(beta: float) -> list[TradeoffPoint]:
     """Certainty versus detection probability for which-way readout.
 
-    For each target fractional error e the probe must reach
-    delta = -ln(e)/(4 beta), which fires only with probability
-    exp(-(ln e)^2 / (16 beta^2)). Smaller error (more certainty) always means
-    a smaller chance of getting the information at all.
+    For each target fractional error e on a fixed grid of 25 errors from 1e-6 to
+    10^-0.3 the probe must reach delta = -ln(e)/(4 beta), which fires only with
+    probability exp(-(ln e)^2 / (16 beta^2)). Smaller error (more certainty)
+    always means a smaller chance of getting the information at all.
     """
-    if errors is None:
-        errors = [10.0 ** (-6.0 + 5.7 * k / 24.0) for k in range(25)]
     points = []
-    for e in errors:
+    for e in [10.0 ** (-6.0 + 5.7 * k / 24.0) for k in range(25)]:
         d = required_probe(beta, e)
         points.append(TradeoffPoint(e, d, _gaussian(d)))
     return points

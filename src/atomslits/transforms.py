@@ -135,10 +135,12 @@ def apply_dispersive(m: TwoPathMixture, tags) -> TwoPathMixture:
 
     Models a dispersive element in the light path: only the relative phase
     between the two paths at each scattered frequency is observable, so the
-    pi shift is applied as a sign on psi2 of every tagged component. Tags
-    absent from the mixture are ignored; applying the same tags twice is the
-    identity.
+    pi shift is applied as a sign on psi2 of every tagged component. tags is a
+    collection of FreqTags or their values, never a bare one; tags absent from
+    the mixture are ignored, and applying the same tags twice is the identity.
     """
+    if isinstance(tags, str):  # a FreqTag is a str too: not iterated into its letters
+        raise ValueError(f"apply_dispersive takes a collection of tags, got the bare tag {tags!r}")
     tagset = frozenset(_member(FreqTag, t) for t in tags)
     if not tagset:
         raise ValueError("apply_dispersive needs at least one frequency tag")

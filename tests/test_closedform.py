@@ -116,13 +116,17 @@ def test_required_probe_and_tradeoff_curve():
     target = 0.01
     delta = closedform.required_probe(beta, target)
     assert delta == pytest.approx(-math.log(target) / (4 * beta))
-    curve = closedform.tradeoff_curve(beta, errors=[0.5, 0.1, 0.01, 1e-4])
+    curve = closedform.tradeoff_curve(beta)
+    assert [p.fractional_error for p in curve] == [10.0 ** (-6.0 + 5.7 * k / 24.0)
+                                                   for k in range(25)]
     for point in curve:
+        assert point.delta == closedform.required_probe(beta, point.fractional_error)
         expected = math.exp(-(math.log(point.fractional_error) ** 2) / (16 * beta**2))
         assert point.detect_prob == pytest.approx(expected, rel=1e-12)
-    # more certainty (smaller error) always costs detection probability
+    # more certainty (smaller error) always costs detection probability: the grid's
+    # errors rise, and so do its detection probabilities
     probs = [p.detect_prob for p in curve]
-    assert all(a > b for a, b in zip(probs, probs[1:]))
+    assert all(a < b for a, b in zip(probs, probs[1:]))
     with pytest.raises(ValueError):
         closedform.required_probe(0.0, 0.01)
     with pytest.raises(ValueError):

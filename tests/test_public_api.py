@@ -247,12 +247,12 @@ FUNCTIONS = {
         complex(v[0], v[1]), complex(v[2], v[3])),
     "whichway_probabilities": lambda v: closedform.whichway_probabilities(v[0], v[1]),
     "required_probe": lambda v: closedform.required_probe(v[0], v[1]),
-    "tradeoff_curve": lambda v: closedform.tradeoff_curve(v[0], None if v[1] < 0 else v[1:3]),
+    "tradeoff_curve": lambda v: closedform.tradeoff_curve(v[0]),
 }
 
 
 @settings(max_examples=400)
-# pinned refusals: a probe, and a default trade-off curve, whose delta overflows at a
+# pinned refusals: a probe, and a trade-off curve, whose delta overflows at a
 # subnormal beta; NaN and infinite closed-form inputs; an error exp(-4 beta delta)
 # whose 4 beta overflows at delta = 0; a NaN coupling and one whose quarter beat
 # period overflows

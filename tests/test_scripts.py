@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import atomslits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +33,24 @@ def test_contrast_sweep_writes_one_csv_per_case(tmp_path):
         assert len(lines) == 12
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
 
+
+@pytest.mark.parametrize("args,message", [
+    (["--steps", "0"], "--steps must be >= 1"),
+    # the first three cases pass up to 0.8; B's long pulse refuses beta 0.72, the grid's
+    # tenth, and not even their files are written
+    (["--beta-max", "0.8"], "need |beta|^2 < 0.5, got |beta|^2 = 0.5184"),
+], ids=["steps", "beta_max"])
+def test_contrast_sweep_refuses_before_writing_a_file(tmp_path, args, message):
+    outdir = tmp_path / "sweep"
+    outdir.mkdir()
+    result = run_script("contrast_sweep.py", *args, "--outdir", str(outdir), cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("contrast_sweep.py: error: ") and message in errors[0]
+    assert list(outdir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
 
 
 def test_chain_cost_prints_every_stage(tmp_path):

@@ -182,6 +182,16 @@ def test_dispersive_refuses_an_unknown_tag_as_the_enum_call(tags):
         apply_dispersive(m, tags)
 
 
+@pytest.mark.parametrize("tag", ["SHIFTED", FreqTag.SHIFTED], ids=["value", "member"])
+def test_dispersive_refuses_a_bare_tag(tag):
+    # a FreqTag is a str: iterated, its letters would be looked up, and 'S' is no tag
+    m = build(ScenarioSpec(Config.C1, Pulse.LONG, beta=0.3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"apply_dispersive takes a collection of tags, got the bare tag {tag!r}")):
+        apply_dispersive(m, tag)
+    assert visibility(apply_dispersive(m, [tag])) == pytest.approx(1.0, abs=1e-12)
+
+
 # the other constructors that look a member up by its value: the enum, the member read back
 # from the constructed object, and a member to pass
 _LOOKUPS = {
