@@ -141,7 +141,8 @@ MUTANTS = (
     Mutant("eraser applies its inverse",
            "_INVERSE_ROWS if inverse else _ERASER_ROWS",
            "_ERASER_ROWS if inverse else _INVERSE_ROWS"),
-    Mutant("eraser a reflection", "[[1.0, 1.0], [-1.0, 1.0]]", "[[1.0, 1.0], [1.0, -1.0]]"),
+    Mutant("eraser a reflection", "[complex(-_ROOT_HALF), complex(_ROOT_HALF)]]",
+           "[complex(_ROOT_HALF), complex(-_ROOT_HALF)]]"),
     Mutant("excitation pair swapped", "return space.mode_dims[1], 1",
            "return 1, space.mode_dims[1]"),
     Mutant("rotation skips any zero pair",
@@ -179,6 +180,21 @@ MUTANTS = (
            "return complex(np.vdot(v.amplitudes, u.amplitudes))"),
     Mutant("coherent series over sqrt(n)", "root_factorial = np.sqrt(np.maximum(n, 1.0).cumprod())",
            "root_factorial = np.sqrt(np.maximum(n, 1.0))"),
+    # fockspace's scalar engine, and the sweep grid that replays np.linspace
+    Mutant("scalar inner conjugates its second slot",
+           "_sum([a.real * b.imag - a.imag * b.real for a, b in pairs])",
+           "_sum([a.imag * b.real - a.real * b.imag for a, b in pairs])"),
+    Mutant("scalar coherent series over sqrt(n)",
+           "map(math.sqrt, accumulate(range(1, space.dim), operator.mul, initial=1.0))",
+           "map(math.sqrt, [1.0, *range(1, space.dim)])"),
+    Mutant("pairwise block of 64", "if n <= 128:", "if n <= 64:"),
+    Mutant("float-part product adds ai*bi", "a.real * b.real - a.imag * b.imag",
+           "a.real * b.real + a.imag * b.imag"),
+    Mutant("tensor product adds ai*bi", "complex(ar * br - ai * bi, ar * bi + ai * br)",
+           "complex(ar * br + ai * bi, ar * bi + ai * br)"),
+    Mutant("scalar engine below 16 levels", "return space._scale <= _SCALAR_NMAX",
+           "return space._scale < _SCALAR_NMAX"),
+    Mutant("sweep grid's last point not pinned to MAX", "grid[-1] = hi", "grid[-1] += 0.0"),
     # closedform
     Mutant("contrast_B 1 - 2|b|^2", "return 1.0 - b2", "return 1.0 - 2.0 * b2"),
     Mutant("contrast_C 1 - |b|^2", "return 1.0 - 2.0 * b2", "return 1.0 - b2"),

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Print where the wall time of one fresh atomslits process goes, in ms.
 
-For each kind of CLI call (pattern as CSV and as JSON, sweep, whichway,
-report, a rejected flag, a physics-domain refusal, --help and --version),
+For each kind of CLI call (pattern as CSV and as JSON, sweep, a dense sweep
+of 200 exact config D points, the scalar engine's costliest call at the
+default nmax, whichway, report, a rejected flag, a physics-domain refusal,
+--help and --version),
 --runs fresh children run the call the way `python -m atomslits` does, and
 each part of a child's wall time is reported as its median:
 
@@ -49,6 +51,7 @@ KINDS = {
     "pattern_json": (["pattern", "--config", "B", "--beta", "0.3", "--eraser",
                       "--coincidence", "sym", "--format", "json"], 0),
     "sweep": (["sweep", "--config", "B", "--beta-range", "0:0.3:16"], 0),
+    "sweep_dense": (["sweep", "--config", "D", "--alpha", "0.5", "--beta-range", "0:0.6:200"], 0),
     "whichway": (["whichway", "--beta", "0.5", "--delta", "1"], 0),
     "report": (["report"], 0),
     "reject": (["pattern", "--config", "Z"], 2),

@@ -16,8 +16,6 @@ output; no timestamps are ever written.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import scenarios
 from ._version import __version__
 from .front import EXIT_ACCEPTANCE, EXIT_OK, _write, build_parser, run
@@ -31,6 +29,7 @@ def cmd_pattern(args) -> int:
     spec = args.spec
     mixture, post_selection = _run(spec, args.eraser, args.dispersive, args.coincidence)
     scan = pattern(mixture, args.samples)
+    phis, intensities = scan._lists()
     applied = ["eraser"] if args.eraser else []
     if args.dispersive is not None:
         applied.append("dispersive:" + ",".join(sorted(t.value for t in args.dispersive)))
@@ -43,8 +42,8 @@ def cmd_pattern(args) -> int:
             "version": __version__,
         },
         "pattern": {
-            "phis": scan.phis.tolist(),
-            "intensities": scan.intensities.tolist(),
+            "phis": phis,
+            "intensities": intensities,
         },
         "visibility": scan.visibility,
         "phase_offset": scan.phase_offset,
@@ -55,7 +54,7 @@ def cmd_pattern(args) -> int:
             "transforms": ";".join(applied) or "none"}
     meta.update((key, payload[key]) for key in
                 ("condition", "post_selection_probability", "visibility", "phase_offset"))
-    _write(args, payload, meta, "phi,intensity", zip(scan.phis, scan.intensities))
+    _write(args, payload, meta, "phi,intensity", zip(phis, intensities))
     return EXIT_OK
 
 
@@ -72,16 +71,27 @@ def _sweep_visibilities(args, beta: float) -> tuple[float, float]:
     return lanes[0], lanes[-1]
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """np.linspace(lo, hi, steps) to the bit: k * step + lo, or k / div * delta + lo where
+    the step rounds to zero, with the last of several points pinned to hi."""
+    delta, div = hi - lo, steps - 1
+    step = delta / div if div else 0.0
+    grid = [(k * step if step else (k / div if div else k) * delta) + lo for k in range(steps)]
+    if div:
+        grid[-1] = hi
+    return grid
+
+
 def cmd_sweep(args) -> int:
     from . import closedform
 
     rows = []
-    for b in np.linspace(*args.betas):
-        v_exact, v_first = _sweep_visibilities(args, float(b))
-        reference = closedform.first_order_contrast(args.config, float(b))
+    for b in _grid(*args.betas):
+        v_exact, v_first = _sweep_visibilities(args, b)
+        reference = closedform.first_order_contrast(args.config, b)
         rows.append(
             {
-                "beta": float(b),
+                "beta": b,
                 "visibility_exact": v_exact,
                 "visibility_first_order": v_first,
                 "oracle": reference,

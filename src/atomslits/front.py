@@ -1,10 +1,13 @@
 """The front of the command line, which parses and checks every call without numpy.
 
 `python -m atomslits` and the `atomslits` script enter through entry. The
-flags, the ScenarioSpec and its physics domain are settled first; atomslits.cli,
-which loads numpy, is imported only for a call that computes, so --help,
---version, every flag error and every truncation or perturbative refusal exit
-before numpy loads. cli.main runs the same run function with cli's build_parser.
+flags, the ScenarioSpec and its physics domain are settled first; atomslits.cli
+is imported only for a call that computes, so --help, --version, every flag
+error and every truncation or perturbative refusal exit before it loads. No
+module imports numpy when it is imported: a call at nmax 16 or below computes in
+fockspace's plain Python engine and never loads it, and report or a larger
+nmax loads it on first use. cli.main runs the same run function with cli's
+build_parser.
 
 Exit codes: 0 success, 1 internal error (an assertion of the library failed), 2 flag
 or combination error or output that cannot be written, 3 physics-domain error

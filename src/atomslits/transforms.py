@@ -19,11 +19,10 @@ which is thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
-import numpy as np
-
-from .fockspace import FockSpace, FockVector, _shared, _shared_state, _space
+from .fockspace import FockSpace, FockVector, _mul, _scalar, _shared, _shared_state, _space
 from .spec import _SECTORS, PROJECTOR_NAMES, FreqTag, _member, check_modes
 from .twopath import Projector, TwoPathComponent, TwoPathMixture
 
@@ -37,9 +36,12 @@ __all__ = [
 ]
 
 # pi/2 rotation of the excitation pair, columns are the images of
-# |1,0> and |0,1>:  |1,0> -> (|1,0> - |0,1>)/sqrt2,  |0,1> -> (|1,0> + |0,1>)/sqrt2
-_ERASER_ROWS = (np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)).tolist()
-_INVERSE_ROWS = np.array(_ERASER_ROWS).conj().T.tolist()  # the rows of its adjoint
+# |1,0> and |0,1>:  |1,0> -> (|1,0> - |0,1>)/sqrt2,  |0,1> -> (|1,0> + |0,1>)/sqrt2.
+# Each entry is +-1/sqrt2, rounded once, with a +0.0 imaginary part; the adjoint's are -0.0
+_ROOT_HALF = 1.0 / math.sqrt(2.0)
+_ERASER_ROWS = [[complex(_ROOT_HALF), complex(_ROOT_HALF)],
+                [complex(-_ROOT_HALF), complex(_ROOT_HALF)]]
+_INVERSE_ROWS = [[z.conjugate() for z in column] for column in zip(*_ERASER_ROWS)]  # its adjoint
 
 
 def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
@@ -69,14 +71,19 @@ def _is_plus_zero(z: complex) -> bool:
 
 def _rotated(v: FockVector, i: int, j: int, block: list) -> FockVector:
     """v with the 2x2 block applied to its amplitudes i and j; v itself if that changes no bit."""
-    a, b = v.amplitudes.item(i), v.amplitudes.item(j)
+    if _scalar(v.space):  # each product from float64 parts
+        values, mul = v._values, _mul
+        a, b = values[i], values[j]
+    else:
+        values, mul = v.amplitudes, operator.mul
+        a, b = values.item(i), values.item(j)
     if a == 0 == b and _is_plus_zero(a) and _is_plus_zero(b):
         return v  # the rotation would write the same +0+0j pair back
     (p, q), (r, s) = block
-    amps = v.amplitudes.copy()
+    amps = values.copy()
     # summed from 0j in this order, the bits of block @ [a, b], signed zeros too
-    amps[i] = 0j + p * a + q * b
-    amps[j] = 0j + r * a + s * b
+    amps[i] = 0j + mul(p, a) + mul(q, b)
+    amps[j] = 0j + mul(r, a) + mul(s, b)
     return FockVector._wrap(v.space, amps)
 
 
@@ -169,5 +176,4 @@ def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     spaces; each of the 16 entries keeps its column alive, whose transpose is
     its U^dag, at most 16 x 467,856 = 7,485,696 bytes at nmax 171."""
     check_modes(len(mode_dims), name)
-    space = _space(mode_dims)
-    return Projector._wrap(space, _sector(name, space).amplitudes[:, None], name)
+    return Projector._wrap(_sector(name, _space(mode_dims)), name)

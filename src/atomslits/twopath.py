@@ -20,19 +20,19 @@ I(phi) is proportional to 1 + V cos(phi + phase_offset). visibility(), phase_off
 and pattern() read both from one private readout; the sampled curve is a consistency
 check, not the source of truth. The sample grid phi and exp(i phi) for each sample
 count are computed once and held read-only in a small bounded functools.lru_cache
-table, which is thread-safe; scans with one sample count share their phis.
+table, which is thread-safe; scans with one sample count share their phis. On a space
+of fockspace's scalar engine, projector images and pattern samples are plain Python
+in its reference arithmetic, and the scan's arrays are built when first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from .errors import EmptyPatternError, SpaceMismatchError
-from .fockspace import FockSpace, FockVector, inner
+from .fockspace import FockSpace, FockVector, _mul, _scalar, _sum, inner
 from .spec import FreqTag, _Frozen, _member, check_kick, check_nsamples
 
 __all__ = [
@@ -132,9 +132,10 @@ class Projector(_Frozen):
 
     columns is U, a dim x k block of orthonormal columns spanning the kept
     subspace; a coincidence projector is rank one, so k is 1 there and the
-    dim x dim matrix is never formed. U^dag is formed once, at construction:
-    a read-only transpose view of U where the columns are real, as every named
-    projector's is, and a conjugate copy only where a column is complex.
+    dim x dim matrix is never formed: a named projector keeps its unit state as
+    its column, and `columns` is a read-only view of that state's amplitudes.
+    U^dag is a read-only transpose view of U where the columns are real, as every
+    named projector's is, and a conjugate copy only where a column is complex.
     The columns are copied in and must be finite, with a Gram matrix U^dag U
     idempotent within 1e-12, which is exactly when U U^dag is an orthogonal
     projector, and each column must be exactly zero or of unit norm within 1e-12.
@@ -143,6 +144,8 @@ class Projector(_Frozen):
     _fields = ("space", "columns", "name")
 
     def __init__(self, space: FockSpace, columns: np.ndarray, name: str = "custom") -> None:
+        import numpy as np
+
         u = np.array(columns, dtype=np.complex128, copy=True)
         if u.ndim != 2 or u.shape[0] != space.dim:
             raise SpaceMismatchError(
@@ -164,39 +167,75 @@ class Projector(_Frozen):
                 f"projector '{name}' columns do not span an orthogonal projector: "
                 f"U^dag U is not idempotent within 1e-12, or a column's norm is not 0 or 1"
             )
-        self._adopt(space, u, name)
-
-    def _adopt(self, space: FockSpace, u: np.ndarray, name: str) -> None:
         u.setflags(write=False)
+        self.__dict__.update(space=space, columns=u, name=name)
+
+    @classmethod
+    def _wrap(cls, state: FockVector, name: str) -> "Projector":
+        """The rank-one projector onto a unit state the package has built, kept as its
+        column without a copy or the constructor's checks."""
+        p = object.__new__(cls)
+        p.__dict__.update(space=state.space, name=name, _columns=(state,))
+        return p
+
+    @cached_property
+    def columns(self) -> np.ndarray:  # a wrapped projector's: a view of its state
+        return self._columns[0].amplitudes[:, None]
+
+    @cached_property
+    def _columns(self) -> tuple[FockVector, ...]:
+        """Each column of U as a vector of the space."""
+        return tuple(FockVector._wrap(self.space, u) for u in self.columns.T)
+
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        u = self.columns
         # real columns: U^dag is the view U^T. conj would only flip the signs of zero
         # imaginary parts, whose products add +-0 to sums np.dot starts at +0: same bytes
         adjoint = u.conj().T if u.imag.any() else u.T
         adjoint.setflags(write=False)
-        # one column whose only nonzero entry is exactly 1, as for a number state
-        single = u.shape[1] == 1 and int(np.count_nonzero(u)) == 1 and bool((u == 1).any())
-        self.__dict__.update(space=space, columns=u, name=name, _adjoint=adjoint,
-                             _single=single)
+        return adjoint
 
-    @classmethod
-    def _wrap(cls, space: FockSpace, columns: np.ndarray, name: str) -> "Projector":
-        """Adopt a dim x k complex128 block of orthonormal columns the package has
-        just allocated, without a copy or the constructor's checks."""
-        p = object.__new__(cls)
-        p._adopt(space, columns, name)
-        return p
+    @cached_property
+    def _single(self) -> bool:
+        """One column whose only nonzero entry is exactly 1, as for a number state."""
+        if _scalar(self.space):
+            values = self._columns[0]._values if len(self._columns) == 1 else [0j]
+            return values.count(0) == len(values) - 1 and 1 in values
+        import numpy as np
+
+        u = self.columns
+        return u.shape[1] == 1 and int(np.count_nonzero(u)) == 1 and bool((u == 1).any())
 
     def _image(self, v: FockVector, images: dict) -> FockVector:
-        """U (U^dag v), kept in `images` by id(v) (v alive in the caller) and by U^dag v's bytes."""
+        """U (U^dag v), kept in `images` by id(v) (v alive in the caller) and by U^dag v's bits.
+
+        The scalar engine forms U^dag v as inner products and each level of U s from
+        float64 parts, summed over the columns pairwise."""
         out = images.get(id(v))
         if out is None:
-            # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
-            s = np.dot(self._adjoint, v.amplitudes)
-            key = s.tobytes()
+            scalar = _scalar(self.space)
+            if scalar:
+                s = [inner(u, v) for u in self._columns]
+                key = repr(s)  # repr tells -0.0 from 0.0
+            else:
+                import numpy as np
+
+                # np.dot, not @: matmul takes a slow loop for a (dim, 1) by (1,) product
+                s = np.dot(self._adjoint, v.amplitudes)
+                key = s.tobytes()
             out = images.get(key)
             if out is None:
-                out = images[key] = FockVector._wrap(self.space, np.dot(self.columns, s))
-                if self._single:  # s at one level, +-0 elsewhere: each norm() dot adds
-                    z = s.item()  # one rounded square to exact zeros, in any order
+                if scalar:
+                    terms = [[_mul(x, z) for x in u._values] for u, z in zip(self._columns, s)]
+                    amps = terms[0] if len(terms) == 1 else [
+                        complex(_sum([t[k].real for t in terms]), _sum([t[k].imag for t in terms]))
+                        for k in range(self.space.dim)]
+                else:
+                    amps = np.dot(self.columns, s)
+                out = images[key] = FockVector._wrap(self.space, amps)
+                if self._single:  # s at one level, +-0 elsewhere: each norm sum adds one
+                    z = s[0] if scalar else s.item()  # rounded square to exact zeros, in any order
                     out.__dict__["_norm"] = math.sqrt(z.real * z.real + z.imag * z.imag)
             images[id(v)] = out
         return out
@@ -216,7 +255,9 @@ class PatternScan:
 
     `visibility` and `phase_offset` are the closed-form values; the samples
     satisfy I(phi) = mean * (1 + V cos(phi + phase_offset)) and can be used to
-    recompute them as a consistency check. Every value must be finite.
+    recompute them as a consistency check. Every value must be finite. pattern on
+    a space of the scalar engine keeps the samples as lists of floats, and builds
+    each read-only array when first read.
     """
 
     phis: np.ndarray
@@ -225,6 +266,8 @@ class PatternScan:
     phase_offset: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         phis = np.array(self.phis, dtype=float, copy=True)
         ints = np.array(self.intensities, dtype=float, copy=True)
         if phis.shape != ints.shape:
@@ -236,6 +279,21 @@ class PatternScan:
         ints.setflags(write=False)
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "intensities", ints)
+
+    def __getattr__(self, name: str):  # only reached for an array pattern left as a list
+        if name not in ("phis", "intensities"):
+            raise AttributeError(name)
+        import numpy as np
+
+        array = self.__dict__[name] = np.array(self.__dict__["_" + name], dtype=float)
+        array.setflags(write=False)
+        return array
+
+    def _lists(self) -> tuple[list[float], list[float]]:
+        """phis and intensities as lists of floats."""
+        if "_phis" in self.__dict__:
+            return self.__dict__["_phis"], self.__dict__["_intensities"]
+        return self.phis.tolist(), self.intensities.tolist()
 
 
 def coherence_sum(m: TwoPathMixture) -> complex:
@@ -293,8 +351,14 @@ def phase_offset(m: TwoPathMixture) -> float:
 
 
 @lru_cache(maxsize=8, typed=True)
-def _unit_circle(nsamples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only uniform grid phi over [0, 2 pi) and exp(i phi), for pattern()."""
+def _unit_circle(nsamples: int, scalar: bool = False) -> tuple:
+    """Uniform grid phi over [0, 2 pi) and exp(i phi), for pattern(): read-only arrays,
+    or for the scalar engine lists, exp(i phi) as cos(phi) + i sin(phi)."""
+    if scalar:
+        phis = [2.0 * math.pi * k / nsamples for k in range(int(nsamples))]
+        return phis, [complex(math.cos(phi), math.sin(phi)) for phi in phis]
+    import numpy as np
+
     phis = 2.0 * np.pi * np.arange(nsamples) / nsamples
     circle = np.exp(1j * phis)
     phis.setflags(write=False)
@@ -318,20 +382,33 @@ def pattern(m: TwoPathMixture, nsamples: int = 256) -> PatternScan:
     d, c, v, phase = _readout(m)
     if not math.isfinite(2.0 * d):
         raise ValueError(f"the fringe peak, twice the mean intensity {d:.4g}, overflows a float")
-    phis, circle = _unit_circle(nsamples)
-    re = (c * circle).real
-    intensities = re + re  # d + 2 Re(c e^{i phi}) to the bit: IEEE + commutes, x + x = 2 x
-    intensities += d
+    # d + 2 Re(c e^{i phi}) to the bit: IEEE + commutes, x + x = 2 x
+    scalar = _scalar(m.space)
+    if scalar:  # Re(c e^{i phi}) from float64 parts
+        phis, circle = _unit_circle(nsamples, True)
+        intensities = [x + x + d for x in (c.real * z.real - c.imag * z.imag for z in circle)]
+        lowest = min(intensities)
+    else:
+        import numpy as np
+
+        phis, circle = _unit_circle(nsamples)
+        re = (c * circle).real
+        intensities = re + re
+        intensities += d
+        lowest = np.minimum.reduce(intensities)
     # exact minima of a V = 1 pattern can round to a few ulp below zero; as d > 0 no
     # sample is -0.0, so the clip is needed only where the minimum is below zero
-    lowest = np.minimum.reduce(intensities)
     if lowest < -1e-9 * d:
         raise AssertionError("intensity went significantly negative; bookkeeping bug")
     if lowest < 0.0:
-        np.maximum(intensities, 0.0, out=intensities)
-    intensities.setflags(write=False)  # adopted with the read-only grid, unchecked
+        intensities = ([max(x, 0.0) for x in intensities] if scalar
+                       else np.maximum(intensities, 0.0))
+    if not scalar:
+        intensities.setflags(write=False)  # adopted with the read-only grid, unchecked
+    key = "_" if scalar else ""  # the scalar engine's lists become arrays when first read
     scan = object.__new__(PatternScan)
-    scan.__dict__.update(phis=phis, intensities=intensities, visibility=v, phase_offset=phase)
+    scan.__dict__.update({key + "phis": phis, key + "intensities": intensities},
+                         visibility=v, phase_offset=phase)
     return scan
 
 

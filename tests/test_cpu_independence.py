@@ -2,9 +2,8 @@
 
 The north star's "same output for identical flags" holds only where the two
 goldens' bits do not depend on the BLAS kernel or on numpy's SIMD level. Each
-case runs tests/test_cli_golden.py and tests/test_marker_golden.py in one child
-process with one environment variable set, which changes the arithmetic of that
-process only:
+case runs in one child process with one environment variable set, which
+changes the arithmetic of that process only:
 
   - OPENBLAS_CORETYPE=Prescott picks numpy's bundled OpenBLAS kernel for an
     SSE3 CPU, whose reductions round differently from the AVX ones;
@@ -12,10 +11,16 @@ process only:
     baseline, whose complex multiply rounds differently from the AVX2 and
     AVX-512 loops.
 
-Both fail today (ROADMAP item 6), so each is a strict xfail: the case that
-starts to pass fails the suite until its marker goes.
+Every call of tests/test_cli_golden.py but `report` runs at nmax 16 or below,
+where fockspace's scalar engine computes without numpy, so its bytes hold under
+both. Running tests/test_cli_golden.py and tests/test_marker_golden.py whole
+still fails (ROADMAP item 6): the marker chains at nmax 32 and 64 and
+`report`'s checks at nmax 20 and 40 run through BLAS, so each of those cases is
+a strict xfail, and the case that starts to pass fails the suite until its
+marker goes.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,17 +32,47 @@ import atomslits
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ("tests/test_cli_golden.py", "tests/test_marker_golden.py")
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
-@pytest.mark.parametrize("variable, value", [
+ENVIRONMENTS = pytest.mark.parametrize("variable, value", [
     ("OPENBLAS_CORETYPE", "Prescott"),
     ("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"),
 ], ids=["blas-prescott", "numpy-x86-v2"])
-def test_goldens_hold_whatever_the_cpu(variable, value):
+# prints the argv of each golden CLI call but report whose exit code or stdout differs,
+# as the golden test compares them
+REPLAY = """
+import json, os, sys
+sys.path.insert(0, "tests")
+import test_cli_golden as g
+os.environ["COLUMNS"] = g.COLUMNS
+golden = json.loads(g.GOLDEN.read_text())
+same_python = golden["python"] == g._python()
+differ = []
+for case in golden["cases"]:
+    if case["argv"] != ["report"]:
+        code, digest = g._replay(case["argv"])
+        if code != case["exit"] or (digest != case["stdout_sha256"]
+                                    and (same_python or not g._is_help(case["argv"]))):
+            differ.append(case["argv"])
+print(json.dumps(differ))
+"""
+
+
+def child(argv, variable, value):
     src = str(Path(atomslits.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path, **{variable: value})
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+@ENVIRONMENTS
+def test_goldens_hold_whatever_the_cpu(variable, value):
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *GOLDENS]
-    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    done = child(argv, variable, value)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+@ENVIRONMENTS
+def test_default_size_cli_bytes_hold_whatever_the_cpu(variable, value):
+    done = child([sys.executable, "-c", REPLAY], variable, value)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == []

@@ -3,7 +3,10 @@
 Each kernel below does the floating-point operations of a plainer form (np.kron,
 np.linalg.norm, matmul, sums of scaled basis vectors) with fewer numpy calls and
 no dense temporaries. The plain form is the reference, and equality is on the
-raw bytes, so a changed signed zero would show as well. The tables computed
+raw bytes, so a changed signed zero would show as well. On a space of the
+scalar engine the plain form is its reference arithmetic, written with numpy's
+elementwise float64 operations: complex products from float64 parts, and sums
+by np.add.reduce. The tables computed
 once (levels, sample grids, spaces, fixed states, named projectors) are
 compared with their fresh formulas, and results shared within a call with the
 results computed one by one. The last tests bound the peak memory of a whole
@@ -22,6 +25,7 @@ from atomslits.fockspace import (
     FockSpace,
     FockVector,
     _fixed_state,
+    _scalar,
     _levels,
     _product,
     _space,
@@ -65,6 +69,46 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def parts(re, im):
+    """The complex128 array of these float64 parts, each written as it is."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def float_part_product(a, b):
+    """a * b elementwise from float64 parts, the scalar engine's complex product."""
+    return parts(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def reference_kron(space, a, b):
+    """np.kron, or on a space of the scalar engine its float-part form."""
+    if not _scalar(space):
+        return np.kron(a, b)
+    return float_part_product(np.repeat(a, len(b)), np.tile(b, len(a)))
+
+
+def scalar_inner(u, v):
+    """<u|v> of the scalar engine: conj(u) v from float64 parts, each part np.add.reduce'd."""
+    return complex(np.add.reduce(u.real * v.real + u.imag * v.imag),
+                   np.add.reduce(u.real * v.imag - u.imag * v.real))
+
+
+def reference_image(space, u, v):
+    """U (U^dag v) of one column: matmul, or on a space of the scalar engine u <u|v>."""
+    if not _scalar(space):
+        return u @ (u.conj().T @ v)
+    return float_part_product(u[:, 0], scalar_inner(u[:, 0], v))
+
+
+def reference_norm(space, amps):
+    """np.linalg.norm, or on a space of the scalar engine the square root of the
+    np.add.reduce'd squared magnitudes."""
+    if not _scalar(space):
+        return np.float64(np.linalg.norm(amps))
+    return np.float64(math.sqrt(np.add.reduce(amps.real * amps.real + amps.imag * amps.imag)))
+
+
 def random_amplitudes(rng, dim, zeros=0):
     """Dense complex amplitudes; `zeros` of them set to +-0 in each part."""
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -87,10 +131,10 @@ def test_tensor_is_np_kron(dims):
     rng = np.random.default_rng(sum(dims))
     factors = [FockVector(FockSpace((d,)), random_amplitudes(rng, d, zeros=d // 4))
                for d in dims]
+    got = _product(factors)
     expected = factors[0].amplitudes
     for v in factors[1:]:
-        expected = np.kron(expected, v.amplitudes)
-    got = _product(factors)
+        expected = reference_kron(got.space, expected, v.amplitudes)
     assert same_bits(got.amplitudes, expected)
     assert got.space.mode_dims == dims
 
@@ -103,15 +147,35 @@ def test_norm_is_np_linalg_norm(scale):
         assert FockVector(FockSpace((64, 64)), amps).norm() == float(np.linalg.norm(amps))
 
 
+def scalar_coherent_series(b, nmax):
+    """The scalar engine's series: b^n a running float-part product, and each part
+    scaled by exp(-|b|^2/2), then divided by sqrt(n!)."""
+    powers = [1 + 0j]
+    for _ in range(nmax - 1):
+        p = powers[-1]
+        powers.append(complex(p.real * b.real - p.imag * b.imag, p.real * b.imag + p.imag * b.real))
+    p = np.array(powers)
+    scale = math.exp(-(b.real * b.real + b.imag * b.imag) / 2.0)
+    root = np.sqrt(np.cumprod(np.maximum(np.arange(nmax), 1), dtype=float))
+    return parts(scale * p.real / root, scale * p.imag / root)
+
+
 @pytest.mark.parametrize("nmax", [2, 3, 16, 64, 171])
 def test_coherent_state_is_the_integer_cumprod_series(nmax):
     for beta in (0, 0.3 + 0.1j, -0.2j, -1.1 + 0.4j, 0.9 * math.sqrt(nmax)):
         b = complex(beta)
         n = np.arange(nmax)
         b2 = b.real * b.real + b.imag * b.imag
-        amps = math.exp(-b2 / 2.0) * b**n / np.sqrt(np.cumprod(np.maximum(n, 1), dtype=float))
-        captured = float(np.vdot(amps, amps).real)
-        assert same_bits(coherent_state(beta, nmax).amplitudes, amps / math.sqrt(captured))
+        if _scalar(FockSpace((nmax,))):
+            amps = scalar_coherent_series(b, nmax)
+            root = reference_norm(FockSpace((nmax,)), amps)
+            expected = parts(amps.real / root, amps.imag / root)
+            captured = float(root * root)
+        else:
+            amps = math.exp(-b2 / 2.0) * b**n / np.sqrt(np.cumprod(np.maximum(n, 1), dtype=float))
+            captured = float(np.vdot(amps, amps).real)
+            expected = amps / math.sqrt(captured)
+        assert same_bits(coherent_state(beta, nmax).amplitudes, expected)
         assert abs(max(0.0, 1.0 - captured) - _poisson_tail(b2, nmax)) <= 1e-12
 
 
@@ -173,7 +237,7 @@ def test_fixed_states_are_shared_read_only_and_their_fresh_formula(nmax, nmodes)
         assert v.space is _space(space.mode_dims), name
         assert not v.amplitudes.flags.writeable, name
         assert same_bits(v.amplitudes, expected), name
-        assert v.norm() == float(np.linalg.norm(expected)), name
+        assert v.norm() == reference_norm(space, expected), name
 
 
 def test_states_of_a_space_beyond_the_marker_spaces_are_not_held():
@@ -253,7 +317,7 @@ def test_named_projectors_apply_as_u_times_u_dagger_v(nmax):
             u = projector.columns
             for v in vectors:
                 assert same_bits(projector.apply(v).amplitudes,
-                                 u @ (u.conj().T @ v.amplitudes)), name
+                                 reference_image(space, u, v.amplitudes)), name
 
 
 def projector_state(name, space):
@@ -432,7 +496,7 @@ def test_condition_shares_equal_projections_and_matches_the_one_by_one_form():
                 assert same_bits(image.amplitudes, projector.apply(path).amplitudes)
                 if projector.columns.shape[1] == 1:
                     u_ = projector.columns
-                    assert same_bits(image.amplitudes, u_ @ (u_.conj().T @ path.amplitudes))
+                    assert same_bits(image.amplitudes, reference_image(space, u_, path.amplitudes))
         assert post == mean_intensity(cm) / mean_intensity(m)
 
 
@@ -474,7 +538,7 @@ def test_single_entry_projector_images_carry_the_dense_norm(nmax, nmodes):
         for image in images:
             assert "_norm" in image.__dict__, name  # known before any dense sum
             assert same_bits(np.float64(image.norm()),
-                             np.float64(np.linalg.norm(image.amplitudes))), name
+                             reference_norm(space, image.amplitudes)), name
 
 
 @pytest.mark.parametrize("nmax", [2, 16, 64])
@@ -487,8 +551,7 @@ def test_sym_and_antisym_images_sum_their_norms_densely(nmax):
         for v in edge_vectors(rng, space, i10):
             image = projector.apply(v)
             assert "_norm" not in image.__dict__, name
-            assert same_bits(np.float64(image.norm()),
-                             np.float64(np.linalg.norm(image.amplitudes))), name
+            assert same_bits(np.float64(image.norm()), reference_norm(space, image.amplitudes)), name
 
 
 @pytest.mark.parametrize("dims", [(2,), (16,), (171,), (64, 64)])
@@ -496,14 +559,14 @@ def test_negation_carries_the_norm_whether_known_before_or_after(dims):
     space = FockSpace(dims)
     rng = np.random.default_rng(sum(dims))
     for v in edge_vectors(rng, space, space.dim - 1):
-        expected = np.float64(np.linalg.norm(-v.amplitudes))
+        expected = reference_norm(space, -v.amplitudes)
         known = v  # the public constructor computes the norm
         assert same_bits(np.float64((-known).norm()), expected)
         unknown = FockVector._wrap(space, v.amplitudes)
         negated = -unknown
         assert "_norm" not in negated.__dict__
         assert same_bits(np.float64(negated.norm()), expected)
-        assert same_bits(np.float64(unknown.norm()), np.float64(np.linalg.norm(v.amplitudes)))
+        assert same_bits(np.float64(unknown.norm()), reference_norm(space, v.amplitudes))
         assert same_bits(np.float64((-unknown).norm()), expected)
 
 
@@ -520,7 +583,7 @@ def test_rotated_paths_sum_their_norms_densely():
             for transform in transforms:
                 for path in (transform(m).components[0].psi1, transform(m).components[0].psi2):
                     assert same_bits(np.float64(path.norm()),
-                                     np.float64(np.linalg.norm(path.amplitudes)))
+                                     reference_norm(space, path.amplitudes))
 
 
 # --- builders ----------------------------------------------------------------
@@ -529,7 +592,7 @@ def test_rotated_paths_sum_their_norms_densely():
 def _kron(*factors):
     amps = factors[0]
     for f in factors[1:]:
-        amps = np.kron(amps, f)
+        amps = reference_kron(FockSpace((len(amps), len(f))), amps, f)
     return amps
 
 
@@ -624,6 +687,14 @@ def test_builders_equal_their_basis_sum_forms(lane, nmax):
 # --- pattern -------------------------------------------------------------------
 
 
+def reference_samples(space, d, c, phis):
+    """d + 2 Re(c e^{i phi}) clipped at zero: numpy's complex product, or on a space of the
+    scalar engine Re(c e^{i phi}) from float64 parts."""
+    e = np.exp(1j * phis)
+    re = c.real * e.real - c.imag * e.imag if _scalar(space) else np.real(c * e)
+    return np.clip(d + 2.0 * re, 0.0, None)
+
+
 def test_pattern_samples_are_the_clipped_closed_form():
     rng = np.random.default_rng(2)
     space = FockSpace((6, 6))
@@ -636,7 +707,7 @@ def test_pattern_samples_are_the_clipped_closed_form():
         for nsamples in (16, 64, 256):
             d, c = mean_intensity(m), coherence_sum(m)
             phis = 2.0 * np.pi * np.arange(nsamples) / nsamples
-            expected = np.clip(d + 2.0 * np.real(c * np.exp(1j * phis)), 0.0, None)
+            expected = reference_samples(m.space, d, c, phis)
             scan = pattern(m, nsamples)
             assert same_bits(scan.phis, phis)
             assert same_bits(scan.intensities, expected)
@@ -651,6 +722,10 @@ def test_unit_circle_table_is_read_only_and_the_fresh_formula(nsamples):
     assert same_bits(circle, np.exp(1j * fresh))
     assert not phis.flags.writeable and not circle.flags.writeable
     assert _unit_circle(nsamples)[1] is circle
+    # the scalar engine's lists: the same grid, and cos + i sin with exp's bits
+    values = _unit_circle(nsamples, True)
+    assert same_bits(np.array(values[0]), fresh) and same_bits(np.array(values[1]), circle)
+    assert _unit_circle(nsamples, True) is values
 
 
 def test_interleaved_sample_counts_give_identical_bytes():
@@ -662,8 +737,7 @@ def test_interleaved_sample_counts_give_identical_bytes():
         phis = 2.0 * np.pi * np.arange(nsamples) / nsamples
         scan = pattern(m, nsamples)
         assert same_bits(scan.phis, phis)
-        assert same_bits(scan.intensities,
-                         np.clip(d + 2.0 * np.real(c * np.exp(1j * phis)), 0.0, None))
+        assert same_bits(scan.intensities, reference_samples(m.space, d, c, phis))
 
 
 # --- memory ----------------------------------------------------------------------

@@ -89,15 +89,17 @@ def test_startup_cost_splits_every_kind(tmp_path):
     assert lines[1].split() == ["kind", "start", "package", "front", "main", "exit", "total",
                                  "compile", "numpy"]
     rows = [line.split() for line in lines[2:]]
-    assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "whichway",
-                                        "report", "reject", "reject3", "help", "version"]
+    assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "sweep_dense",
+                                        "whichway", "report", "reject", "reject3", "help",
+                                        "version"]
     for row in rows:
         parts = [float(ms) for ms in row[1:7]]
         assert all(ms > 0 for ms in parts)
         assert abs(sum(parts[:-1]) - parts[-1]) < 0.5
         assert 0 < float(row[7]) < parts[-1]
-    # only the calls that compute load numpy; the truncation refusal is settled before
-    assert [row[-1] for row in rows] == ["yes"] * 5 + ["no"] * 4
+    # only report loads numpy: every other call computes, if at all, at the default nmax,
+    # whose spaces are the scalar engine's; the truncation refusal is settled before
+    assert [row[-1] for row in rows] == ["no"] * 5 + ["yes"] + ["no"] * 4
     assert list(tmp_path.iterdir()) == []
 
 

@@ -218,8 +218,8 @@ def test_visibility_one_requires_common_phase():
 
 def test_full_contrast_that_rounds_above_one_is_one():
     # D's unit paths at beta 0: 2|S|/d rounds to 1.0000000000000002 at this alpha, and the
-    # sample at phi = pi, d - 2|S|, to -2.7e-20
-    m, _ = _run(ScenarioSpec(Config.D, beta=0, alpha=-0.5576114281979072,
+    # sample at phi = pi, d - 2|S|, to -5.4e-20
+    m, _ = _run(ScenarioSpec(Config.D, beta=0, alpha=-0.38061854646744075,
                              treatment=Treatment.FIRST_ORDER))
     assert 2.0 * abs(coherence_sum(m)) / mean_intensity(m) > 1.0
     assert visibility(m) == 1.0
