@@ -141,8 +141,10 @@ MUTANTS = (
     Mutant("eraser applies its inverse",
            "_INVERSE_ROWS if inverse else _ERASER_ROWS",
            "_ERASER_ROWS if inverse else _INVERSE_ROWS"),
-    Mutant("eraser a reflection", "[complex(-_ROOT_HALF), complex(_ROOT_HALF)]]",
-           "[complex(_ROOT_HALF), complex(-_ROOT_HALF)]]"),
+    Mutant("eraser a reflection", "for level in ((1, 0), (0, 1))]",
+           "for level in ((0, 1), (1, 0))]"),
+    Mutant("eraser columns the sym and antisym sectors", "for name in (\"antisym\", \"sym\")]",
+           "for name in (\"sym\", \"antisym\")]"),
     Mutant("excitation pair swapped", "return space.mode_dims[1], 1",
            "return 1, space.mode_dims[1]"),
     Mutant("rotation skips any zero pair",
@@ -164,17 +166,20 @@ MUTANTS = (
                       "path whose amplitudes carry the sign differs"),
     Mutant("sector lookup ignores its negation",
            "space, negated=sector.startswith(\"-\"))", "space, negated=False)"),
+    Mutant("long-pulse sector not the projector's column",
+           "return named_projector(name, space)._columns[0]",
+           "return _shared_state(space, _flat_terms(name, space.mode_dims))"),
     # spec: the marker sectors that the long pulses and the projectors share
     Mutant("atom1_excited on slit 2", "\"atom1_excited\": (((1, 0), 1.0),)",
            "\"atom1_excited\": (((0, 1), 1.0),)"),
-    Mutant("sym the antisymmetric mode", "((0, 1), 1.0 / math.sqrt(2.0))),",
-           "((0, 1), -1.0 / math.sqrt(2.0))),"),
-    Mutant("antisym the symmetric mode", "((0, 1), -1.0 / math.sqrt(2.0)))}",
-           "((0, 1), 1.0 / math.sqrt(2.0)))}"),
+    Mutant("sym the antisymmetric mode", "((0, 1), _ROOT_HALF)),", "((0, 1), -_ROOT_HALF)),"),
+    Mutant("antisym the symmetric mode", "((0, 1), -_ROOT_HALF))}", "((0, 1), _ROOT_HALF))}"),
     Mutant("single_atom levels swapped",
            "\"single_atom_0\": (((0,), 1.0),),\n            \"single_atom_1\": (((1,), 1.0),)",
            "\"single_atom_0\": (((1,), 1.0),),\n            \"single_atom_1\": (((0,), 1.0),)"),
     # fockspace
+    Mutant("superposition overwrites its zero", "amps[k] = complex(amps[k]) + c",
+           "amps[k] = complex(c)"),
     Mutant("inner conjugates its second slot",
            "return complex(np.vdot(u.amplitudes, v.amplitudes))",
            "return complex(np.vdot(v.amplitudes, u.amplitudes))"),

@@ -17,9 +17,10 @@ each part of a child's wall time is reported as its median:
   exit       the child's wall time after `main` returns: the atexit handlers,
              the stdio flush and `os._exit`, which skips module cleanup
 
-Two last columns say how many of the total ms the child spent compiling
+Three last columns say how many of the total ms the child spent compiling
 atomslits' own source (`compile`, 0 where every module loads from its
-bytecode cache) and whether numpy was loaded when `main` returned.
+bytecode cache), and whether numpy and dataclasses (which brings inspect,
+ast, dis and tokenize) were loaded when `main` returned.
 
 The child stamps CLOCK_MONOTONIC, which all processes share, after each part
 and writes the stamps to stderr when `main` returns; the parent stamps the
@@ -90,8 +91,8 @@ main = front.main
 def stamped_main(argv=None):
     code = main(argv)
     stamps.append(time.clock_gettime(time.CLOCK_MONOTONIC))
-    numpy = "yes" if "numpy" in sys.modules else "no"
-    line = " ".join(map(repr, stamps + [compiling[0] * 1e3])) + " " + numpy
+    loaded = ["yes" if name in sys.modules else "no" for name in ("numpy", "dataclasses")]
+    line = " ".join([*map(repr, stamps + [compiling[0] * 1e3]), *loaded])
     os.write(2, ("\\n{STAMPS} " + line + "\\n").encode())
     return code
 
@@ -103,7 +104,7 @@ front.entry()
 
 def split_one(argv, expected):
     """The ms of each of PARTS in one fresh child running argv, the ms it spent compiling
-    atomslits' source, and whether it loaded numpy."""
+    atomslits' source, and whether it loaded numpy and dataclasses."""
     launched = time.clock_gettime(time.CLOCK_MONOTONIC)
     child = subprocess.run([sys.executable, "-c", CHILD, *argv], stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, text=True, timeout=600)
@@ -112,9 +113,10 @@ def split_one(argv, expected):
     if child.returncode != expected or not found:
         sys.exit(f"startup_cost: {' '.join(argv)} exited {child.returncode}, "
                  f"expected {expected}:\n{child.stderr}")
-    *stamped, compiling, numpy = line.split()
+    *stamped, compiling, numpy, dataclasses = line.split()
     stamps = [launched, *map(float, stamped), reaped]
-    return [(b - a) * 1e3 for a, b in zip(stamps, stamps[1:])], float(compiling), numpy
+    return ([(b - a) * 1e3 for a, b in zip(stamps, stamps[1:])], float(compiling),
+            (numpy, dataclasses))
 
 
 def main(argv=None):
@@ -125,20 +127,22 @@ def main(argv=None):
         parser.error("--runs must be >= 1")
     splits = {kind: [] for kind in KINDS}
     compiling = {kind: [] for kind in KINDS}
-    numpy = {}
+    loaded = {}
     for _ in range(args.runs):
         for kind, (call, expected) in KINDS.items():
-            parts, compile_ms, numpy[kind] = split_one(call, expected)
+            parts, compile_ms, loaded[kind] = split_one(call, expected)
             splits[kind].append(parts)
             compiling[kind].append(compile_ms)
     print(f"median of {args.runs} fresh children per kind, in ms, BLAS on one thread")
     print(f"{'kind':<14}" + "".join(f"{name:>11}"
-                                    for name in PARTS + ("total", "compile", "numpy")))
+                                    for name in PARTS + ("total", "compile", "numpy"))
+          + f"{'dataclasses':>12}")
     for kind, runs in splits.items():
         medians = [statistics.median(part) for part in zip(*runs)]
         total = statistics.median(sum(run) for run in runs)
         print(f"{kind:<14}" + "".join(f"{ms:>11.1f}" for ms in medians + [total])
-              + f"{statistics.median(compiling[kind]):>11.1f}{numpy[kind]:>11}")
+              + f"{statistics.median(compiling[kind]):>11.1f}{loaded[kind][0]:>11}"
+              + f"{loaded[kind][1]:>12}")
 
 
 if __name__ == "__main__":

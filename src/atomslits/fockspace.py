@@ -243,17 +243,15 @@ def _shared(table, space: FockSpace):
 
 def _superposition(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> FockVector:
     """sum_k c_k |k> over flat levels k, each c_k added to a zero: the bits of the
-    scaled basis-vector sum."""
+    scaled basis-vector sum. The engines differ only in the zeros they fill."""
     if _scalar(space):
-        values = [0j] * space.dim
-        for k, c in terms:
-            values[k] = values[k] + c
-        return FockVector._wrap(space, values)
-    import numpy as np
+        amps = [0j] * space.dim
+    else:
+        import numpy as np
 
-    amps = np.zeros(space.dim, dtype=np.complex128)
+        amps = np.zeros(space.dim, dtype=np.complex128)
     for k, c in terms:
-        amps[k] = amps.item(k) + c  # the IEEE sum numpy's scalar += forms
+        amps[k] = complex(amps[k]) + c  # one Python complex sum on either engine
     return FockVector._wrap(space, amps)
 
 

@@ -110,14 +110,16 @@ _REGIMES = {
 }
 _FIELD_CONFIGS = {field: config for config, regime in _REGIMES.items() for field in regime.fields}
 
-# The named marker sectors, the states a long pulse records the marker in and the projectors
-# of those names project on: the (occupations, amplitude) terms of each unit state. A sector
-# needs as many marker modes as its occupations have; ground, (), is the vacuum of any space.
+# The named marker sectors, the states a long pulse records the marker in, the projectors of
+# those names project on and (sym, antisym) the eraser's columns: the (occupations,
+# amplitude) terms of each unit state, 1/sqrt2 rounded once. A sector needs as many marker
+# modes as its occupations have; ground, (), is the vacuum of any space.
+_ROOT_HALF = 1.0 / math.sqrt(2.0)
 _SECTORS = {"ground": (((), 1.0),), "atom1_excited": (((1, 0), 1.0),),
             "atom2_excited": (((0, 1), 1.0),), "single_atom_0": (((0,), 1.0),),
             "single_atom_1": (((1,), 1.0),),
-            "sym": (((1, 0), 1.0 / math.sqrt(2.0)), ((0, 1), 1.0 / math.sqrt(2.0))),
-            "antisym": (((1, 0), 1.0 / math.sqrt(2.0)), ((0, 1), -1.0 / math.sqrt(2.0)))}
+            "sym": (((1, 0), _ROOT_HALF), ((0, 1), _ROOT_HALF)),
+            "antisym": (((1, 0), _ROOT_HALF), ((0, 1), -_ROOT_HALF))}
 PROJECTOR_NAMES = tuple(_SECTORS)
 
 

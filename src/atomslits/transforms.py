@@ -1,19 +1,21 @@
 """Post-scattering operations on two-path mixtures.
 
 Covers the which-way eraser (a pi/2 rotation of the degenerate excitation
-pair), beat evolution of weakly coupled slits, the frequency-selective pi
-phase flip of a dispersive optical element, and the named coincidence
-projectors exposed on the command line. Each transform returns a mixture that
-carries the common kick of the one it was given.
+pair, whose columns are the antisym and sym marker sectors), beat evolution of
+weakly coupled slits, the frequency-selective pi phase flip of a dispersive
+optical element, and the named coincidence projectors exposed on the command
+line. Each transform returns a mixture that carries the common kick of the one
+it was given.
 
 Every named marker sector of spec._SECTORS is one shared read-only fixed state
-of fockspace per space, which the long-pulse builders put on the paths and the
-projector of that name keeps as its column. Each named projector is built once
-per (name, space) and shared read-only, its column a view of that state and
-its U^dag the column's transpose, so it adds no array: a table of 16, which
-marker traffic's 3 two-mode spaces of 5 projectors fill, keeping at most 16
-columns alive, 7.5 MB at nmax 171. It is a bounded functools.lru_cache table,
-which is thread-safe.
+of fockspace per space, which the projector of that name keeps as its column
+and the long-pulse builders take from that projector, so a path stays that very
+column even where the fixed-state table has since dropped the state. Each named
+projector is built once per (name, space) and shared read-only, its column a
+view of that state and its U^dag the column's transpose, so it adds no array: a
+table of 16, which marker traffic's 3 two-mode spaces of 5 projectors fill,
+keeping at most 16 columns alive, 7.5 MB at nmax 171. It is a bounded
+functools.lru_cache table, which is thread-safe.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ __all__ = [
     "quarter_beat_time",
 ]
 
-# pi/2 rotation of the excitation pair, columns are the images of
-# |1,0> and |0,1>:  |1,0> -> (|1,0> - |0,1>)/sqrt2,  |0,1> -> (|1,0> + |0,1>)/sqrt2.
-# Each entry is +-1/sqrt2, rounded once, with a +0.0 imaginary part; the adjoint's are -0.0
-_ROOT_HALF = 1.0 / math.sqrt(2.0)
-_ERASER_ROWS = [[complex(_ROOT_HALF), complex(_ROOT_HALF)],
-                [complex(-_ROOT_HALF), complex(_ROOT_HALF)]]
+# pi/2 rotation of the excitation pair, a row per level |1,0>, |0,1>; its columns, the images
+# of those levels, are the antisym and sym sectors (|1,0> -+ |0,1>)/sqrt2, each entry with a
+# +0.0 imaginary part; the adjoint's are -0.0
+_ERASER_ROWS = [[complex(dict(_SECTORS[name])[level]) for name in ("antisym", "sym")]
+                for level in ((1, 0), (0, 1))]
 _INVERSE_ROWS = [[z.conjugate() for z in column] for column in zip(*_ERASER_ROWS)]  # its adjoint
 
 
@@ -60,8 +61,11 @@ def _flat_terms(name: str, mode_dims: tuple[int, ...]) -> tuple[tuple[int, float
 
 def _sector(name: str, space: FockSpace, negated: bool = False) -> FockVector:
     """The unit state of the named marker sector on a space of as many modes as its
-    occupations (ground: any), or its negation, read only and shared."""
-    return _shared_state(space, _flat_terms(name, space.mode_dims), negated)
+    occupations (ground: any), or its negation, read only and shared: the named
+    projector's own column, so a long-pulse path is that very vector."""
+    if negated:
+        return _shared_state(space, _flat_terms(name, space.mode_dims), True)
+    return named_projector(name, space)._columns[0]
 
 
 def _is_plus_zero(z: complex) -> bool:
@@ -176,4 +180,4 @@ def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     spaces; each of the 16 entries keeps its column alive, whose transpose is
     its U^dag, at most 16 x 467,856 = 7,485,696 bytes at nmax 171."""
     check_modes(len(mode_dims), name)
-    return Projector._wrap(_sector(name, _space(mode_dims)), name)
+    return Projector._wrap(_shared_state(_space(mode_dims), _flat_terms(name, mode_dims)), name)

@@ -240,14 +240,6 @@ class Projector(_Frozen):
             images[id(v)] = out
         return out
 
-    def apply(self, v: FockVector) -> FockVector:
-        if v.space != self.space:
-            raise SpaceMismatchError(
-                f"projector '{self.name}' is defined on {self.space.mode_dims}, "
-                f"state lives in {v.space.mode_dims}"
-            )
-        return self._image(v, {})
-
 
 @dataclass(frozen=True, eq=False)
 class PatternScan:

@@ -5,11 +5,13 @@ plain Python, and a larger one with numpy. Setting that constant to 1 sends
 every space to numpy, so the same chains run through both engines: their
 numbers agree to rounding, and every refusal is the same. The scalar engine's
 sum replays np.add.reduce, and sweep's grid replays np.linspace; both are
-checked bit for bit against numpy itself.
+checked bit for bit against numpy itself. fockspace._superposition, one loop
+for both engines, is checked bit for bit against a reference loop per engine.
 """
 
 import cmath
 import contextlib
+import math
 import random
 
 import numpy as np
@@ -101,6 +103,43 @@ def test_both_engines_give_one_whichway_readout(beta, delta, nmax):
     assert refused == refused_np
     if not refused:
         assert max(abs(a - b) for a, b in zip(scalar, dense)) <= TOLERANCE
+
+
+def scalar_reference(dim, terms):
+    """The scalar engine's superposition as a loop of its own: each coefficient added to a
+    0j of a list."""
+    values = [0j] * dim
+    for k, c in terms:
+        values[k] = values[k] + c
+    return np.array(values)
+
+
+def numpy_reference(dim, terms):
+    """The numpy engine's superposition as a loop of its own: each coefficient added to the
+    Python complex item of a zeroed array."""
+    amps = np.zeros(dim, dtype=np.complex128)
+    for k, c in terms:
+        amps[k] = amps.item(k) + c
+    return amps
+
+
+@pytest.mark.parametrize("terms", [
+    ((4, 1.0),),
+    ((0, math.sqrt(1.0 - 0.09)), (3, complex(0.3, -0.0))),  # a first-order marker
+    ((2, 0.1), (2, 0.2), (2, complex(-0.5, 0.25))),  # a repeated level
+    ((1, -0.0), (5, complex(-0.0, -0.0)), (5, -0.0)),  # signed zeros added to zeros
+    ((8, complex(-1e-310, 2.5)), (8, -0.0), (7, complex(0.0, -1.0))),
+    (),
+])
+def test_superposition_has_each_engines_reference_bits(terms):
+    space = fockspace._space((3, 3))
+    scalar = fockspace._superposition(space, terms)
+    assert "_values" in scalar.__dict__
+    assert scalar.amplitudes.tobytes() == scalar_reference(space.dim, terms).tobytes()
+    with numpy_engine():
+        dense = fockspace._superposition(space, terms)
+    assert "_values" not in dense.__dict__
+    assert dense.amplitudes.tobytes() == numpy_reference(space.dim, terms).tobytes()
 
 
 def draws(rng, n):

@@ -87,7 +87,7 @@ def test_startup_cost_splits_every_kind(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0] == "median of 1 fresh children per kind, in ms, BLAS on one thread"
     assert lines[1].split() == ["kind", "start", "package", "front", "main", "exit", "total",
-                                 "compile", "numpy"]
+                                 "compile", "numpy", "dataclasses"]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["pattern_csv", "pattern_json", "sweep", "sweep_dense",
                                         "whichway", "report", "reject", "reject3", "help",
@@ -99,7 +99,9 @@ def test_startup_cost_splits_every_kind(tmp_path):
         assert 0 < float(row[7]) < parts[-1]
     # only report loads numpy: every other call computes, if at all, at the default nmax,
     # whose spaces are the scalar engine's; the truncation refusal is settled before
-    assert [row[-1] for row in rows] == ["no"] * 5 + ["yes"] + ["no"] * 4
+    assert [row[-2] for row in rows] == ["no"] * 5 + ["yes"] + ["no"] * 4
+    # every call that computes loads dataclasses, for twopath's PatternScan; no refusal does
+    assert [row[-1] for row in rows] == ["yes"] * 6 + ["no"] * 4
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,10 +1,11 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from atomslits import spec
+from atomslits import spec, transforms
 from atomslits.errors import SpaceMismatchError
 from atomslits.fockspace import FockSpace, FockVector, basis_state, ground_state
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
@@ -228,7 +229,7 @@ def test_named_projectors_orthogonal_and_complete():
     assert np.max(np.abs(sym.columns.conj().T @ antisym.columns)) < 1e-15
     for occ in ((0, 0), (1, 0), (0, 1)):
         v = basis_state(TWO, occ)
-        resolved = sum(p.apply(v).amplitudes for p in (sym, antisym, ground))
+        resolved = sum(p._image(v, {}).amplitudes for p in (sym, antisym, ground))
         assert np.max(np.abs(resolved - v.amplitudes)) < 1e-12
 
 
@@ -271,6 +272,18 @@ def test_long_pulse_paths_are_the_projector_columns(config):
                 assert path.amplitudes.tobytes() == column.tobytes()
 
 
+def test_a_long_pulse_path_stays_the_projector_column_when_the_state_table_turns_over():
+    projectors = {name: named_projector(name, TWO) for name in ("ground", "sym")}
+    many = FockSpace((40,))
+    for n in range(40):  # more fixed states than the table holds: TWO's are dropped
+        basis_state(many, (n,))
+    m = build(ScenarioSpec(Config.E, Pulse.LONG, beta=0.3, nmax=3))
+    assert m.space == TWO
+    elastic, sym = m.components[:2]
+    assert elastic.psi1 is projectors["ground"]._columns[0]
+    assert sym.psi1 is sym.psi2 is projectors["sym"]._columns[0]
+
+
 def test_check_modes_takes_each_sector_on_as_many_modes_as_its_occupations():
     modes = {"ground": 0, "atom1_excited": 2, "atom2_excited": 2, "single_atom_0": 1,
              "single_atom_1": 1, "sym": 2, "antisym": 2}
@@ -298,7 +311,21 @@ def test_ground_projector_works_on_any_space():
     assert np.count_nonzero(p.columns) == 1
     g = ground_state(TWO)
     p2 = named_projector("ground", TWO)
-    assert np.max(np.abs(p2.apply(g).amplitudes - g.amplitudes)) < 1e-15
+    assert np.max(np.abs(p2._image(g, {}).amplitudes - g.amplitudes)) < 1e-15
+
+
+def _bits(rows):
+    """The float64 parts of each entry, as bytes: tells -0.0 from +0.0."""
+    return [[struct.pack("<dd", z.real, z.imag) for z in row] for row in rows]
+
+
+def test_eraser_rows_are_the_literal_rotation_to_the_bit():
+    # the rows built from the antisym and sym sectors, against their literal statement
+    r = 1.0 / math.sqrt(2.0)
+    assert _bits(transforms._ERASER_ROWS) == _bits([[complex(r, 0.0), complex(r, 0.0)],
+                                                    [complex(-r, 0.0), complex(r, 0.0)]])
+    assert _bits(transforms._INVERSE_ROWS) == _bits([[complex(r, -0.0), complex(-r, -0.0)],
+                                                     [complex(r, -0.0), complex(r, -0.0)]])
 
 
 # --- dense references -----------------------------------------------------
@@ -363,7 +390,7 @@ def test_named_projectors_equal_dense_outer_product():
         for index, value in entries.items():
             u[index] = value
         v = FockVector(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
-        got = named_projector(name, space).apply(v).amplitudes
+        got = named_projector(name, space)._image(v, {}).amplitudes
         assert np.max(np.abs(got - np.outer(u, u.conj()) @ v.amplitudes)) < 1e-15
 
 
@@ -382,7 +409,7 @@ def test_chain_results_are_read_only_with_exact_cached_norm():
         condition(m, custom)[0],
     ]
     paths = [p for out in steps for c in out.components for p in (c.psi1, c.psi2)]
-    paths.append(custom.apply(m.components[0].psi1))
+    paths.append(custom._image(m.components[0].psi1, {}))
     for v in paths:
         assert not v.amplitudes.flags.writeable
         # the scalar engine's norm on this 36-level space: its squared magnitudes summed by
@@ -400,4 +427,5 @@ def test_projector_apply_is_u_times_u_dagger_v_bit_for_bit():
         projector = named_projector(name, space)
         u = projector.columns
         v = m.components[0].psi2
-        assert np.array_equal(projector.apply(v).amplitudes, u @ (u.conj().T @ v.amplitudes))
+        assert np.array_equal(projector._image(v, {}).amplitudes,
+                              u @ (u.conj().T @ v.amplitudes))
