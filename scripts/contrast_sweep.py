@@ -15,9 +15,8 @@ import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
 from atomslits import closedform
+from atomslits.cli import _grid
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
 from atomslits.twopath import visibility
 
@@ -36,21 +35,20 @@ CASES = [
 
 def _rows(config, pulse, treatment, args) -> list[tuple[float, float, float, float]]:
     """(beta, simulated V, closed-form V, |deviation|) of one case on the beta grid."""
+    contrast = (closedform.contrast_exact if treatment is Treatment.EXACT
+                else closedform.first_order_contrast)
     rows = []
-    for b in np.linspace(0.0, args.beta_max, args.steps):
+    for b in _grid(0.0, args.beta_max, args.steps):  # np.linspace's points, without numpy
         spec = ScenarioSpec(
             config=config,
             pulse=pulse,
-            beta=float(b),
+            beta=b,
             alpha=args.alpha if config is Config.D else 0.0,
             treatment=treatment,
         )
         vis = visibility(build(spec))
-        if treatment is Treatment.EXACT and config is not Config.A:
-            ref = closedform.contrast_exact(config, float(b))
-        else:
-            ref = closedform.first_order_contrast(config, float(b))
-        rows.append((float(b), vis, ref, abs(vis - ref)))
+        ref = contrast(config, b)
+        rows.append((b, vis, ref, abs(vis - ref)))
     return rows
 
 

@@ -73,6 +73,7 @@ MUTANTS = (
            "return conditioned, mean_intensity(conditioned) / m.total_weight"),
     Mutant("U^dag without the conjugate for every column",
            "adjoint = u.conj().T if u.imag.any() else u.T", "adjoint = u.T"),
+    Mutant("public projectors take the one-hot shortcut", "_single = False", "_single = True"),
     # cli and front: the CSV lines read the JSON payload; a library fault exits 1
     Mutant("whichway CSV reference lines all read p_plus",
            "meta.update((key, payload[key]) for key in\n                (\"p_plus\",",
@@ -169,6 +170,8 @@ MUTANTS = (
     Mutant("long-pulse sector not the projector's column",
            "return named_projector(name, space)._columns[0]",
            "return _shared_state(space, _flat_terms(name, space.mode_dims))"),
+    Mutant("one-hot shortcut on a two-term sector", "len(terms) == 1 and terms[0][1] == 1.0",
+           "len(terms) <= 2"),
     # spec: the marker sectors that the long pulses and the projectors share
     Mutant("atom1_excited on slit 2", "\"atom1_excited\": (((1, 0), 1.0),)",
            "\"atom1_excited\": (((0, 1), 1.0),)"),

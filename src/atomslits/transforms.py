@@ -180,4 +180,6 @@ def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     spaces; each of the 16 entries keeps its column alive, whose transpose is
     its U^dag, at most 16 x 467,856 = 7,485,696 bytes at nmax 171."""
     check_modes(len(mode_dims), name)
-    return Projector._wrap(_shared_state(_space(mode_dims), _flat_terms(name, mode_dims)), name)
+    terms = _flat_terms(name, mode_dims)
+    return Projector._wrap(_shared_state(_space(mode_dims), terms), name,
+                           len(terms) == 1 and terms[0][1] == 1.0)

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 from .errors import EmptyPatternError, SpaceMismatchError
 from .fockspace import FockSpace, FockVector, _mul, _scalar, _sum, inner
-from .spec import FreqTag, _Frozen, _member, check_kick, check_nsamples
+from .spec import FreqTag, _Frozen, _member, _squared_abs, check_kick, check_nsamples
 
 __all__ = [
     "FreqTag",
@@ -139,9 +139,12 @@ class Projector(_Frozen):
     The columns are copied in and must be finite, with a Gram matrix U^dag U
     idempotent within 1e-12, which is exactly when U U^dag is an orthogonal
     projector, and each column must be exactly zero or of unit norm within 1e-12.
+    Only a named projector of a one-term sector at amplitude 1 gives its images a
+    known norm; a constructed one's images sum theirs densely, to the same bits.
     """
 
     _fields = ("space", "columns", "name")
+    _single = False  # U is a number state at amplitude 1, as spec._SECTORS tells _wrap
 
     def __init__(self, space: FockSpace, columns: np.ndarray, name: str = "custom") -> None:
         import numpy as np
@@ -171,11 +174,11 @@ class Projector(_Frozen):
         self.__dict__.update(space=space, columns=u, name=name)
 
     @classmethod
-    def _wrap(cls, state: FockVector, name: str) -> "Projector":
+    def _wrap(cls, state: FockVector, name: str, single: bool) -> "Projector":
         """The rank-one projector onto a unit state the package has built, kept as its
-        column without a copy or the constructor's checks."""
+        column without a copy or the constructor's checks; single: one level at 1."""
         p = object.__new__(cls)
-        p.__dict__.update(space=state.space, name=name, _columns=(state,))
+        p.__dict__.update(space=state.space, name=name, _columns=(state,), _single=single)
         return p
 
     @cached_property
@@ -195,17 +198,6 @@ class Projector(_Frozen):
         adjoint = u.conj().T if u.imag.any() else u.T
         adjoint.setflags(write=False)
         return adjoint
-
-    @cached_property
-    def _single(self) -> bool:
-        """One column whose only nonzero entry is exactly 1, as for a number state."""
-        if _scalar(self.space):
-            values = self._columns[0]._values if len(self._columns) == 1 else [0j]
-            return values.count(0) == len(values) - 1 and 1 in values
-        import numpy as np
-
-        u = self.columns
-        return u.shape[1] == 1 and int(np.count_nonzero(u)) == 1 and bool((u == 1).any())
 
     def _image(self, v: FockVector, images: dict) -> FockVector:
         """U (U^dag v), kept in `images` by id(v) (v alive in the caller) and by U^dag v's bits.
@@ -236,7 +228,7 @@ class Projector(_Frozen):
                 out = images[key] = FockVector._wrap(self.space, amps)
                 if self._single:  # s at one level, +-0 elsewhere: each norm sum adds one
                     z = s[0] if scalar else s.item()  # rounded square to exact zeros, in any order
-                    out.__dict__["_norm"] = math.sqrt(z.real * z.real + z.imag * z.imag)
+                    out.__dict__["_norm"] = math.sqrt(_squared_abs(z))
             images[id(v)] = out
         return out
 

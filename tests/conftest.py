@@ -5,6 +5,12 @@ do not depend on the machine's load, and keeps no example database. Hypothesis
 also caches the constants it finds in local source files; that cache goes to a
 temporary directory removed when pytest finishes, so a test run leaves no
 .hypothesis/ directory behind.
+
+Derandomized draws are fixed for one source tree, not across edits of it:
+hypothesis mixes the float literals of the loaded atomslits modules into its
+draws, so editing a literal in src/ can change which examples tier-1 runs, and
+with them the traffic of every lru table later tests share (CHANGES.md
+records how a spec literal once changed the chains tests/test_engines.py draws).
 """
 
 import tempfile

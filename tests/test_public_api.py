@@ -83,6 +83,18 @@ def test_package_unknown_name_is_the_standard_attribute_error():
         atomslits.nope
 
 
+def test_the_version_is_stated_once():
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "atomslits._version.__version__"
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) is atomslits.__version__
+
+
 def test_package_import_loads_no_numpy_and_binds_a_name_on_first_use():
     script = ("import sys, atomslits\n"
               "numpy, before = 'numpy' in sys.modules, 'build' in vars(atomslits)\n"

@@ -35,7 +35,7 @@ from atomslits.fockspace import (
     zero_vector,
 )
 from atomslits.scenarios import Config, Pulse, ScenarioSpec, Treatment, build
-from atomslits.spec import _poisson_tail
+from atomslits.spec import _SECTORS, _poisson_tail
 from atomslits.transforms import (
     PROJECTOR_NAMES,
     _named_projector,
@@ -539,6 +539,37 @@ def test_single_entry_projector_images_carry_the_dense_norm(nmax, nmodes):
             assert "_norm" in image.__dict__, name  # known before any dense sum
             assert same_bits(np.float64(image.norm()),
                              reference_norm(space, image.amplitudes)), name
+
+
+@pytest.mark.parametrize("nmax", [2, 16, 17, 64])
+@pytest.mark.parametrize("nmodes", [1, 2])
+def test_only_a_one_term_sector_at_one_takes_the_known_norm(nmax, nmodes):
+    space = FockSpace((nmax,) * nmodes)
+    taken = []
+    for name in PROJECTOR_NAMES:
+        try:
+            projector = named_projector(name, space)
+        except ValueError:  # a projector for the other marker space
+            continue
+        taken.append(name)
+        one_term_at_one = [amplitude for _, amplitude in _SECTORS[name]] == [1.0]
+        assert one_term_at_one == (name in SINGLE_ENTRY_PROJECTORS[nmodes]), name
+        assert projector._single is one_term_at_one, name
+    assert len(taken) == (3 if nmodes == 1 else 5)
+
+
+@pytest.mark.parametrize("dims", [(16,), (17,), (64, 64)])
+def test_constructed_one_hot_projector_images_sum_their_norms_densely(dims):
+    space = FockSpace(dims)
+    rng = np.random.default_rng(sum(dims))
+    level = space.dim // 3
+    column = np.zeros((space.dim, 1), dtype=np.complex128)
+    column[level] = 1.0
+    projector = Projector(space, column)
+    for v in edge_vectors(rng, space, level):
+        image = projector._image(v, {})
+        assert "_norm" not in image.__dict__  # summed densely when first read
+        assert same_bits(np.float64(image.norm()), reference_norm(space, image.amplitudes))
 
 
 @pytest.mark.parametrize("nmax", [2, 16, 64])

@@ -34,6 +34,20 @@ def test_contrast_sweep_writes_one_csv_per_case(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
 
 
+def test_contrast_sweep_loads_no_numpy(tmp_path):
+    # sitecustomize runs before the script, so its atexit hook sees the modules it loaded
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    (hooks / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'numpy {\"numpy\" in sys.modules}\\n'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(hooks), SRC)))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "contrast_sweep.py"),
+                             "--outdir", str(tmp_path / "sweep")],
+                            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "numpy False\n")
+
+
 @pytest.mark.parametrize("args,message", [
     (["--steps", "0"], "--steps must be >= 1"),
     # the first three cases pass up to 0.8; B's long pulse refuses beta 0.72, the grid's
