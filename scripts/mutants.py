@@ -138,6 +138,12 @@ MUTANTS = (
            "(\"sym\", \"sym\", FreqTag.SYM, 0.25)"),
     Mutant("E long antisymmetric mode in phase", "(\"antisym\", \"-antisym\",",
            "(\"antisym\", \"antisym\","),
+    Mutant("sector lookup ignores its negation",
+           "return -column if sector.startswith(\"-\") else column", "return column"),
+    Mutant("long-pulse sector not the projector's column",
+           "column = transforms.named_projector(sector.lstrip(\"-\"), space)._columns[0]",
+           "column = transforms._shared_state(space, tuple((space.index(o) if o else 0, a) "
+           "for o, a in transforms._SECTORS[sector.lstrip(\"-\")]))"),
     # transforms
     Mutant("eraser applies its inverse",
            "_INVERSE_ROWS if inverse else _ERASER_ROWS",
@@ -165,11 +171,6 @@ MUTANTS = (
            equivalent="-<psi1|psi2> = <psi1|-psi2> to the bit and ||-psi|| = ||psi||, so V, the "
                       "phase, the post-selection and every intensity are unchanged; only the "
                       "path whose amplitudes carry the sign differs"),
-    Mutant("sector lookup ignores its negation",
-           "space, negated=sector.startswith(\"-\"))", "space, negated=False)"),
-    Mutant("long-pulse sector not the projector's column",
-           "return named_projector(name, space)._columns[0]",
-           "return _shared_state(space, _flat_terms(name, space.mode_dims))"),
     Mutant("one-hot shortcut on a two-term sector", "len(terms) == 1 and terms[0][1] == 1.0",
            "len(terms) <= 2"),
     # spec: the marker sectors that the long pulses and the projectors share

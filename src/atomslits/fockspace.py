@@ -20,9 +20,9 @@ states and operators can be shared across threads without coordination. The
 spaces the package builds are interned by dims: equal dims give one shared
 FockSpace object. The per-nmax level table of the coherent series is computed
 once and held read-only, and so is each fixed state (basis_state,
-ground_state, zero_vector, the marker sectors of spec._SECTORS and their
-negations), one per (space, state) with its norm, in a table of 32 that holds at
-most 15.0 MB at nmax 171; spaces of more than 171**2 levels get new arrays.
+ground_state, zero_vector and the marker sectors of spec._SECTORS), one per
+(space, state) with its norm, in a table of 32 that holds at most 15.0 MB at nmax
+171; spaces of more than 171**2 levels get new arrays.
 All live in small bounded functools.lru_cache tables, which are thread-safe.
 """
 
@@ -256,24 +256,21 @@ def _superposition(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> 
 
 
 @lru_cache(maxsize=32)
-def _fixed_state(mode_dims: tuple[int, ...], terms: tuple[tuple[int, complex], ...],
-                 negated: bool) -> FockVector:
-    """_superposition on the shared space of these dims, or its negation, read only.
+def _fixed_state(mode_dims: tuple[int, ...], terms: tuple[tuple[int, complex], ...]) -> FockVector:
+    """_superposition on the shared space of these dims, read only.
 
     Number states, the empty path and the marker sectors are computed once and
-    shared with their norm once computed. Marker traffic uses about 8 per
-    space; the 32 entries hold at most 32 x 467,856 = 14,971,392 bytes at nmax
-    171.
+    shared with their norm once computed. Marker traffic uses 7 per nmax, 6 on
+    its two-mode space; the 32 entries hold at most 32 x 467,856 = 14,971,392
+    bytes at nmax 171.
     """
-    v = _superposition(_space(mode_dims), terms)
-    return -v if negated else v
+    return _superposition(_space(mode_dims), terms)
 
 
-def _shared_state(space: FockSpace, terms: tuple[tuple[int, complex], ...],
-                  negated: bool = False) -> FockVector:
+def _shared_state(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> FockVector:
     """_fixed_state for this space. Its coefficients must be fixed and nonzero: +0.0
     and -0.0 would be one key with two results."""
-    return _shared(_fixed_state, space)(space.mode_dims, terms, negated)
+    return _shared(_fixed_state, space)(space.mode_dims, terms)
 
 
 def basis_state(space: FockSpace, occupations: Sequence[int]) -> FockVector:

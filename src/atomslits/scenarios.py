@@ -150,13 +150,13 @@ def _build_E_short(spec: ScenarioSpec) -> TwoPathMixture:
 
 
 # What a long pulse records besides the elastic line: each outcome's marker sector on path 1
-# and on path 2 (a name of spec._SECTORS, "-name" its negation, None an empty path), its tag
-# and its share of eps^2 |b|^2. B: a shifted photon excites its own slit's atom, which pins
-# it to that slit; a one-path component carries half the two-path baseline, so share 1 lands
-# at the |b|^2/2 outcome fraction. C: the shifted line leaves the atom in |1> with a
-# path-antisymmetric sign, a pi-shifted fringe of full contrast. E: the normal modes are the
-# recorded eigenstates, |b|^2/2 each; the antisymmetric one fringes pi-shifted, and neither
-# marks a path.
+# and on path 2 (a name of spec._SECTORS, "-name" its negation, a sign _path applies, None an
+# empty path), its tag and its share of eps^2 |b|^2. B: a shifted photon excites its own
+# slit's atom, which pins it to that slit; a one-path component carries half the two-path
+# baseline, so share 1 lands at the |b|^2/2 outcome fraction. C: the shifted line leaves the
+# atom in |1> with a path-antisymmetric sign, a pi-shifted fringe of full contrast. E: the
+# normal modes are the recorded eigenstates, |b|^2/2 each; the antisymmetric one fringes
+# pi-shifted, and neither marks a path.
 _OUTCOMES = {
     Config.B: (("atom1_excited", None, FreqTag.SHIFTED, 1.0),
                (None, "atom2_excited", FreqTag.SHIFTED, 1.0)),
@@ -167,17 +167,20 @@ _OUTCOMES = {
 
 
 def _path(sector: str | None, space) -> FockVector:
-    """The state an _OUTCOMES entry names on this space, read only and shared."""
+    """The state an _OUTCOMES entry names on this space, read only: the named projector's
+    own column, so the path is that very vector, or for "-name" its negation; None is the
+    shared empty path."""
     if sector is None:
         return zero_vector(space)
-    return transforms._sector(sector.lstrip("-"), space, negated=sector.startswith("-"))
+    column = transforms.named_projector(sector.lstrip("-"), space)._columns[0]
+    return -column if sector.startswith("-") else column
 
 
 def _build_long(spec: ScenarioSpec) -> TwoPathMixture:
     """Frequency-resolved pulse, an incoherent mixture: the elastic line on the ground
     marker at weight eps^2 (1-|b|^2), then each of the config's _OUTCOMES."""
     space = _space((spec.nmax,) * _REGIMES[spec.config].modes)
-    b2, eps2, g = _squared_abs(spec.beta), spec.epsilon**2, transforms._sector("ground", space)
+    b2, eps2, g = _squared_abs(spec.beta), spec.epsilon**2, _path("ground", space)
     return _mixture((g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
                     *((_path(sector1, space), _path(sector2, space), tag, eps2 * b2 * share)
                       for sector1, sector2, tag, share in _OUTCOMES[spec.config]))

@@ -8,14 +8,14 @@ line. Each transform returns a mixture that carries the common kick of the one
 it was given.
 
 Every named marker sector of spec._SECTORS is one shared read-only fixed state
-of fockspace per space, which the projector of that name keeps as its column
-and the long-pulse builders take from that projector, so a path stays that very
-column even where the fixed-state table has since dropped the state. Each named
-projector is built once per (name, space) and shared read-only, its column a
-view of that state and its U^dag the column's transpose, so it adds no array: a
-table of 16, which marker traffic's 3 two-mode spaces of 5 projectors fill,
-keeping at most 16 columns alive, 7.5 MB at nmax 171. It is a bounded
-functools.lru_cache table, which is thread-safe.
+of fockspace per space, which the projector of that name keeps as its column.
+scenarios takes its long-pulse paths from the projector columns, so a path
+stays that very column even where the fixed-state table has since dropped the
+state. Each named projector is built once per (name, space) and shared
+read-only, its column a view of that state and its U^dag the column's
+transpose, so it adds no array: a table of 16, which marker traffic's 3
+two-mode spaces of 5 projectors fill, keeping at most 16 columns alive, 7.5 MB
+at nmax 171. It is a bounded functools.lru_cache table, which is thread-safe.
 """
 
 from __future__ import annotations
@@ -49,23 +49,6 @@ def _excitation_pair_indices(space: FockSpace) -> tuple[int, int]:
     """Flat indices of |1,0> and |0,1> in a two-mode space of dims (d0, d1): d1 and 1."""
     check_modes(space.nmodes)
     return space.mode_dims[1], 1
-
-
-@lru_cache(maxsize=32)
-def _flat_terms(name: str, mode_dims: tuple[int, ...]) -> tuple[tuple[int, float], ...]:
-    """The (flat level, amplitude) terms of the named sector on the space of these dims."""
-    space = _space(mode_dims)
-    return tuple((space.index(occupations) if occupations else 0, amplitude)
-                 for occupations, amplitude in _SECTORS[name])
-
-
-def _sector(name: str, space: FockSpace, negated: bool = False) -> FockVector:
-    """The unit state of the named marker sector on a space of as many modes as its
-    occupations (ground: any), or its negation, read only and shared: the named
-    projector's own column, so a long-pulse path is that very vector."""
-    if negated:
-        return _shared_state(space, _flat_terms(name, space.mode_dims), True)
-    return named_projector(name, space)._columns[0]
 
 
 def _is_plus_zero(z: complex) -> bool:
@@ -180,6 +163,8 @@ def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
     spaces; each of the 16 entries keeps its column alive, whose transpose is
     its U^dag, at most 16 x 467,856 = 7,485,696 bytes at nmax 171."""
     check_modes(len(mode_dims), name)
-    terms = _flat_terms(name, mode_dims)
-    return Projector._wrap(_shared_state(_space(mode_dims), terms), name,
+    space = _space(mode_dims)
+    terms = tuple((space.index(occupations) if occupations else 0, amplitude)
+                  for occupations, amplitude in _SECTORS[name])
+    return Projector._wrap(_shared_state(space, terms), name,
                            len(terms) == 1 and terms[0][1] == 1.0)
