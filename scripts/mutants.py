@@ -142,7 +142,7 @@ MUTANTS = (
            "return -column if sector.startswith(\"-\") else column", "return column"),
     Mutant("long-pulse sector not the projector's column",
            "column = transforms.named_projector(sector.lstrip(\"-\"), space)._columns[0]",
-           "column = transforms._shared_state(space, tuple((space.index(o) if o else 0, a) "
+           "column = _superposition(space, tuple((space.index(o) if o else 0, a) "
            "for o, a in transforms._SECTORS[sector.lstrip(\"-\")]))"),
     # transforms
     Mutant("eraser applies its inverse",

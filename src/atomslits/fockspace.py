@@ -19,11 +19,8 @@ All values are immutable after construction and every function is pure, so
 states and operators can be shared across threads without coordination. The
 spaces the package builds are interned by dims: equal dims give one shared
 FockSpace object. The per-nmax level table of the coherent series is computed
-once and held read-only, and so is each fixed state (basis_state,
-ground_state, zero_vector and the marker sectors of spec._SECTORS), one per
-(space, state) with its norm, in a table of 32 that holds at most 15.0 MB at nmax
-171; spaces of more than 171**2 levels get new arrays.
-All live in small bounded functools.lru_cache tables, which are thread-safe.
+once and held read-only. Both live in small bounded functools.lru_cache tables,
+which are thread-safe.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import SpaceMismatchError
-from .spec import MAX_NMAX, _Frozen, check_amplitude
+from .spec import _Frozen, check_amplitude
 
 __all__ = [
     "FockSpace",
@@ -228,19 +225,6 @@ class FockVector(_Frozen):
         return FockVector._wrap(self.space, flipped.view(np.complex128))
 
 
-# The fixed-state table, and the projector table whose entries keep their
-# columns alive (each a view of a fixed state, its transpose the U^dag), hold
-# vectors of at most two modes of MAX_NMAX levels, the largest marker space:
-# 467,856 bytes each. A larger space gets new arrays on every call, so no
-# table can pin more.
-_SHARED_DIM_MAX = MAX_NMAX**2
-
-
-def _shared(table, space: FockSpace):
-    """The lru_cache table for a space up to _SHARED_DIM_MAX, else its uncached function."""
-    return table if space.dim <= _SHARED_DIM_MAX else table.__wrapped__
-
-
 def _superposition(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> FockVector:
     """sum_k c_k |k> over flat levels k, each c_k added to a zero: the bits of the
     scaled basis-vector sum. The engines differ only in the zeros they fill."""
@@ -255,36 +239,18 @@ def _superposition(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> 
     return FockVector._wrap(space, amps)
 
 
-@lru_cache(maxsize=32)
-def _fixed_state(mode_dims: tuple[int, ...], terms: tuple[tuple[int, complex], ...]) -> FockVector:
-    """_superposition on the shared space of these dims, read only.
-
-    Number states, the empty path and the marker sectors are computed once and
-    shared with their norm once computed. Marker traffic uses 7 per nmax, 6 on
-    its two-mode space; the 32 entries hold at most 32 x 467,856 = 14,971,392
-    bytes at nmax 171.
-    """
-    return _superposition(_space(mode_dims), terms)
-
-
-def _shared_state(space: FockSpace, terms: tuple[tuple[int, complex], ...]) -> FockVector:
-    """_fixed_state for this space. Its coefficients must be fixed and nonzero: +0.0
-    and -0.0 would be one key with two results."""
-    return _shared(_fixed_state, space)(space.mode_dims, terms)
-
-
 def basis_state(space: FockSpace, occupations: Sequence[int]) -> FockVector:
-    """Number state |n0, n1, ...> of the given space, read only and shared."""
-    return _shared_state(space, ((space.index(occupations), 1.0),))
+    """Number state |n0, n1, ...> of the given space, read only."""
+    return _superposition(_space(space.mode_dims), ((space.index(occupations), 1.0),))
 
 
 def ground_state(space: FockSpace) -> FockVector:
-    return _shared_state(space, ((0, 1.0),))
+    return _superposition(_space(space.mode_dims), ((0, 1.0),))
 
 
 def zero_vector(space: FockSpace) -> FockVector:
-    """The null vector, read only and shared; used for a path carrying no amplitude."""
-    return _shared_state(space, ())
+    """The null vector, read only; used for a path carrying no amplitude."""
+    return _superposition(_space(space.mode_dims), ())
 
 
 @lru_cache(maxsize=32, typed=True)

@@ -168,8 +168,8 @@ _OUTCOMES = {
 
 def _path(sector: str | None, space) -> FockVector:
     """The state an _OUTCOMES entry names on this space, read only: the named projector's
-    own column, so the path is that very vector, or for "-name" its negation; None is the
-    shared empty path."""
+    own column, so the path is that very vector, or for "-name" its negation; None is an
+    empty path."""
     if sector is None:
         return zero_vector(space)
     column = transforms.named_projector(sector.lstrip("-"), space)._columns[0]
@@ -178,12 +178,15 @@ def _path(sector: str | None, space) -> FockVector:
 
 def _build_long(spec: ScenarioSpec) -> TwoPathMixture:
     """Frequency-resolved pulse, an incoherent mixture: the elastic line on the ground
-    marker at weight eps^2 (1-|b|^2), then each of the config's _OUTCOMES."""
-    space = _space((spec.nmax,) * _REGIMES[spec.config].modes)
+    marker at weight eps^2 (1-|b|^2), then each of the config's _OUTCOMES, with one
+    vector for a sector it names twice, such as B's empty path."""
+    space, outcomes = _space((spec.nmax,) * _REGIMES[spec.config].modes), _OUTCOMES[spec.config]
+    path = {sector: _path(sector, space)
+            for sector in dict.fromkeys(s for outcome in outcomes for s in outcome[:2])}
     b2, eps2, g = _squared_abs(spec.beta), spec.epsilon**2, _path("ground", space)
     return _mixture((g, g, FreqTag.ELASTIC, eps2 * (1.0 - b2)),
-                    *((_path(sector1, space), _path(sector2, space), tag, eps2 * b2 * share)
-                      for sector1, sector2, tag, share in _OUTCOMES[spec.config]))
+                    *((path[sector1], path[sector2], tag, eps2 * b2 * share)
+                      for sector1, sector2, tag, share in outcomes))
 
 
 # The builders of each config's short and long pulse; ScenarioSpec has refused

@@ -7,15 +7,14 @@ optical element, and the named coincidence projectors exposed on the command
 line. Each transform returns a mixture that carries the common kick of the one
 it was given.
 
-Every named marker sector of spec._SECTORS is one shared read-only fixed state
-of fockspace per space, which the projector of that name keeps as its column.
-scenarios takes its long-pulse paths from the projector columns, so a path
-stays that very column even where the fixed-state table has since dropped the
-state. Each named projector is built once per (name, space) and shared
-read-only, its column a view of that state and its U^dag the column's
-transpose, so it adds no array: a table of 16, which marker traffic's 3
-two-mode spaces of 5 projectors fill, keeping at most 16 columns alive, 7.5 MB
-at nmax 171. It is a bounded functools.lru_cache table, which is thread-safe.
+Each named projector is built once per (name, space) and shared read-only. It
+owns its column, the state of the marker sector of that name in spec._SECTORS,
+and its U^dag is the column's transpose, so it holds one array. scenarios takes
+its long-pulse paths from the projector columns, so a path is that very column.
+The table of 16, which marker traffic's 3 two-mode spaces of 5 projectors fill,
+keeps at most 16 columns alive, 7.5 MB at nmax 171; a space of more levels than
+the largest marker space gets a new projector on every call. It is a bounded
+functools.lru_cache table, which is thread-safe.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import math
 import operator
 from functools import lru_cache
 
-from .fockspace import FockSpace, FockVector, _mul, _scalar, _shared, _shared_state, _space
-from .spec import _SECTORS, PROJECTOR_NAMES, FreqTag, _member, check_modes
+from .fockspace import FockSpace, FockVector, _mul, _scalar, _space, _superposition
+from .spec import _SECTORS, MAX_NMAX, PROJECTOR_NAMES, FreqTag, _member, check_modes
 from .twopath import Projector, TwoPathComponent, TwoPathMixture
 
 __all__ = [
@@ -154,17 +153,20 @@ def named_projector(name: str, space: FockSpace) -> Projector:
         raise ValueError(
             f"unknown projector {name!r}; choose one of {', '.join(PROJECTOR_NAMES)}"
         )
-    return _shared(_named_projector, space)(name, space.mode_dims)
+    # the largest marker space has two modes of MAX_NMAX levels; no table pins a larger one
+    table = _named_projector if space.dim <= MAX_NMAX**2 else _named_projector.__wrapped__
+    return table(name, space.mode_dims)
 
 
 @lru_cache(maxsize=16)
 def _named_projector(name: str, mode_dims: tuple[int, ...]) -> Projector:
-    """The projector named_projector shares. Marker traffic uses 5 on each of 3
-    spaces; each of the 16 entries keeps its column alive, whose transpose is
-    its U^dag, at most 16 x 467,856 = 7,485,696 bytes at nmax 171."""
+    """The projector named_projector shares, the one owner of its column. Marker
+    traffic uses 5 on each of 3 spaces; each of the 16 entries keeps its column
+    alive, whose transpose is its U^dag, at most 16 x 467,856 = 7,485,696 bytes at
+    nmax 171."""
     check_modes(len(mode_dims), name)
     space = _space(mode_dims)
     terms = tuple((space.index(occupations) if occupations else 0, amplitude)
                   for occupations, amplitude in _SECTORS[name])
-    return Projector._wrap(_shared_state(space, terms), name,
+    return Projector._wrap(_superposition(space, terms), name,
                            len(terms) == 1 and terms[0][1] == 1.0)

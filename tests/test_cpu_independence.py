@@ -18,6 +18,10 @@ still fails (ROADMAP item 6): the marker chains at nmax 32 and 64 and
 `report`'s checks at nmax 20 and 40 run through BLAS, so each of those cases is
 a strict xfail, and the case that starts to pass fails the suite until its
 marker goes.
+
+The last test replays both goldens whole in one child process whose every
+atomslits lru table has maxsize 0, so each call recomputes what a table would
+hold. It passes wherever the goldens do: no output depends on the tables.
 """
 
 import json
@@ -56,10 +60,31 @@ print(json.dumps(differ))
 """
 
 
-def child(argv, variable, value):
+# runs pytest on its arguments after importing atomslits with every functools.lru_cache at
+# maxsize 0; numpy and pytest load first, and hypothesis only within pytest.main, which
+# would otherwise warn that it cannot rewrite hypothesis' asserts
+TABLELESS = """
+import functools, importlib, pkgutil, sys
+import numpy, pytest
+lru_cache = functools.lru_cache
+functools.lru_cache = lambda maxsize=128, typed=False: lru_cache(maxsize=0, typed=typed)
+try:
+    import atomslits
+    modules = [importlib.import_module(f"atomslits.{m.name}")
+               for m in pkgutil.iter_modules(atomslits.__path__)]
+finally:
+    functools.lru_cache = lru_cache
+tables = [value for module in modules for value in vars(module).values()
+          if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__]
+assert tables and all(table.cache_info().maxsize == 0 for table in tables), tables
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+
+def child(argv, **variables):
     src = str(Path(atomslits.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path, **{variable: value})
+    env = dict(os.environ, PYTHONPATH=path, **variables)
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -67,12 +92,17 @@ def child(argv, variable, value):
 @ENVIRONMENTS
 def test_goldens_hold_whatever_the_cpu(variable, value):
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *GOLDENS]
-    done = child(argv, variable, value)
+    done = child(argv, **{variable: value})
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 @ENVIRONMENTS
 def test_default_size_cli_bytes_hold_whatever_the_cpu(variable, value):
-    done = child([sys.executable, "-c", REPLAY], variable, value)
+    done = child([sys.executable, "-c", REPLAY], **{variable: value})
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout) == []
+
+
+def test_goldens_hold_with_every_table_off():
+    done = child([sys.executable, "-c", TABLELESS, *GOLDENS])
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -275,7 +275,7 @@ def test_long_pulse_paths_are_the_projector_columns(config):
 def test_a_long_pulse_path_stays_the_projector_column_when_the_state_table_turns_over():
     projectors = {name: named_projector(name, TWO) for name in ("ground", "sym")}
     many = FockSpace((40,))
-    for n in range(40):  # more fixed states than the table holds: TWO's are dropped
+    for n in range(40):  # more states than any table holds, built between the two calls
         basis_state(many, (n,))
     m = build(ScenarioSpec(Config.E, Pulse.LONG, beta=0.3, nmax=3))
     assert m.space == TWO
